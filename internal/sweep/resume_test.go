@@ -275,6 +275,16 @@ func TestStoreKeyContract(t *testing.T) {
 	if j.StoreKey(opt) != j.StoreKey(o5) {
 		t.Fatal("StoreKey depends on execution-only options")
 	}
+
+	// The absolute address of one default job. Every journal on disk is
+	// keyed this way: a change to any identity input (sim.Params included)
+	// that moves this literal re-addresses every stored result, and must
+	// come with an identityVersion bump.
+	def := DefaultOptions()
+	const wantKey = "24c3f45f54f53f26873d31db286d9bd0a15a8159e406635589dadb19e1e9f5fc"
+	if got := Jobs(def)[0].StoreKey(def); got != wantKey {
+		t.Fatalf("default job %+v StoreKey = %s, want %s", Jobs(def)[0], got, wantKey)
+	}
 }
 
 // TestResumeRequiresStore: the option pairing is validated.
