@@ -46,8 +46,8 @@ type (
 	SimParams = sim.Params
 	// SimResult is a switch-level measurement.
 	SimResult = sim.Result
-	// SimEngine selects the simulation backend: event-driven or compiled
-	// bit-parallel.
+	// SimEngine names the simulation backend. The compiled bit-parallel
+	// engine (EngineBitParallel, the zero value) is the only one.
 	SimEngine = sim.Engine
 	// SimProgram is a circuit compiled for the zero-delay bit-parallel
 	// engine (flat levelized word-op array; immutable, safe for
@@ -128,20 +128,15 @@ const (
 	ModeDelayNeutral = reorder.DelayNeutral
 )
 
-// Simulation engines (see sim.Engine). The event-driven engine is the
-// semantic reference; the bit-parallel engine compiles the circuit once
-// and evaluates up to MaxSimVectors Monte Carlo vectors per pass — 64
-// lanes per machine word, in register blocks of up to 8 words
-// (structure-of-arrays, so 256- and 512-lane blocks auto-vectorize) — in
-// every delay mode: the levelized program under zero delay, the timed
-// word-op program (integer-tick timing wheel) under unit or Elmore
-// delay. In the timed modes both engines run on the same tick grid and
-// agree lane for lane (unit-delay quantization is exact; Elmore delays
-// snap to within half a tick, see SimParams.Tick).
-const (
-	EngineEventDriven = sim.EventDriven
-	EngineBitParallel = sim.BitParallel
-)
+// EngineBitParallel is the simulation engine (see sim.Engine): the
+// circuit compiles once and evaluates up to MaxSimVectors Monte Carlo
+// vectors per pass — 64 lanes per machine word, in register blocks of up
+// to 8 words (structure-of-arrays, so 256- and 512-lane blocks
+// auto-vectorize) — in every delay mode: the levelized program under zero
+// delay, the timed word-op program (integer-tick timing wheel) under unit
+// or Elmore delay (unit-delay quantization is exact; Elmore delays snap
+// to within half a tick, see SimParams.Tick).
+const EngineBitParallel = sim.BitParallel
 
 // MaxSimVectors is the lane capacity of one packed bit-parallel run: the
 // widest register block (8 words × 64 lanes). Lane counts of 64, 256 and
@@ -221,8 +216,8 @@ func BestAndWorst(c *Circuit, pi map[string]Signal, opt OptimizeOptions) (best, 
 }
 
 // Simulate measures power by switch-level simulation under exponential
-// input waveforms realizing the given statistics. prm.Engine selects the
-// backend; the bit-parallel engine requires zero-delay mode.
+// input waveforms realizing the given statistics: one vector on the
+// compiled engine, in any delay mode.
 func Simulate(c *Circuit, pi map[string]Signal, horizon float64, seed int64, prm SimParams) (*SimResult, error) {
 	rng := newRand(seed)
 	waves, err := sim.GenerateWaveforms(c.Inputs, pi, horizon, rng)

@@ -250,7 +250,7 @@ func TestIncrementalAnalysisFacade(t *testing.T) {
 
 // TestFacadeSimulateVectorsTimed: the facade's packed Monte Carlo
 // measurement works in every delay mode — timed modes compile the timed
-// program and agree with the per-vector event engine on the totals.
+// program, and the mean per-lane power is deterministic in the seed.
 func TestFacadeSimulateVectorsTimed(t *testing.T) {
 	lib := repro.DefaultLibrary()
 	c, err := repro.LoadBenchmark("c17", lib)

@@ -515,172 +515,68 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 	})
 }
 
-// BenchmarkBitParallelVsEvent measures the PR-2 tentpole claim on the
-// largest embedded benchmark: zero-delay Monte Carlo power measurement on
-// the compiled bit-parallel engine (64 vectors per word, compile once)
-// versus the event-driven engine (one vector per run), identical stimulus
-// statistics. Compare the two vectors/sec metrics: the compiled engine
-// must sustain ≥ 20× the event engine's throughput.
-func BenchmarkBitParallelVsEvent(b *testing.B) {
+// BenchmarkRunEnergyAllocs pins the sweep engine's measurement path: on
+// the largest embedded benchmark, in all three delay modes, a warmed
+// RunEnergy call must not allocate (the pooled scratch reuse) — asserted
+// before timing one 64-lane pack per iteration.
+func BenchmarkRunEnergyAllocs(b *testing.B) {
 	lib := repro.DefaultLibrary()
 	c := largestEmbedded(b, lib)
 	stats := repro.UniformInputs(c, 0.5, 2e5)
 	const horizon = 2e-4
-	prm := sim.DefaultParams()
-	prm.Mode = sim.ZeroDelay
-	b.Logf("benchmark %s: %d gates", c.Name, len(c.Gates))
-
-	// Pregenerate the stimulus outside the timed region for both engines:
-	// the comparison is simulation throughput, not waveform drawing.
-	rng := rand.New(rand.NewSource(64))
-	laneWaves := make([]map[string]*stoch.Waveform, 64)
-	for l := range laneWaves {
-		w, err := sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		laneWaves[l] = w
-	}
-	stim, err := stoch.PackWaveforms(c.Inputs, laneWaves, horizon)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("event", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(c, laneWaves[i%len(laneWaves)], horizon, prm); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "vectors/sec")
-	})
-	b.Run("bitparallel", func(b *testing.B) {
-		prog, err := sim.Compile(c, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run(stim); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)*float64(stim.Lanes)/b.Elapsed().Seconds(), "vectors/sec")
-	})
-}
-
-// BenchmarkTimedBitParallelVsEvent measures the PR-4 tentpole claim on
-// the largest embedded benchmark: unit- and Elmore-delay (glitch-power)
-// Monte Carlo measurement on the timed compiled engine — 64 vectors per
-// word through a word-level timing wheel, compile once — versus the
-// event-driven engine, identical tick-quantized stimulus. Compare the
-// vectors/sec metrics per delay mode: the timed compiled engine must
-// sustain ≥ 10× the event engine's throughput (place the numbers next to
-// BenchmarkBitParallelVsEvent's zero-delay ~55× for the full trajectory).
-// The steady-state pooled measurement paths must not allocate: asserted
-// here for both compiled engines (the sync.Pool-backed scratch reuse).
-func BenchmarkTimedBitParallelVsEvent(b *testing.B) {
-	lib := repro.DefaultLibrary()
-	c := largestEmbedded(b, lib)
-	stats := repro.UniformInputs(c, 0.5, 2e5)
-	const horizon = 2e-4
-	b.Logf("benchmark %s: %d gates", c.Name, len(c.Gates))
-
 	for _, mode := range []struct {
 		name string
 		mode sim.DelayMode
-	}{{"unit", sim.UnitDelay}, {"elmore", sim.ElmoreDelay}} {
+	}{{"zero", sim.ZeroDelay}, {"unit", sim.UnitDelay}, {"elmore", sim.ElmoreDelay}} {
 		prm := sim.DefaultParams()
 		prm.Mode = mode.mode
-
-		// Pregenerate identical stimulus for both engines outside the
-		// timed region: the comparison is simulation throughput.
-		rng := rand.New(rand.NewSource(64))
-		laneWaves := make([]map[string]*stoch.Waveform, 64)
-		for l := range laneWaves {
-			w, err := sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
+		rng := rand.New(rand.NewSource(65))
+		laneWaves, err := sim.GenerateLaneWaveforms(c.Inputs, stats, horizon, stoch.MaxLanes, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var runEnergy func() (float64, error)
+		if mode.mode == sim.ZeroDelay {
+			prog, err := sim.Compile(c, prm)
 			if err != nil {
 				b.Fatal(err)
 			}
-			laneWaves[l] = w
-		}
-		prog, err := sim.CompileTimed(c, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stim, err := prog.PackTimed(laneWaves, horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		b.Run(mode.name+"/event", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(c, laneWaves[i%len(laneWaves)], horizon, prm); err != nil {
-					b.Fatal(err)
-				}
+			stim, err := stoch.PackWaveforms(c.Inputs, laneWaves, horizon)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "vectors/sec")
-		})
-		b.Run(mode.name+"/bitparallel", func(b *testing.B) {
-			// Warm the scratch pool, then pin the allocation-free claim.
-			if _, err := prog.RunEnergy(stim); err != nil {
+			runEnergy = func() (float64, error) { return prog.RunEnergy(stim) }
+		} else {
+			prog, err := sim.CompileTimed(c, prm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stim, err := prog.PackTimed(laneWaves, horizon)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runEnergy = func() (float64, error) { return prog.RunEnergy(stim) }
+		}
+		b.Run(mode.name, func(b *testing.B) {
+			if _, err := runEnergy(); err != nil { // warm the scratch pool
 				b.Fatal(err)
 			}
 			if avg := testing.AllocsPerRun(5, func() {
-				if _, err := prog.RunEnergy(stim); err != nil {
+				if _, err := runEnergy(); err != nil {
 					b.Fatal(err)
 				}
 			}); avg > 2 {
-				b.Fatalf("timed RunEnergy allocates %.1f objects/op; the pooled scratch must make this ~0", avg)
+				b.Fatalf("%s RunEnergy allocates %.1f objects/op; the pooled scratch must make this ~0", mode.name, avg)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prog.Run(stim); err != nil {
+				if _, err := runEnergy(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.N)*float64(stim.Lanes)/b.Elapsed().Seconds(), "vectors/sec")
+			b.ReportMetric(float64(b.N)*stoch.MaxLanes/b.Elapsed().Seconds(), "vectors/sec")
 		})
 	}
-
-	// The zero-delay program shares the pooled-scratch contract.
-	b.Run("zero/runenergy-allocs", func(b *testing.B) {
-		prm := sim.DefaultParams()
-		prm.Mode = sim.ZeroDelay
-		rng := rand.New(rand.NewSource(65))
-		laneWaves := make([]map[string]*stoch.Waveform, 64)
-		for l := range laneWaves {
-			w, err := sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			laneWaves[l] = w
-		}
-		stim, err := stoch.PackWaveforms(c.Inputs, laneWaves, horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, err := sim.Compile(c, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := prog.RunEnergy(stim); err != nil {
-			b.Fatal(err)
-		}
-		if avg := testing.AllocsPerRun(5, func() {
-			if _, err := prog.RunEnergy(stim); err != nil {
-				b.Fatal(err)
-			}
-		}); avg > 2 {
-			b.Fatalf("zero-delay RunEnergy allocates %.1f objects/op; the pooled scratch must make this ~0", avg)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.RunEnergy(stim); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(0, "allocs/op-asserted")
-	})
 }
 
 // BenchmarkLaneWidth measures the PR-10 tentpole: Monte Carlo
@@ -689,9 +585,8 @@ func BenchmarkTimedBitParallelVsEvent(b *testing.B) {
 // and 512 lanes), on the largest embedded benchmark in all three delay
 // modes. Each iteration evaluates one full packed stimulus, so the
 // vectors/sec metric scales with both the per-word kernel cost and the
-// pack width; compare the 64-lane rows against
-// BenchmarkBitParallelVsEvent and BenchmarkTimedBitParallelVsEvent for
-// the cross-PR trajectory. Target: ≥2× the one-word throughput at 256+
+// pack width; the 64-lane rows continue the one-word engine's cross-PR
+// trajectory. Target: ≥2× the one-word throughput at 256+
 // lanes in every mode — the wide kernels amortize the per-gate agenda
 // and metering overhead across words.
 func BenchmarkLaneWidth(b *testing.B) {

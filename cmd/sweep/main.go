@@ -61,10 +61,9 @@ func run() error {
 		horizon   = flag.Float64("horizon", 0, "scenario A simulation horizon in seconds (0 = default)")
 		cycles    = flag.Int("cycles", 0, "scenario B simulated cycles (0 = default)")
 		delayMode = flag.String("delay", "unit", "simulation delay model: unit, elmore or zero")
-		engine    = flag.String("engine", "bitparallel", "S-column simulation engine: bitparallel (packed Monte Carlo lanes, any delay model) or event (one realization per job)")
 		tick      = flag.Float64("tick", 0, "timed-simulation tick in seconds (0 = auto: the unit delay, or the fastest Elmore gate delay / 4)")
-		vectors   = flag.Int("vectors", 0, "total Monte Carlo vectors for bit-parallel simulation (0 = one register block of -lanes)")
-		lanes     = flag.Int("lanes", 0, "bit-parallel register-block lane width, 1..512; 64 = one machine word, 256/512 = wide kernels (0 = 64)")
+		vectors   = flag.Int("vectors", 0, "total Monte Carlo vectors for S-column simulation (0 = one register block of -lanes)")
+		lanes     = flag.Int("lanes", 0, "register-block lane width, 1..512; 64 = one machine word, 256/512 = wide kernels (0 = 64)")
 		verbose   = flag.Bool("v", false, "print the per-job table, not only the aggregates")
 		list      = flag.Bool("list", false, "print the planned jobs and exit")
 		storeDir  = flag.String("store", "", "journal finished jobs into this content-addressed result store directory")
@@ -143,11 +142,6 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown -delay %q (want unit, elmore or zero)", *delayMode)
 	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	opt.Expt.Sim.Engine = eng
 	if *tick < 0 {
 		return fmt.Errorf("-tick %g is negative", *tick)
 	}
@@ -156,18 +150,12 @@ func run() error {
 	}
 	opt.Expt.Sim.Tick = *tick
 	if *vectors != 0 {
-		if eng != sim.BitParallel {
-			return fmt.Errorf("-vectors applies to the bit-parallel engine: drop -engine event")
-		}
 		if *vectors < 1 {
 			return fmt.Errorf("-vectors %d; need at least 1", *vectors)
 		}
 		opt.Expt.SimVectors = *vectors
 	}
 	if *lanes != 0 {
-		if eng != sim.BitParallel {
-			return fmt.Errorf("-lanes applies to the bit-parallel engine: drop -engine event")
-		}
 		if *lanes < 1 || *lanes > stoch.MaxPackLanes {
 			return fmt.Errorf("-lanes %d out of [1,%d]", *lanes, stoch.MaxPackLanes)
 		}

@@ -2,19 +2,18 @@
 // simulation (the reproduction's SLS stand-in): exponential input
 // waveforms, transistor-level gate resolution, ½CV² per node transition.
 //
-// Two engines are available: the event-driven reference engine (any
-// delay model, one vector stream per run) and the compiled bit-parallel
-// engine (any delay model, Monte Carlo vectors packed into register
-// blocks of -lanes bits — 64 per machine word, 256/512 via the wide
-// kernels; zero-delay runs the levelized program, unit/elmore the timed
-// program on an integer tick grid; -tick overrides the automatic
-// resolution).
+// The circuit runs on the compiled bit-parallel engine: Monte Carlo
+// vectors packed into register blocks of -lanes bits — 64 per machine
+// word, 256/512 via the wide kernels. Zero delay runs the levelized
+// program, unit/elmore the timed program on an integer tick grid; -tick
+// overrides the automatic resolution. -vcd dumps the waveforms of a
+// single vector.
 //
 // Usage:
 //
 //	swsim -in circuit.blif [-stats file | -scenario A|B] [-horizon s] [-seed n]
-//	      [-delay unit|elmore|zero] [-engine event|bitparallel] [-vectors n]
-//	      [-lanes n] [-tick s] [-vcd out.vcd]
+//	      [-delay unit|elmore|zero] [-vectors n] [-lanes n] [-tick s]
+//	      [-vcd out.vcd]
 package main
 
 import (
@@ -38,19 +37,18 @@ func main() {
 	horizon := flag.Float64("horizon", 5e-4, "simulated seconds (per vector)")
 	seed := flag.Int64("seed", 1996, "waveform seed")
 	delayMode := flag.String("delay", "unit", "gate delay model: unit, elmore or zero")
-	engine := flag.String("engine", "event", "simulation engine: event or bitparallel")
-	vectors := flag.Int("vectors", 0, "Monte Carlo vectors (default: 1 event, one register block bitparallel)")
-	lanes := flag.Int("lanes", 0, "bit-parallel register-block lane width, 1..512 (0 = 64, one machine word)")
+	vectors := flag.Int("vectors", 0, "Monte Carlo vectors (default: one register block of -lanes; 1 with -vcd)")
+	lanes := flag.Int("lanes", 0, "register-block lane width, 1..512 (0 = 64, one machine word)")
 	tick := flag.Float64("tick", 0, "timed-simulation tick in seconds (0 = auto: the unit delay, or the fastest Elmore gate delay / 4)")
-	vcd := flag.String("vcd", "", "write a VCD waveform dump to this file (event engine only)")
+	vcd := flag.String("vcd", "", "write a VCD waveform dump of a single vector to this file")
 	flag.Parse()
-	if err := run(*in, *statsFile, *scenario, *horizon, *seed, *delayMode, *engine, *vectors, *lanes, *tick, *vcd); err != nil {
+	if err := run(*in, *statsFile, *scenario, *horizon, *seed, *delayMode, *vectors, *lanes, *tick, *vcd); err != nil {
 		fmt.Fprintln(os.Stderr, "swsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode, engineName string, vectors, lanes int, tick float64, vcdPath string) error {
+func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode string, vectors, lanes int, tick float64, vcdPath string) error {
 	if in == "" {
 		return fmt.Errorf("missing -in")
 	}
@@ -74,10 +72,6 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode,
 	default:
 		return fmt.Errorf("unknown -delay %q", delayMode)
 	}
-	eng, err := sim.ParseEngine(engineName)
-	if err != nil {
-		return err
-	}
 	if tick < 0 {
 		return fmt.Errorf("-tick %g is negative", tick)
 	}
@@ -85,14 +79,8 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode,
 		return fmt.Errorf("-tick applies to timed simulation: pass -delay unit or elmore")
 	}
 	prm.Tick = tick
-	if eng == sim.BitParallel && vcdPath != "" {
-		return fmt.Errorf("-vcd needs the event engine: the bit-parallel engine does not record per-lane waveform traces")
-	}
 	if vectors < 0 {
 		return fmt.Errorf("-vectors %d must be positive", vectors)
-	}
-	if lanes != 0 && eng != sim.BitParallel {
-		return fmt.Errorf("-lanes applies to the bit-parallel engine: pass -engine bitparallel")
 	}
 	if lanes < 0 || lanes > stoch.MaxPackLanes {
 		return fmt.Errorf("-lanes %d out of [1,%d]", lanes, stoch.MaxPackLanes)
@@ -101,21 +89,15 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode,
 		lanes = stoch.MaxLanes
 	}
 	if vectors == 0 {
-		vectors = 1
-		if eng == sim.BitParallel {
-			vectors = lanes
+		vectors = lanes
+		if vcdPath != "" {
+			vectors = 1
 		}
 	}
 
 	rng := rand.New(rand.NewSource(seed))
 	var res *sim.Result
-	switch {
-	case eng == sim.BitParallel:
-		res, err = runBitParallel(c, pi, horizon, vectors, lanes, rng, prm)
-		if err != nil {
-			return err
-		}
-	case vcdPath != "":
+	if vcdPath != "" {
 		if vectors != 1 {
 			return fmt.Errorf("-vcd records a single run: -vectors must be 1")
 		}
@@ -137,8 +119,8 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode,
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", vcdPath)
-	default:
-		res, err = runEventVectors(c, pi, horizon, vectors, rng, prm)
+	} else {
+		res, err = runVectors(c, pi, horizon, vectors, lanes, rng, prm)
 		if err != nil {
 			return err
 		}
@@ -147,19 +129,18 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("circuit %s: engine %s, %d vector(s) of %.3g s, %d events\n",
-		c.Name, eng, vectors, horizon, res.Events)
+	fmt.Printf("circuit %s: %d vector(s) of %.3g s, %d steps\n",
+		c.Name, vectors, horizon, res.Events)
 	fmt.Printf("measured power: %.4g W (%d internal-node flips, %d output flips)\n",
 		res.Power, res.InternalFlips, res.OutputFlips)
 	fmt.Printf("model power:    %.4g W (ratio %.2f)\n", model.Power, res.Power/model.Power)
 	return nil
 }
 
-// runBitParallel compiles the circuit once (the levelized program under
-// zero delay, the timed program otherwise) and evaluates ceil(n/width)
-// packed register blocks, folding counts and averaging power across all
-// vectors.
-func runBitParallel(c *circuit.Circuit, pi map[string]stoch.Signal, horizon float64, vectors, width int, rng *rand.Rand, prm sim.Params) (*sim.Result, error) {
+// runVectors compiles the circuit once (the levelized program under zero
+// delay, the timed program otherwise) and evaluates ceil(n/width) packed
+// register blocks, folding counts and averaging power across all vectors.
+func runVectors(c *circuit.Circuit, pi map[string]stoch.Signal, horizon float64, vectors, width int, rng *rand.Rand, prm sim.Params) (*sim.Result, error) {
 	var runBatch func(lanes int) (*sim.BitResult, error)
 	if prm.Mode == sim.ZeroDelay {
 		prog, err := sim.Compile(c, prm)
@@ -202,25 +183,6 @@ func runBitParallel(c *circuit.Circuit, pi map[string]stoch.Signal, horizon floa
 		}
 		total.Accumulate(&br.Result)
 		done += lanes
-	}
-	total.Power = total.Energy / (float64(vectors) * horizon)
-	return total, nil
-}
-
-// runEventVectors runs the event engine n times with fresh stimulus and
-// averages the measured power.
-func runEventVectors(c *circuit.Circuit, pi map[string]stoch.Signal, horizon float64, vectors int, rng *rand.Rand, prm sim.Params) (*sim.Result, error) {
-	total := &sim.Result{Horizon: horizon}
-	for v := 0; v < vectors; v++ {
-		waves, err := sim.GenerateWaveforms(c.Inputs, pi, horizon, rng)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(c, waves, horizon, prm)
-		if err != nil {
-			return nil, err
-		}
-		total.Accumulate(res)
 	}
 	total.Power = total.Energy / (float64(vectors) * horizon)
 	return total, nil

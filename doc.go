@@ -20,8 +20,12 @@
 //   - internal/netlist, internal/mapper — hand-rolled BLIF/GNL parsing
 //     (docs/gnl.md describes GNL) and technology mapping.
 //   - internal/sim — the switch-level power simulator (the SLS
-//     stand-in): an event-driven reference engine and a compiled
-//     bit-parallel engine (64 Monte Carlo vectors per word, zero-delay).
+//     stand-in): compiled bit-parallel engines, zero-delay and timed
+//     (unit or Elmore delay), 64 Monte Carlo vectors per word and up to
+//     512 per register block.
+//   - internal/gen — the naive reference oracle every compiled path is
+//     checked against, a random circuit generator and the differential
+//     harness.
 //   - internal/delay — Elmore stack delays and static timing analysis.
 //   - internal/mcnc, internal/expt — benchmarks and the Table 1/2/3
 //     experiment harness.

@@ -57,13 +57,10 @@ type Options struct {
 	Seed     int64        // base seed; per-benchmark seeds derive from it
 	Workers  int          // parallel benchmark rows in Run (≤ 1: sequential)
 	// SimVectors is the total number of Monte Carlo stimulus realizations
-	// a bit-parallel S-column measurement evaluates: with Sim.Engine ==
-	// sim.BitParallel (the default here), zero-delay runs go through the
+	// an S-column measurement evaluates: zero-delay runs go through the
 	// compiled levelized engine and unit-/Elmore-delay runs through the
 	// timed compiled engine, streaming the vectors in register blocks of
-	// SimLanes lanes per pass. With Sim.Engine == sim.EventDriven the S
-	// column falls back to one event-driven realization and SimVectors is
-	// ignored. 0 means SimLanes (one pack).
+	// SimLanes lanes per pass. 0 means SimLanes (one pack).
 	SimVectors int
 	// SimLanes is the register-block lane width of one bit-parallel pass
 	// (1..stoch.MaxPackLanes; 64, 256 and 512 hit the specialized
@@ -77,10 +74,9 @@ type Options struct {
 // DefaultOptions mirrors the paper's setup (densities up to one million
 // transitions per second, a 10 MHz scenario-B clock) with horizons chosen
 // so every input sees hundreds of transitions. The S column measures on
-// the compiled bit-parallel backends in every delay mode; set Sim.Engine
-// to sim.EventDriven for the single-realization reference path.
+// the compiled bit-parallel backends in every delay mode.
 func DefaultOptions() Options {
-	opt := Options{
+	return Options{
 		Params:     core.DefaultParams(),
 		Delay:      delay.DefaultParams(),
 		Sim:        sim.DefaultParams(),
@@ -94,8 +90,6 @@ func DefaultOptions() Options {
 		SimLanes:   stoch.MaxLanes,
 		Lib:        library.Default(),
 	}
-	opt.Sim.Engine = sim.BitParallel
-	return opt
 }
 
 // InputStats draws primary-input statistics for the scenario. Scenario A
@@ -293,29 +287,17 @@ func generateScenarioWaveforms(inputs []string, sigs map[string]stoch.Signal, sc
 
 // SimReduction measures the switch-level-simulated best-vs-worst power
 // reduction (Table 3's S column): both circuits simulated under identical
-// scenario-appropriate stimulus drawn deterministically from seed. With
-// opt.Sim.Engine == sim.BitParallel (the default) the measurement streams
-// opt.SimVectors Monte Carlo realizations through the compiled engines in
-// register blocks of opt.SimLanes lanes per pass — zero-delay runs on the
-// levelized compiled engine, unit- and Elmore-delay runs on the timed
-// compiled engine (both circuits on one shared tick grid); chunking is
-// exact, so the result depends on the vector total but not on the lane
-// width. The event-driven fallback (opt.Sim.Engine == sim.EventDriven)
-// simulates one realization, reused across the best/worst pair exactly
-// like the packed paths reuse theirs.
+// scenario-appropriate stimulus drawn deterministically from seed. The
+// measurement streams opt.SimVectors Monte Carlo realizations through the
+// compiled engines in register blocks of opt.SimLanes lanes per pass —
+// zero-delay runs on the levelized compiled engine, unit- and Elmore-delay
+// runs on the timed compiled engine (both circuits on one shared tick
+// grid); chunking is exact, so the result depends on the vector total but
+// not on the lane width.
 func SimReduction(c, best, worst *circuit.Circuit, pi map[string]stoch.Signal, sc Scenario, seed int64, opt Options) (float64, error) {
 	rng := rand.New(rand.NewSource(seed))
 	sigs := scenarioSignals(pi, sc, opt)
 	horizon := scenarioHorizon(sc, opt)
-	if opt.Sim.Engine == sim.EventDriven {
-		// Event-engine fallback: one realization shared by both circuits.
-		waves, err := generateScenarioWaveforms(c.Inputs, sigs, sc, opt, rng)
-		if err != nil {
-			return 0, err
-		}
-		red, _, _, err := sim.MeasureReduction(best, worst, waves, horizon, opt.Sim)
-		return red, err
-	}
 	lanes := opt.SimLanes
 	if lanes == 0 {
 		lanes = stoch.MaxLanes

@@ -168,11 +168,9 @@ func TestSimReductionZeroDelayUsesBitParallel(t *testing.T) {
 	}
 }
 
-// TestSimReductionTimedUsesBitParallel: with the default bit-parallel
-// engine, unit- and Elmore-delay S-column measurements route through the
-// timed compiled backend — SimVectors Monte Carlo lanes, deterministic in
-// the seed, and in rough agreement with the event-driven fallback on the
-// winner.
+// TestSimReductionTimedUsesBitParallel: unit- and Elmore-delay S-column
+// measurements route through the timed compiled backend — SimVectors
+// Monte Carlo lanes, deterministic in the seed.
 func TestSimReductionTimedUsesBitParallel(t *testing.T) {
 	opt := DefaultOptions()
 	opt.HorizonA = 2e-4
@@ -213,43 +211,6 @@ func TestSimReductionTimedUsesBitParallel(t *testing.T) {
 		}
 		if redB <= -1 || redB >= 1 {
 			t.Errorf("mode %v: scenario B timed reduction %v outside (-1,1)", mode, redB)
-		}
-	}
-}
-
-// TestSimReductionEventFallback: Engine == EventDriven keeps the
-// single-realization event path alive in every delay mode, sharing one
-// stimulus across the best/worst pair (deterministic in the seed).
-func TestSimReductionEventFallback(t *testing.T) {
-	opt := DefaultOptions()
-	opt.HorizonA = 2e-4
-	opt.Sim.Engine = sim.EventDriven
-	c, err := mcnc.Load("c17", opt.Lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi := InputStats(c, ScenarioA, opt)
-	ro := reorder.DefaultOptions()
-	ro.Params = opt.Params
-	best, worst, err := reorder.BestAndWorst(c, pi, ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []sim.DelayMode{sim.UnitDelay, sim.ElmoreDelay, sim.ZeroDelay} {
-		opt.Sim.Mode = mode
-		red1, err := SimReduction(c, best.Circuit, worst.Circuit, pi, ScenarioA, 7, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		red2, err := SimReduction(c, best.Circuit, worst.Circuit, pi, ScenarioA, 7, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if red1 != red2 {
-			t.Errorf("mode %v: event fallback not deterministic: %v vs %v", mode, red1, red2)
-		}
-		if red1 <= -1 || red1 >= 1 {
-			t.Errorf("mode %v: event fallback reduction %v outside (-1,1)", mode, red1)
 		}
 	}
 }

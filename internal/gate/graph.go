@@ -256,109 +256,53 @@ func (g *Graph) CheckComplementary() error {
 // NodeStateAt returns the steady logic value of every node under the
 // given input minterm after the gate settles, with charge retention:
 // driven nodes take their rail value, undriven nodes keep prev (prev may
-// be nil, in which case undriven nodes default to false). Used by the
-// switch-level simulator and by tests cross-checking H/G.
-//
-// Each call allocates; hot loops should hold a NewEvaluator and call
-// StateAt with a reusable destination slice instead.
+// be nil, in which case undriven nodes default to false). It is the
+// conducting-path reference the simulation oracle and the H/G
+// cross-checks use; the compiled simulator evaluates H and G instead.
 func (g *Graph) NodeStateAt(m uint, prev []bool) []bool {
-	return g.NewEvaluator().StateAt(m, prev, nil)
-}
-
-// adjEdge is one transistor terminal as seen from a node: the node on the
-// other side of the channel and the condition under which it conducts.
-type adjEdge struct {
-	next  NodeID
-	input int // gate input index controlling the channel
-	pmos  bool
-}
-
-// Evaluator resolves node states for one Graph without allocating per
-// call: the adjacency lists, the flood work stack and the visit stamps are
-// built once and reused. An Evaluator is not safe for concurrent use.
-type Evaluator struct {
-	g     *Graph
-	adj   [][]adjEdge
-	stack []NodeID
-	seen  []int32
-	stamp int32
-}
-
-// NewEvaluator builds a reusable node-state evaluator for the graph.
-func (g *Graph) NewEvaluator() *Evaluator {
-	adj := make([][]adjEdge, g.NumNodes)
-	for _, e := range g.Edges {
-		i := g.inputIndex(e.Input)
-		adj[e.A] = append(adj[e.A], adjEdge{next: e.B, input: i, pmos: e.Type == PMOS})
-		adj[e.B] = append(adj[e.B], adjEdge{next: e.A, input: i, pmos: e.Type == PMOS})
-	}
-	return &Evaluator{
-		g:     g,
-		adj:   adj,
-		stack: make([]NodeID, 0, g.NumNodes),
-		seen:  make([]int32, g.NumNodes),
-	}
-}
-
-// StateAt computes the settled node state under input minterm m with
-// charge retention from prev (nil: undriven nodes read false), writing the
-// result into dst (allocated when nil; otherwise len(dst) must equal
-// NumNodes) and returning it. dst and prev may not alias.
-func (ev *Evaluator) StateAt(m uint, prev, dst []bool) []bool {
-	g := ev.g
-	if dst == nil {
-		dst = make([]bool, g.NumNodes)
-	}
-	if prev == nil {
-		for n := range dst {
-			dst[n] = false
-		}
-	} else {
-		copy(dst, prev)
-	}
+	state := make([]bool, g.NumNodes)
+	copy(state, prev)
 	// Flood from each rail across conducting edges; nodes not reached by
 	// either flood keep their retained charge.
-	ev.flood(Vdd, true, m, dst)
-	ev.flood(Vss, false, m, dst)
-	dst[Vdd], dst[Vss] = true, false
-	return dst
+	g.flood(Vdd, true, m, state)
+	g.flood(Vss, false, m, state)
+	state[Vdd], state[Vss] = true, false
+	return state
 }
 
 // flood walks conducting channels from a rail, driving every reached node
 // to val. Rails are supplies, not wires: the walk never continues through
 // the opposite rail.
-func (ev *Evaluator) flood(from NodeID, val bool, m uint, dst []bool) {
-	ev.stamp++
-	if ev.stamp <= 0 { // stamp wrapped: stale marks could collide
-		for i := range ev.seen {
-			ev.seen[i] = 0
-		}
-		ev.stamp = 1
-	}
-	stack := append(ev.stack[:0], from)
-	ev.seen[from] = ev.stamp
+func (g *Graph) flood(from NodeID, val bool, m uint, state []bool) {
+	seen := make([]bool, g.NumNodes)
+	seen[from] = true
+	stack := []NodeID{from}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if cur != Vdd && cur != Vss {
-			dst[cur] = val
+			state[cur] = val
 		}
-		for _, e := range ev.adj[cur] {
-			on := m>>e.input&1 == 1
-			if e.pmos {
+		for _, e := range g.Edges {
+			next := e.B
+			switch cur {
+			case e.A:
+			case e.B:
+				next = e.A
+			default:
+				continue
+			}
+			on := m>>g.inputIndex(e.Input)&1 == 1
+			if e.Type == PMOS {
 				on = !on
 			}
-			if !on {
+			if !on || next == Vdd || next == Vss || seen[next] {
 				continue
 			}
-			if e.next == Vdd || e.next == Vss || ev.seen[e.next] == ev.stamp {
-				continue
-			}
-			ev.seen[e.next] = ev.stamp
-			stack = append(stack, e.next)
+			seen[next] = true
+			stack = append(stack, next)
 		}
 	}
-	ev.stack = stack[:0]
 }
 
 func (g *Graph) inputIndex(name string) int {

@@ -27,7 +27,7 @@ import (
 type CheckOptions struct {
 	Lib *library.Library // nil: the default Table 2 library
 
-	Engines     bool // cross-check event, bit-parallel and oracle in all delay modes
+	Engines     bool // cross-check the compiled engines against the oracle in all delay modes
 	Incremental bool // incremental power engine vs full re-analysis under mutation
 	Optimize    bool // optimize-then-verify: equivalence + power accounting
 
@@ -51,9 +51,9 @@ type CheckOptions struct {
 	// LaneWidths are the bit-parallel register-block widths the engine
 	// check exercises beyond the single-vector run: the shared stimulus
 	// is replicated into every lane of a width-W pack and each lane must
-	// reproduce the event engine's measurement exactly, so the wide
-	// kernels (W > 1 words) are pinned to the oracle-checked reference.
-	// Nil skips the wide sub-check.
+	// reproduce the oracle's measurement exactly, so the wide kernels
+	// (W > 1 words) are pinned to the reference. Nil skips the wide
+	// sub-check.
 	LaneWidths []int
 }
 
@@ -81,7 +81,7 @@ func (o CheckOptions) lib() *library.Library {
 // Discrepancy is one differential failure: which check disagreed, on what,
 // and everything needed to replay it.
 type Discrepancy struct {
-	Check   string // failing sub-check, e.g. "engines/unit/event-vs-oracle"
+	Check   string // failing sub-check, e.g. "engines/unit/bitparallel-vs-oracle"
 	Detail  string // human-readable witness
 	Profile string // generation profile name ("" when the circuit was parsed)
 	Seed    int64  // harness seed driving stimulus and trials
@@ -306,9 +306,10 @@ func diffMeasures(a, b measure) string {
 	return ""
 }
 
-// checkEngines runs one shared stimulus through the event-driven engine,
-// the bit-parallel engine and the naive oracle in all three delay modes
-// and demands identical measurements.
+// checkEngines runs one shared stimulus through the naive oracle and the
+// compiled engines in all three delay modes and demands identical
+// measurements: a single-vector sim.Run, then every lane of each
+// configured register-block width.
 func checkEngines(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 	pi map[string]stoch.Signal, fail func(string, string) *Discrepancy) *Discrepancy {
 	horizon := opts.Horizon
@@ -338,14 +339,6 @@ func checkEngines(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 		if err != nil {
 			return fail("engines/"+m.name+"/oracle", err.Error())
 		}
-		ev, err := sim.Run(c, waves, horizon, prm)
-		if err != nil {
-			return fail("engines/"+m.name+"/event", err.Error())
-		}
-		if w := diffMeasures(measureOf(ev), measureOfOracle(ref)); w != "" {
-			return fail("engines/"+m.name+"/event-vs-oracle", w)
-		}
-		prm.Engine = sim.BitParallel
 		bp, err := sim.Run(c, waves, horizon, prm)
 		if err != nil {
 			return fail("engines/"+m.name+"/bitparallel", err.Error())
@@ -353,10 +346,7 @@ func checkEngines(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 		if w := diffMeasures(measureOf(bp), measureOfOracle(ref)); w != "" {
 			return fail("engines/"+m.name+"/bitparallel-vs-oracle", w)
 		}
-		if w := diffMeasures(measureOf(bp), measureOf(ev)); w != "" {
-			return fail("engines/"+m.name+"/bitparallel-vs-event", w)
-		}
-		if d := checkWideLanes(c, m.name, prm, waves, horizon, ev, opts, fail); d != nil {
+		if d := checkWideLanes(c, m.name, prm, waves, horizon, ref, opts, fail); d != nil {
 			return d
 		}
 	}
@@ -365,12 +355,12 @@ func checkEngines(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 
 // checkWideLanes replicates the shared stimulus into every lane of each
 // configured register-block width and demands that every lane of the
-// wide bit-parallel run reproduce the event engine's measurement — a
-// lane that drifts under a W-word kernel (strided loads, per-word fire
-// masks, the two-level agenda) pins the failure to the wide path, since
-// the one-vector bit-parallel run already matched.
+// wide bit-parallel run reproduce the oracle's measurement — a lane that
+// drifts under a W-word kernel (strided loads, per-word fire masks, the
+// two-level agenda) pins the failure to the wide path, since the
+// one-vector run already matched.
 func checkWideLanes(c *circuit.Circuit, mode string, prm sim.Params,
-	waves map[string]*stoch.Waveform, horizon float64, ev *sim.Result,
+	waves map[string]*stoch.Waveform, horizon float64, ref *OracleResult,
 	opts CheckOptions, fail func(string, string) *Discrepancy) *Discrepancy {
 	if len(opts.LaneWidths) == 0 {
 		return nil
@@ -409,28 +399,28 @@ func checkWideLanes(c *circuit.Circuit, mode string, prm sim.Params,
 			return fail(check, err.Error())
 		}
 		for l := 0; l < lanes; l++ {
-			if br.LaneInternalFlips[l] != ev.InternalFlips {
-				return fail(check, fmt.Sprintf("lane %d: internal flips %d vs event %d", l, br.LaneInternalFlips[l], ev.InternalFlips))
+			if br.LaneInternalFlips[l] != ref.InternalFlips {
+				return fail(check, fmt.Sprintf("lane %d: internal flips %d vs oracle %d", l, br.LaneInternalFlips[l], ref.InternalFlips))
 			}
-			if br.LaneOutputFlips[l] != ev.OutputFlips {
-				return fail(check, fmt.Sprintf("lane %d: output flips %d vs event %d", l, br.LaneOutputFlips[l], ev.OutputFlips))
+			if br.LaneOutputFlips[l] != ref.OutputFlips {
+				return fail(check, fmt.Sprintf("lane %d: output flips %d vs oracle %d", l, br.LaneOutputFlips[l], ref.OutputFlips))
 			}
-			if !relClose(br.LaneEnergy[l], ev.Energy, rel) {
-				return fail(check, fmt.Sprintf("lane %d: energy %g vs event %g", l, br.LaneEnergy[l], ev.Energy))
+			if !relClose(br.LaneEnergy[l], ref.Energy, rel) {
+				return fail(check, fmt.Sprintf("lane %d: energy %g vs oracle %g", l, br.LaneEnergy[l], ref.Energy))
 			}
 		}
-		for net, want := range ev.NetTransitions {
+		for net, want := range ref.NetTransitions {
 			row := br.LaneNetTransitions[net]
 			for l := 0; l < lanes; l++ {
 				if row[l] != want {
-					return fail(check, fmt.Sprintf("lane %d net %s: %d vs event %d", l, net, row[l], want))
+					return fail(check, fmt.Sprintf("lane %d net %s: %d vs oracle %d", l, net, row[l], want))
 				}
 			}
 		}
 		for net, row := range br.LaneNetTransitions {
 			for l := 0; l < lanes; l++ {
-				if row[l] != ev.NetTransitions[net] {
-					return fail(check, fmt.Sprintf("lane %d net %s: %d vs event %d", l, net, row[l], ev.NetTransitions[net]))
+				if row[l] != ref.NetTransitions[net] {
+					return fail(check, fmt.Sprintf("lane %d net %s: %d vs oracle %d", l, net, row[l], ref.NetTransitions[net]))
 				}
 			}
 		}

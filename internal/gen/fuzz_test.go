@@ -81,7 +81,7 @@ func fuzzOpts(engines, incremental, optimize bool) CheckOptions {
 	return opts
 }
 
-// FuzzEngines cross-checks the three simulation backends against the
+// FuzzEngines cross-checks the compiled simulation engines against the
 // naive oracle in every delay mode.
 func FuzzEngines(f *testing.F) {
 	addSeeds(f)

@@ -5,7 +5,7 @@
 // idempotent, so untouched gates are provable no-ops), logic values come
 // from straight truth-table evaluation iterated to fixpoint, and
 // transistor-level node states come from the allocating Graph.NodeStateAt
-// reference path rather than the optimized Evaluator machinery the
+// conducting-path flood rather than the compiled H/G word ops the
 // engines use. The only thing the oracle shares with the engines is the
 // published simulation *semantics* (the tick grid from sim.TickPlan,
 // instant-atomic sweeps, sample-at-fire pulse filtering) — the mechanisms
@@ -317,11 +317,11 @@ func oracleZero(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon fl
 	return o.finish(), nil
 }
 
-// oracleTimed replays the tick-grid semantics shared by both timed
-// backends: input waveforms quantize onto the grid from sim.TickPlan,
-// then every instant with activity (an input edge or a pending output
-// update) gets one full instant-atomic sweep. Updates drain past the
-// horizon, exactly like the engines.
+// oracleTimed replays the timed engine's tick-grid semantics: input
+// waveforms quantize onto the grid from sim.TickPlan, then every instant
+// with activity (an input edge or a pending output update) gets one full
+// instant-atomic sweep. Updates drain past the horizon, exactly like the
+// engine.
 func oracleTimed(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64, prm sim.Params) (*OracleResult, error) {
 	tick, delayTicks, order, err := sim.TickPlan(c, prm)
 	if err != nil {

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/library"
@@ -46,46 +45,6 @@ func TestOracleEvalMissingInput(t *testing.T) {
 	c, _ := embeddedSeed(t, "c17", lib)
 	if _, err := OracleEval(c, map[string]bool{}); err == nil {
 		t.Fatal("missing inputs accepted")
-	}
-}
-
-// TestOracleMatchesEventEngineEmbedded runs the oracle against the
-// event-driven engine on the embedded classics in all three delay modes —
-// the oracle must reproduce the reference engine exactly before it is
-// trusted to judge the compiled ones.
-func TestOracleMatchesEventEngineEmbedded(t *testing.T) {
-	lib := library.Default()
-	const horizon = 4e-5
-	for _, name := range []string{"c17", "par8", "csel4", "mul2", "bcd7seg"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			c, _ := embeddedSeed(t, name, lib)
-			rng := rand.New(rand.NewSource(int64(len(name)) * 104729))
-			stats := make(map[string]stoch.Signal, len(c.Inputs))
-			for _, in := range c.Inputs {
-				stats[in] = stoch.Signal{P: 0.1 + 0.8*rng.Float64(), D: 1e5 + 3e5*rng.Float64()}
-			}
-			waves, err := sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []sim.DelayMode{sim.ZeroDelay, sim.UnitDelay, sim.ElmoreDelay} {
-				prm := sim.DefaultParams()
-				prm.Mode = mode
-				want, err := sim.Run(c, waves, horizon, prm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := OracleRun(c, waves, horizon, prm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w := diffMeasures(measureOfOracle(got), measureOf(want)); w != "" {
-					t.Fatalf("mode %d: oracle vs event: %s", mode, w)
-				}
-			}
-		})
 	}
 }
 

@@ -197,7 +197,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 type simulateRequest struct {
 	circuitRequest
-	Engine  string  `json:"engine,omitempty"`  // bitparallel | event
+	Engine  string  `json:"engine,omitempty"`  // bitparallel (the only engine; "bit-parallel" is an alias)
 	Delay   string  `json:"delay,omitempty"`   // zero | unit | elmore
 	Vectors int     `json:"vectors,omitempty"` // total Monte Carlo vectors, 1..maxSimulateVectors
 	Lanes   int     `json:"lanes,omitempty"`   // register-block lane width per pass, 1..512 (64, 256, 512 are the fast widths)
@@ -221,58 +221,45 @@ func parseDelayMode(s string) (sim.DelayMode, error) {
 	return 0, fmt.Errorf("unknown delay mode %q (want zero, unit or elmore)", s)
 }
 
-func (req *simulateRequest) normalizeSimulate() (sim.Engine, sim.DelayMode, error) {
+func (req *simulateRequest) normalizeSimulate() (sim.DelayMode, error) {
 	if err := req.normalize(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	if req.Engine == "" {
-		req.Engine = sim.BitParallel.String()
+	switch req.Engine {
+	case "", "bitparallel", "bit-parallel":
+		req.Engine = sim.BitParallel.String() // canonicalize aliases
+	default:
+		return 0, errf(http.StatusBadRequest, "invalid_request",
+			"unknown engine %q (bitparallel is the only engine)", req.Engine)
 	}
-	engine, err := sim.ParseEngine(req.Engine)
-	if err != nil {
-		return 0, 0, errf(http.StatusBadRequest, "invalid_request", "%v", err)
-	}
-	req.Engine = engine.String() // canonicalize aliases ("bit-parallel")
 	if req.Delay == "" {
 		req.Delay = "zero"
 	}
 	mode, err := parseDelayMode(req.Delay)
 	if err != nil {
-		return 0, 0, errf(http.StatusBadRequest, "invalid_request", "%v", err)
+		return 0, errf(http.StatusBadRequest, "invalid_request", "%v", err)
 	}
-	switch engine {
-	case sim.EventDriven:
-		if req.Vectors != 0 {
-			return 0, 0, errf(http.StatusBadRequest, "invalid_request",
-				"\"vectors\" applies only to the bitparallel engine (event runs one realization)")
-		}
-		if req.Lanes != 0 {
-			return 0, 0, errf(http.StatusBadRequest, "invalid_request",
-				"\"lanes\" applies only to the bitparallel engine")
-		}
-	case sim.BitParallel:
-		if req.Vectors == 0 {
-			req.Vectors = 16
-		}
-		if req.Vectors < 1 || req.Vectors > maxSimulateVectors {
-			return 0, 0, errf(http.StatusBadRequest, "invalid_request",
-				"vectors %d outside [1,%d]", req.Vectors, maxSimulateVectors)
-		}
-		if req.Lanes == 0 {
-			req.Lanes = stoch.MaxLanes
-		}
-		if req.Lanes < 1 || req.Lanes > stoch.MaxPackLanes {
-			return 0, 0, errf(http.StatusBadRequest, "invalid_request",
-				"lanes %d outside [1,%d]", req.Lanes, stoch.MaxPackLanes)
-		}
+	if req.Vectors == 0 {
+		req.Vectors = 16
+	}
+	if req.Vectors < 1 || req.Vectors > maxSimulateVectors {
+		return 0, errf(http.StatusBadRequest, "invalid_request",
+			"vectors %d outside [1,%d]", req.Vectors, maxSimulateVectors)
+	}
+	if req.Lanes == 0 {
+		req.Lanes = stoch.MaxLanes
+	}
+	if req.Lanes < 1 || req.Lanes > stoch.MaxPackLanes {
+		return 0, errf(http.StatusBadRequest, "invalid_request",
+			"lanes %d outside [1,%d]", req.Lanes, stoch.MaxPackLanes)
 	}
 	if req.Tick != 0 {
 		if mode == sim.ZeroDelay {
-			return 0, 0, errf(http.StatusBadRequest, "invalid_request",
+			return 0, errf(http.StatusBadRequest, "invalid_request",
 				"\"tick\" applies only to the timed delay modes (unit, elmore)")
 		}
 		if req.Tick < 0 || math.IsNaN(req.Tick) || math.IsInf(req.Tick, 0) {
-			return 0, 0, errf(http.StatusBadRequest, "invalid_request",
+			return 0, errf(http.StatusBadRequest, "invalid_request",
 				"tick %v must be a positive duration in seconds", req.Tick)
 		}
 	}
@@ -280,10 +267,10 @@ func (req *simulateRequest) normalizeSimulate() (sim.Engine, sim.DelayMode, erro
 		req.Horizon = defaultHorizon
 	}
 	if req.Horizon <= 0 || math.IsNaN(req.Horizon) || req.Horizon > maxHorizon {
-		return 0, 0, errf(http.StatusBadRequest, "invalid_request",
+		return 0, errf(http.StatusBadRequest, "invalid_request",
 			"horizon %v outside (0,%v] seconds", req.Horizon, maxHorizon)
 	}
-	return engine, mode, nil
+	return mode, nil
 }
 
 type simulateResponse struct {
@@ -296,8 +283,7 @@ type simulateResponse struct {
 	Power         float64 `json:"power"`
 	InternalFlips int     `json:"internal_flips"`
 	OutputFlips   int     `json:"output_flips"`
-	Events        int     `json:"events,omitempty"` // event engine only
-	Steps         int     `json:"steps,omitempty"`  // bit-parallel only
+	Steps         int     `json:"steps,omitempty"`
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -306,7 +292,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	engine, mode, err := req.normalizeSimulate()
+	mode, err := req.normalizeSimulate()
 	if err != nil {
 		writeError(w, err)
 		return
@@ -318,7 +304,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		pi := req.inputStats(c)
 		prm := sim.DefaultParams()
-		prm.Engine = engine
 		prm.Mode = mode
 		prm.Tick = req.Tick
 		rng := rand.New(rand.NewSource(req.Seed))
@@ -327,24 +312,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			Engine:    req.Engine,
 			Delay:     req.Delay,
 			Horizon:   req.Horizon,
-		}
-
-		if engine == sim.EventDriven {
-			waves, err := sim.GenerateWaveforms(c.Inputs, pi, req.Horizon, rng)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(c, waves, req.Horizon, prm)
-			if err != nil {
-				return nil, err
-			}
-			resp.Lanes = 1
-			resp.Energy = res.Energy
-			resp.Power = res.Power
-			resp.InternalFlips = res.InternalFlips
-			resp.OutputFlips = res.OutputFlips
-			resp.Events = res.Events
-			return resp, nil
 		}
 
 		// The compiled program is width-agnostic and cached per netlist;

@@ -80,6 +80,7 @@ func TestHandlerValidation(t *testing.T) {
 		{"optimize malformed JSON", "POST", "/v1/optimize", `{`, 400, "invalid_json"},
 
 		{"simulate unknown engine", "POST", "/v1/simulate", `{"benchmark":"c17","engine":"warp"}`, 400, "invalid_request"},
+		{"simulate event engine", "POST", "/v1/simulate", `{"benchmark":"c17","engine":"event"}`, 400, "invalid_request"},
 		{"simulate unknown delay", "POST", "/v1/simulate", `{"benchmark":"c17","delay":"sometimes"}`, 400, "invalid_request"},
 		{"simulate vectors on event engine", "POST", "/v1/simulate", `{"benchmark":"c17","engine":"event","vectors":8}`, 400, "invalid_request"},
 		{"simulate too many vectors", "POST", "/v1/simulate", `{"benchmark":"c17","vectors":4097}`, 400, "invalid_request"},
@@ -131,6 +132,44 @@ func TestHandlerValidation(t *testing.T) {
 				t.Fatal("error message is empty")
 			}
 		})
+	}
+}
+
+// TestSimulateEngineNames: the compiled bit-parallel engine is the only
+// one. Its names (and the empty default) are accepted and canonicalized
+// in the response; the retired event engine gets a structured 400 whose
+// message names the engine that remains.
+func TestSimulateEngineNames(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	for _, name := range []string{``, `"engine":"bitparallel",`, `"engine":"bit-parallel",`} {
+		code, body := post(`{` + name + `"benchmark":"c17","vectors":4}`)
+		var sr simulateResponse
+		if code != 200 || json.Unmarshal(body, &sr) != nil {
+			t.Fatalf("%s: %d %s", name, code, body)
+		}
+		if sr.Engine != "bitparallel" {
+			t.Fatalf("%s: response engine %q, want bitparallel", name, sr.Engine)
+		}
+	}
+	code, body := post(`{"benchmark":"c17","engine":"event"}`)
+	var env errorEnvelope
+	if code != 400 || json.Unmarshal(body, &env) != nil {
+		t.Fatalf("event engine: %d %s", code, body)
+	}
+	if env.Error.Code != "invalid_request" || !strings.Contains(env.Error.Message, "bitparallel") {
+		t.Fatalf("event engine error %+v; want invalid_request naming bitparallel", env.Error)
 	}
 }
 

@@ -12,16 +12,16 @@ import (
 // BitResult is a bit-parallel measurement: the embedded Result sums the
 // transitions and energy of every active lane, with Power normalized to
 // the mean per-lane power (Energy / (Lanes·Horizon)) so it is directly
-// comparable with a single event-driven run. Result.Events counts
-// evaluated steps.
+// comparable with a single-vector Run. Result.Events counts evaluated
+// steps.
 type BitResult struct {
 	Result
 	Lanes int // active Monte Carlo lanes
 	Steps int // settling instants evaluated
 
 	// Per-lane breakdowns, populated only by RunLanes (nil otherwise):
-	// the lane-equivalence property tests compare these against 64
-	// independent event-driven runs.
+	// the lane-equivalence property tests compare these against
+	// independent oracle runs, one per lane.
 	LaneNetTransitions map[string][]int // net → per-lane transition counts
 	LaneInternalFlips  []int
 	LaneOutputFlips    []int
@@ -49,7 +49,7 @@ func RunPacked(c *circuit.Circuit, stim *stoch.PackedStimulus, prm Params) (*Bit
 // read-only; concurrent Runs are safe — including runs of different lane
 // widths, whose scratch register files are never shared.
 func (p *Program) Run(stim *stoch.PackedStimulus) (*BitResult, error) {
-	return p.run(stim, false)
+	return p.runMetered(stim, nil)
 }
 
 // RunLanes is Run with per-lane metering: the BitResult additionally
@@ -57,7 +57,7 @@ func (p *Program) Run(stim *stoch.PackedStimulus) (*BitResult, error) {
 // costs one pass over the set bits of every diff word — proportional to
 // the transitions that actually happened, not to lanes × nodes.
 func (p *Program) RunLanes(stim *stoch.PackedStimulus) (*BitResult, error) {
-	return p.run(stim, true)
+	return p.runMetered(stim, &laneMeter{})
 }
 
 // RunEnergy is the lean measurement path: total metered energy in joules
@@ -77,21 +77,79 @@ func (p *Program) RunEnergy(stim *stoch.PackedStimulus) (float64, error) {
 	return energy, nil
 }
 
-func (p *Program) run(stim *stoch.PackedStimulus, perLane bool) (*BitResult, error) {
-	var laneCounts [][]int
-	if perLane {
-		laneCounts = make([][]int, len(p.meters))
-		for i := range laneCounts {
-			laneCounts[i] = make([]int, stim.Lanes)
-		}
-	}
-	sc, err := p.execStim(stim, laneCounts)
+// runMetered evaluates the stimulus and assembles a BitResult. A non-nil
+// lane meter takes the per-lane slow path; a tracing meter additionally
+// receives lane 0's final node values.
+func (p *Program) runMetered(stim *stoch.PackedStimulus, lm *laneMeter) (*BitResult, error) {
+	lm.begin(p.meters, stim.Lanes, 0)
+	sc, err := p.execStim(stim, lm)
 	if err != nil {
 		return nil, err
 	}
-	br := assembleResult(p.gates, p.meters, stim.Lanes, stim.Steps, stim.Horizon, sc.counts, laneCounts)
+	br := assembleResult(p.gates, p.meters, stim.Lanes, stim.Steps, stim.Horizon, sc.counts, lm)
+	lm.snapshot(func(reg int32) uint64 { return sc.regs[int(reg)*sc.words] })
 	p.putScratch(sc)
 	return br, nil
+}
+
+// laneMeter is the per-lane slow path both compiled engines share: the
+// per-lane counters behind RunLanes and, for RunTrace, a log of lane 0's
+// transitions. The measurement paths (Run, RunEnergy) pass a nil meter
+// and never reach it.
+type laneMeter struct {
+	counts [][]int // [meter][lane]
+	trace  bool    // log lane 0's transitions
+
+	log    []laneEvent  // lane 0's transitions in evaluation order
+	meters []meterPoint // the run's meter points, indexed by laneEvent.meter
+	final  []bool       // lane 0's value per meter after the run
+	tick   float64      // seconds per tick for timed runs; 0 for zero delay
+}
+
+// laneEvent is one lane-0 transition of a traced run: meter point meter
+// changed at instant at — a tick of the timed engine, or a settling-step
+// index of the zero-delay engine.
+type laneEvent struct {
+	at    int64
+	meter int32
+}
+
+// begin prepares the meter for a run over the given meter points (tick is
+// the timed engine's tick, 0 for zero delay); nil meters are a no-op.
+func (lm *laneMeter) begin(meters []meterPoint, lanes int, tick float64) {
+	if lm == nil {
+		return
+	}
+	lm.meters, lm.tick = meters, tick
+	lm.counts = make([][]int, len(meters))
+	for i := range lm.counts {
+		lm.counts[i] = make([]int, lanes)
+	}
+}
+
+// add scatters a metered diff word of block word `word` into per-lane
+// counters and, when tracing, logs a lane-0 transition at instant at.
+func (lm *laneMeter) add(mi int32, word int, diff uint64, at int64) {
+	lc := lm.counts[mi]
+	base := word * stoch.MaxLanes
+	for x := diff; x != 0; x &= x - 1 {
+		lc[base+bits.TrailingZeros64(x)]++
+	}
+	if lm.trace && word == 0 && diff&1 != 0 {
+		lm.log = append(lm.log, laneEvent{at: at, meter: mi})
+	}
+}
+
+// snapshot records lane 0's final value of every meter point for a
+// traced run; word0 returns word 0 of a register.
+func (lm *laneMeter) snapshot(word0 func(reg int32) uint64) {
+	if lm == nil || !lm.trace {
+		return
+	}
+	lm.final = make([]bool, len(lm.meters))
+	for mi, mp := range lm.meters {
+		lm.final[mi] = word0(mp.stateReg)&1 != 0
+	}
 }
 
 // runScratch is the pooled register file + count slice of one evaluation.
@@ -132,7 +190,7 @@ func (p *Program) putScratch(sc *runScratch) { p.scratch.Put(sc) }
 
 // execStim evaluates the packed stimulus and returns the scratch holding
 // raw meter counts; the caller must put it back.
-func (p *Program) execStim(stim *stoch.PackedStimulus, laneCounts [][]int) (*runScratch, error) {
+func (p *Program) execStim(stim *stoch.PackedStimulus, lm *laneMeter) (*runScratch, error) {
 	if err := stim.Validate(); err != nil {
 		return nil, err
 	}
@@ -209,12 +267,8 @@ func (p *Program) execStim(stim *stoch.PackedStimulus, laneCounts [][]int) (*run
 				d := (regs[vb+w] ^ regs[sb+w]) & masks[w]
 				if d != 0 {
 					counts[mi] += int64(bits.OnesCount64(d))
-					if laneCounts != nil {
-						lc := laneCounts[mi]
-						base := w * stoch.MaxLanes
-						for x := d; x != 0; x &= x - 1 {
-							lc[base+bits.TrailingZeros64(x)]++
-						}
+					if lm != nil {
+						lm.add(int32(mi), w, d, int64(s))
 					}
 					regs[sb+w] = regs[vb+w]
 				}
@@ -396,7 +450,7 @@ func execOpsN(ops []bitOp, regs []uint64, words int) {
 // assembleResult folds raw meter counts into a BitResult — shared by the
 // zero-delay and timed bit-parallel engines. steps is the engine's
 // settled-instant count (also reported as Result.Events).
-func assembleResult(gates []*circuit.Instance, meters []meterPoint, lanes, steps int, horizon float64, counts []int64, laneCounts [][]int) *BitResult {
+func assembleResult(gates []*circuit.Instance, meters []meterPoint, lanes, steps int, horizon float64, counts []int64, lm *laneMeter) *BitResult {
 	br := &BitResult{
 		Result: Result{
 			Horizon:        horizon,
@@ -407,7 +461,7 @@ func assembleResult(gates []*circuit.Instance, meters []meterPoint, lanes, steps
 		Lanes: lanes,
 		Steps: steps,
 	}
-	perLane := laneCounts != nil
+	perLane := lm != nil
 	if perLane {
 		br.LaneNetTransitions = map[string][]int{}
 		br.LaneInternalFlips = make([]int, lanes)
@@ -435,7 +489,7 @@ func assembleResult(gates []*circuit.Instance, meters []meterPoint, lanes, steps
 			br.InternalFlips += n
 		}
 		if perLane {
-			lc := laneCounts[mi]
+			lc := lm.counts[mi]
 			if mp.kind == meterInput || mp.kind == meterOutput {
 				row := br.LaneNetTransitions[mp.net]
 				if row == nil {

@@ -10,10 +10,10 @@ import (
 )
 
 // This file lowers a mapped circuit into a flat, topologically-levelized
-// word-op program for the bit-parallel engine (bitsim.go). The lowering
-// replaces every per-event mechanism of the event-driven simulator —
-// map-based net lookup, heap scheduling, per-gate conducting-path
-// flooding — with straight-line code over dense register indices:
+// word-op program for the bit-parallel engine (bitsim.go). There is no
+// map-based net lookup, heap scheduling or per-gate conducting-path
+// flooding at run time — only straight-line code over dense register
+// indices:
 //
 //   - Every net and every transistor-level node gets a register in a flat
 //     []uint64 file. A register is a block of W consecutive words
@@ -26,7 +26,8 @@ import (
 //     settles to  new = H_nk | (prev &^ (H_nk|G_nk))  — driven nodes take
 //     their rail value, undriven nodes retain charge. H and G are exactly
 //     the conducting-path functions of Figure 2(b), so the compiled
-//     semantics match the event engine's flooding bit for bit.
+//     semantics match conducting-path flooding (the reference oracle's
+//     gate.Graph.NodeStateAt) bit for bit.
 //   - The boolean functions are compiled once, at build time, from their
 //     truth tables into AND/OR/NOT/ANDNOT word ops by memoized Shannon
 //     decomposition; evaluation is a single pass over the op array with

@@ -19,132 +19,6 @@ func zeroParams() Params {
 	return prm
 }
 
-// TestLaneEquivalenceEmbeddedBenchmarks is the tentpole property test:
-// on every embedded MCNC benchmark, the compiled bit-parallel engine must
-// reproduce the event-driven engine's zero-delay measurement lane for
-// lane — per-net transition counts, internal flips and energy — under 64
-// independently drawn Monte Carlo stimulus vectors.
-func TestLaneEquivalenceEmbeddedBenchmarks(t *testing.T) {
-	lib := library.Default()
-	prm := zeroParams()
-	const lanes = 64
-	const horizon = 1e-4
-	for _, name := range mcnc.EmbeddedNames() {
-		t.Run(name, func(t *testing.T) {
-			c, err := mcnc.Load(name, lib)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
-			stats := make(map[string]stoch.Signal, len(c.Inputs))
-			for _, in := range c.Inputs {
-				stats[in] = stoch.Signal{P: 0.1 + 0.8*rng.Float64(), D: 1e5 + 4e5*rng.Float64()}
-			}
-			laneWaves := make([]map[string]*stoch.Waveform, lanes)
-			for l := range laneWaves {
-				w, err := GenerateWaveforms(c.Inputs, stats, horizon, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				laneWaves[l] = w
-			}
-			stim, err := stoch.PackWaveforms(c.Inputs, laneWaves, horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := Compile(c, prm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br, err := prog.RunLanes(stim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var totalEnergy float64
-			for l := 0; l < lanes; l++ {
-				ref, err := Run(c, laneWaves[l], horizon, prm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for net, want := range ref.NetTransitions {
-					if got := br.LaneNetTransitions[net][l]; got != want {
-						t.Fatalf("lane %d net %s: bit-parallel %d transitions, event %d", l, net, got, want)
-					}
-				}
-				for net, row := range br.LaneNetTransitions {
-					if row[l] != ref.NetTransitions[net] {
-						t.Fatalf("lane %d net %s: bit-parallel %d transitions, event %d", l, net, row[l], ref.NetTransitions[net])
-					}
-				}
-				if br.LaneInternalFlips[l] != ref.InternalFlips {
-					t.Fatalf("lane %d: internal flips %d vs %d", l, br.LaneInternalFlips[l], ref.InternalFlips)
-				}
-				if br.LaneOutputFlips[l] != ref.OutputFlips {
-					t.Fatalf("lane %d: output flips %d vs %d", l, br.LaneOutputFlips[l], ref.OutputFlips)
-				}
-				if want := ref.Energy; math.Abs(br.LaneEnergy[l]-want) > 1e-9*math.Max(want, 1e-30) {
-					t.Fatalf("lane %d: energy %g vs %g", l, br.LaneEnergy[l], want)
-				}
-				totalEnergy += ref.Energy
-			}
-			if math.Abs(br.Energy-totalEnergy) > 1e-9*math.Max(totalEnergy, 1e-30) {
-				t.Fatalf("total energy %g, sum of event lanes %g", br.Energy, totalEnergy)
-			}
-			wantPower := totalEnergy / (lanes * horizon)
-			if math.Abs(br.Power-wantPower) > 1e-9*math.Max(wantPower, 1e-30) {
-				t.Fatalf("power %g, want mean per-lane %g", br.Power, wantPower)
-			}
-		})
-	}
-}
-
-// TestRunDispatchesToBitParallel: sim.Run with Engine == BitParallel must
-// return the same Result as the event engine for a single vector stream.
-func TestRunDispatchesToBitParallel(t *testing.T) {
-	lib := library.Default()
-	c, err := mcnc.Load("c17", lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(21))
-	stats := make(map[string]stoch.Signal, len(c.Inputs))
-	for _, in := range c.Inputs {
-		stats[in] = stoch.Signal{P: 0.5, D: 2e5}
-	}
-	const horizon = 1e-4
-	waves, err := GenerateWaveforms(c.Inputs, stats, horizon, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prm := zeroParams()
-	ev, err := Run(c, waves, horizon, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prm.Engine = BitParallel
-	bp, err := Run(c, waves, horizon, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for net, want := range ev.NetTransitions {
-		if bp.NetTransitions[net] != want {
-			t.Errorf("net %s: %d vs %d transitions", net, bp.NetTransitions[net], want)
-		}
-	}
-	if bp.InternalFlips != ev.InternalFlips || bp.OutputFlips != ev.OutputFlips {
-		t.Errorf("flips: bit-parallel %d/%d, event %d/%d",
-			bp.InternalFlips, bp.OutputFlips, ev.InternalFlips, ev.OutputFlips)
-	}
-	if math.Abs(bp.Energy-ev.Energy) > 1e-12*math.Max(ev.Energy, 1e-30) {
-		t.Errorf("energy %g vs %g", bp.Energy, ev.Energy)
-	}
-	for name, want := range ev.PerGate {
-		if got := bp.PerGate[name]; math.Abs(got-want) > 1e-12*math.Max(want, 1e-30) {
-			t.Errorf("gate %s energy %g vs %g", name, got, want)
-		}
-	}
-}
-
 // TestCompiledChargeRetention: the nand2 charge-retention scenario of
 // TestChargeRetentionSuppressesInternalActivity, on the compiled engine —
 // with the top transistor off, toggling the bottom input moves neither
@@ -207,10 +81,14 @@ func TestRunPackedRejectsNonZeroDelay(t *testing.T) {
 		t.Fatal("unit-delay parameters accepted by the zero-delay packed engine")
 	}
 	prm := DefaultParams()
-	prm.Engine = BitParallel
 	if err := prm.Validate(); err != nil {
 		t.Fatalf("Params.Validate rejected bit-parallel with unit delay: %v", err)
 	}
+	prm.Engine = BitParallel + 1
+	if err := prm.Validate(); err == nil {
+		t.Fatal("unknown engine accepted")
+	}
+	prm.Engine = BitParallel
 	prm.Tick = -1
 	if err := prm.Validate(); err == nil {
 		t.Fatal("negative tick accepted")
@@ -240,9 +118,9 @@ func TestCompiledProgramStats(t *testing.T) {
 	}
 }
 
-// TestMeasureReductionPackedMotivationGate mirrors the event-engine
-// MeasureReduction cross-check on the compiled engine: the model-chosen
-// best configuration must also measure better under 64 packed vectors.
+// TestMeasureReductionPackedMotivationGate mirrors the single-vector
+// MeasureReduction cross-check under 64 packed vectors: the model-chosen
+// best configuration must also measure better.
 func TestMeasureReductionPackedMotivationGate(t *testing.T) {
 	g := gate.MustNew("oai21", []string{"a1", "a2", "b"}, sp.MustParse("s(p(a1,a2),b)"))
 	cfgs := g.AllConfigs()

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/circuit"
 	"repro/internal/stoch"
 )
@@ -21,8 +19,9 @@ type GlitchReport struct {
 	Fraction       float64        // Useless / TotalGateTrans
 }
 
-// Glitches simulates the circuit and compares against an event-by-event
-// functional evaluation under the same stimulus.
+// Glitches simulates the circuit twice under the same stimulus — with
+// prm's gate delays and with zero delay — and attributes every
+// gate-output transition beyond the functional count to glitching.
 func Glitches(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64, prm Params) (*GlitchReport, error) {
 	res, err := Run(c, waves, horizon, prm)
 	if err != nil {
@@ -53,79 +52,22 @@ func Glitches(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon floa
 }
 
 // FunctionalTransitions counts, per net, the transitions an ideal
-// zero-delay circuit makes under the stimulus: after every input event
-// the whole circuit settles instantly, so reconvergent skew cannot create
-// pulses. This is the baseline that separates useful from useless
-// activity.
+// zero-delay circuit makes under the stimulus: all input events sharing a
+// timestamp apply together and the whole circuit settles instantly, so
+// reconvergent skew cannot create pulses. This is the baseline that
+// separates useful from useless activity. Nets that never switch are
+// omitted.
 func FunctionalTransitions(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64) (map[string]int, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := c.TopoOrder()
+	prm := DefaultParams()
+	prm.Mode = ZeroDelay
+	res, err := Run(c, waves, horizon, prm)
 	if err != nil {
 		return nil, err
 	}
-	funcs := make(map[*circuit.Instance]func(uint) bool, len(order))
-	for _, g := range order {
-		f, err := g.Cell.Func()
-		if err != nil {
-			return nil, err
-		}
-		funcs[g] = f.Eval
-	}
-	values := map[string]bool{}
-	var inputs []string
-	for _, in := range c.Inputs {
-		w, ok := waves[in]
-		if !ok {
-			return nil, fmt.Errorf("sim: no waveform for input %q", in)
-		}
-		values[in] = w.Initial
-		inputs = append(inputs, in)
-	}
-	counts := map[string]int{}
-	settle := func(count bool) {
-		for _, g := range order {
-			var m uint
-			for i, p := range g.Pins {
-				if values[p] {
-					m |= 1 << i
-				}
-			}
-			v := funcs[g](m)
-			if v != values[g.Out] {
-				values[g.Out] = v
-				if count {
-					counts[g.Out]++
-				}
-			}
-		}
-	}
-	settle(false) // establish t=0 without counting
-	ws := make([]*stoch.Waveform, len(inputs))
-	for i, in := range inputs {
-		ws[i] = waves[in]
-	}
-	// Events at the same instant (latched inputs switching on a clock
-	// edge) are applied together before the circuit settles once: a
-	// zero-delay circuit sees simultaneous changes atomically.
-	merged := stoch.MergeWaveforms(ws)
-	for i := 0; i < len(merged); {
-		t := merged[i].Time
-		if t > horizon {
-			break
-		}
-		changed := false
-		for ; i < len(merged) && merged[i].Time == t; i++ {
-			net := inputs[merged[i].Input]
-			if values[net] != merged[i].Value {
-				values[net] = merged[i].Value
-				counts[net]++
-				changed = true
-			}
-		}
-		if changed {
-			settle(true)
+	counts := res.NetTransitions
+	for net, n := range counts {
+		if n == 0 {
+			delete(counts, net)
 		}
 	}
 	return counts, nil

@@ -6,28 +6,28 @@
 // included, exactly the quantity the paper's model predicts. Column S of
 // Table 3 is measured with this simulator.
 //
-// Three backends share these semantics:
+// The circuit is compiled once into a flat word-op program over dense
+// register indices and evaluated on packed Monte Carlo vectors, 64 lanes
+// per machine word and up to 512 per register block. Two backends share
+// that lowering:
 //
-//   - The event-driven engine (this file): a time-ordered event queue over
-//     named nets. Gates have either a fixed ("unit") or an Elmore-model
-//     output delay, so reconvergent paths generate the useless transitions
-//     (glitches) whose power the paper's introduction highlights; a
-//     zero-delay mode settles the circuit atomically per input instant.
-//     Timed modes run on a discrete tick grid (Params.Tick) with
-//     instant-atomic delta-cycle semantics — see runTimed.
-//   - The compiled bit-parallel engine (compile.go, bitsim.go): the
-//     circuit is lowered once into a flat, levelized word-op program over
-//     dense node indices and evaluated on 64 packed Monte Carlo vectors
-//     per machine word. Zero-delay; lane-for-lane equivalent to the
-//     event-driven engine's zero-delay mode.
-//   - The timed compiled engine (timed.go): the same word-op lowering,
-//     but per gate, driven by a word-level timing wheel over the tick
-//     grid. Unit- and Elmore-delay; lane-for-lane equivalent to the
-//     event-driven engine's timed modes at the same tick.
+//   - The levelized engine (compile.go, bitsim.go): zero delay. All input
+//     events sharing a timestamp apply together, then the circuit settles
+//     once, so reconvergent skew cannot create pulses.
+//   - The timed engine (timed.go): unit or Elmore gate delays on a
+//     discrete tick grid (Params.Tick), driven by a word-level timing
+//     wheel with instant-atomic delta cycles. Reconvergent paths generate
+//     the useless transitions (glitches) whose power the paper's
+//     introduction highlights.
+//
+// Run, RunTrace and Glitches evaluate one waveform set as a single-lane
+// run of the same programs. The semantic reference is the deliberately
+// naive oracle in internal/gen: the lane-equivalence tests and the
+// differential harness hold every lane of both engines to it in all
+// three delay modes.
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,7 +35,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/delay"
-	"repro/internal/gate"
 	"repro/internal/stoch"
 )
 
@@ -49,41 +48,22 @@ const (
 	ZeroDelay                    // outputs update instantaneously
 )
 
-// Engine selects the simulation backend.
+// Engine names the simulation backend. The compiled bit-parallel engine
+// is the only one; the type remains so a Params value keeps printing the
+// engine it ran on.
 type Engine int
 
-// Engines.
-const (
-	// EventDriven is the reference engine: heap-scheduled events over
-	// named nets, any delay mode, one input vector stream per run.
-	EventDriven Engine = iota
-	// BitParallel is the compiled engine: the circuit is lowered to a flat
-	// word-op program and evaluated on up to 64 packed vectors per word.
-	// Zero-delay runs the levelized program (compile.go); unit- and
-	// Elmore-delay run the timed word-op program on a timing wheel
-	// (timed.go).
-	BitParallel
-)
+// BitParallel is the compiled engine: the circuit is lowered to a flat
+// word-op program and evaluated on packed vectors. Zero-delay runs the
+// levelized program (compile.go); unit- and Elmore-delay run the timed
+// word-op program on a timing wheel (timed.go).
+const BitParallel Engine = 0
 
 func (e Engine) String() string {
-	switch e {
-	case EventDriven:
-		return "event"
-	case BitParallel:
+	if e == BitParallel {
 		return "bitparallel"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine resolves an engine name as printed by Engine.String.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event":
-		return EventDriven, nil
-	case "bitparallel", "bit-parallel":
-		return BitParallel, nil
-	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want event or bitparallel)", s)
 }
 
 // Params configures a simulation.
@@ -92,7 +72,7 @@ type Params struct {
 	Mode   DelayMode    // gate delay model
 	Unit   float64      // gate delay for UnitDelay mode, seconds
 	Delay  delay.Params // electrical constants for ElmoreDelay mode
-	Engine Engine       // simulation backend (default: event-driven)
+	Engine Engine       // simulation backend; BitParallel (the zero value) is the only one
 
 	// Tick is the duration, in seconds, of the discrete time grid the
 	// timed modes run on: input-event times snap to the nearest tick
@@ -102,8 +82,8 @@ type Params struct {
 	// when a sub-tick delay clamps to one tick). Zero selects the
 	// automatic resolution: the unit delay itself in UnitDelay mode
 	// (delays are then exact), or the fastest gate delay divided by
-	// elmoreTickDiv in ElmoreDelay mode. Both the event-driven and the
-	// timed bit-parallel engine use the same grid, which is what makes
+	// elmoreTickDiv in ElmoreDelay mode. The timed engine and the
+	// reference oracle share this grid (TickPlan), which is what makes
 	// them lane-for-lane comparable. Ignored in zero-delay mode.
 	Tick float64
 }
@@ -145,10 +125,8 @@ func (p Params) Validate() error {
 	if p.Tick < 0 || math.IsNaN(p.Tick) || math.IsInf(p.Tick, 0) {
 		return fmt.Errorf("sim: tick %v must be zero (auto) or a positive duration", p.Tick)
 	}
-	switch p.Engine {
-	case EventDriven, BitParallel:
-	default:
-		return fmt.Errorf("sim: unknown engine %d", int(p.Engine))
+	if p.Engine != BitParallel {
+		return fmt.Errorf("sim: unknown engine %d (bitparallel is the only engine)", int(p.Engine))
 	}
 	return nil
 }
@@ -156,10 +134,9 @@ func (p Params) Validate() error {
 // gateDelaySeconds returns every gate's output delay in seconds, in the
 // given topological order: the unit delay in UnitDelay mode, the slowest
 // pin's Elmore delay in ElmoreDelay mode (the triggering pin of a
-// multi-input change is unknown, so the conservative bound is used — the
-// same rule the event engine has always applied). Both timed backends
-// derive their tick grid and per-gate tick delays from this one function,
-// which keeps them numerically identical.
+// multi-input change is unknown, so the conservative bound is used). The
+// timed engine and TickPlan derive their tick grid and per-gate tick
+// delays from this one function, which keeps them numerically identical.
 func gateDelaySeconds(order []*circuit.Instance, fanout map[string]int, prm Params) ([]float64, error) {
 	delays := make([]float64, len(order))
 	for gi, g := range order {
@@ -219,8 +196,8 @@ func quantizeDelay(d, tick float64) int64 {
 
 // TickPlan resolves the discrete time grid a timed run of c would use:
 // the tick duration in seconds and, parallel to the returned topological
-// gate order, every gate's quantized output delay in ticks. Both timed
-// backends derive their grids from exactly this computation, so external
+// gate order, every gate's quantized output delay in ticks. The timed
+// engine derives its grid from exactly this computation, so external
 // reference simulators (internal/gen's naive oracle) can share the axis
 // and be compared tick for tick. Zero-delay mode has no grid.
 func TickPlan(c *circuit.Circuit, prm Params) (tick float64, delayTicks []int64, order []*circuit.Instance, err error) {
@@ -269,7 +246,7 @@ type Result struct {
 	NetTransitions map[string]int     // net → observed transitions
 	InternalFlips  int                // internal-node transitions
 	OutputFlips    int                // gate-output net transitions
-	Events         int                // processed simulation events
+	Events         int                // evaluated instants (settling steps or active ticks)
 }
 
 // Density returns the measured transition density of a net.
@@ -303,14 +280,23 @@ func (r *Result) Accumulate(o *Result) {
 }
 
 // Run simulates the circuit over [0, horizon] with the given input
-// waveforms (one per primary input). With Params.Engine == BitParallel the
-// waveforms are bit-packed into a single lane and evaluated by the
-// compiled engine (the levelized program in zero-delay mode, the timed
-// word-op program otherwise): every measured quantity — transitions,
-// flips, energies, power — is identical; only Result.Events is
-// engine-defined (processed events for the event engine, settling steps
-// for the compiled ones).
+// waveforms (one per primary input): the waveforms are bit-packed into a
+// single lane and evaluated by the compiled engine — the levelized
+// program in zero-delay mode, the timed word-op program otherwise.
 func Run(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64, prm Params) (*Result, error) {
+	br, err := runSingle(c, waves, horizon, prm, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &br.Result, nil
+}
+
+// runSingle packs one waveform set into a single lane and runs it on the
+// compiled engine for prm's delay mode. A non-nil lane meter routes the
+// run through the engines' per-lane slow path (RunTrace's recorder). The
+// timed stimulus is packed without cluster alignment, so its ticks are
+// the quantized event times.
+func runSingle(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64, prm Params, lm *laneMeter) (*BitResult, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
 	}
@@ -320,499 +306,27 @@ func Run(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64, 
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if prm.Engine == BitParallel {
-		if prm.Mode != ZeroDelay {
-			prog, err := CompileTimed(c, prm)
-			if err != nil {
-				return nil, err
-			}
-			stim, err := prog.PackTimed([]map[string]*stoch.Waveform{waves}, horizon)
-			if err != nil {
-				return nil, err
-			}
-			br, err := prog.Run(stim)
-			if err != nil {
-				return nil, err
-			}
-			return &br.Result, nil
-		}
-		stim, err := stoch.PackWaveforms(c.Inputs, []map[string]*stoch.Waveform{waves}, horizon)
+	lanes := []map[string]*stoch.Waveform{waves}
+	if prm.Mode == ZeroDelay {
+		p, err := Compile(c, prm)
 		if err != nil {
 			return nil, err
 		}
-		br, err := RunPacked(c, stim, prm)
+		stim, err := stoch.PackWaveforms(c.Inputs, lanes, horizon)
 		if err != nil {
 			return nil, err
 		}
-		return &br.Result, nil
+		return p.runMetered(stim, lm)
 	}
-	s, err := newSimulator(c, prm)
+	tp, err := CompileTimed(c, prm)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.start(waves, horizon); err != nil {
-		return nil, err
-	}
-	return s.result(horizon), nil
-}
-
-// start settles the t=0 state, enqueues the stimulus (quantized to the
-// tick grid in timed modes) and runs the event loop to the horizon.
-func (s *simulator) start(waves map[string]*stoch.Waveform, horizon float64) error {
-	if err := s.init(waves); err != nil {
-		return err
-	}
-	s.drive(waves, horizon)
-	return nil
-}
-
-// init settles the t=0 steady state from the waveforms' initial values.
-func (s *simulator) init(waves map[string]*stoch.Waveform) error {
-	init := map[string]bool{}
-	for _, in := range s.c.Inputs {
-		w, ok := waves[in]
-		if !ok {
-			return fmt.Errorf("sim: no waveform for input %q", in)
-		}
-		init[in] = w.Initial
-	}
-	s.settle(init)
-	return nil
-}
-
-// drive enqueues the stimulus (quantized to the tick grid in timed modes)
-// and runs the event loop to the horizon.
-func (s *simulator) drive(waves map[string]*stoch.Waveform, horizon float64) {
-	if s.prm.Mode == ZeroDelay {
-		for _, in := range s.c.Inputs {
-			for _, e := range waves[in].Events {
-				if e.Time > horizon {
-					break
-				}
-				s.push(event{time: e.Time, net: in, val: e.Value})
-			}
-		}
-		s.runZero(horizon)
-		return
-	}
-	s.horizonTicks = stoch.TicksIn(horizon, s.tick)
-	for _, in := range s.c.Inputs {
-		for _, te := range stoch.QuantizeWaveform(waves[in], s.tick, s.horizonTicks) {
-			s.push(event{time: float64(te.Tick), net: in, val: te.Value})
-		}
-	}
-	s.runTimed()
-}
-
-// event is one scheduled change: a primary-input edge (inst == nil) or a
-// gate output update (inst != nil). Events are values, not pointers — the
-// queue never allocates per push.
-type event struct {
-	time float64
-	seq  int64
-	net  string
-	val  bool
-	inst *instState // gate output update when non-nil
-}
-
-func (e event) before(o event) bool {
-	if e.time != o.time {
-		return e.time < o.time
-	}
-	return e.seq < o.seq
-}
-
-type instState struct {
-	inst       *circuit.Instance
-	graph      *gate.Graph
-	eval       *gate.Evaluator
-	idx        int           // topological index into simulator.insts
-	nodes      []bool        // current node states (charge retention)
-	scratch    []bool        // double buffer for the next node states
-	internal   []gate.NodeID // cached internal-node list
-	caps       []float64     // per node, internal nodes only meaningful
-	outCap     float64
-	delayTicks int64 // quantized output delay (timed modes)
-	energy     float64
-	dirty      bool // pending re-evaluation at the current instant
-	fireNow    bool // pending output update at the current instant
-}
-
-type simulator struct {
-	c       *circuit.Circuit
-	prm     Params
-	insts   []*instState
-	readers map[string][]*instState // net → gates reading it
-	values  map[string]bool         // current net values
-	queue   []event                 // hand-rolled binary min-heap
-	seq     int64
-	halfCV2 float64
-
-	tick         float64 // seconds per tick (timed modes)
-	horizonTicks int64
-	agenda       []int32 // min-heap of marked gate indices (timed instants)
-
-	internalFlips int
-	outputFlips   int
-	events        int
-	netTrans      map[string]int
-
-	// observe, when set, is called for every net transition (used by
-	// RunTrace to build waveform dumps).
-	observe func(time float64, net string, val bool)
-}
-
-func newSimulator(c *circuit.Circuit, prm Params) (*simulator, error) {
-	s := &simulator{
-		c:        c,
-		prm:      prm,
-		readers:  map[string][]*instState{},
-		values:   map[string]bool{},
-		netTrans: map[string]int{},
-		halfCV2:  0.5 * prm.Cap.Vdd * prm.Cap.Vdd,
-	}
-	fanout := c.Fanout()
-	order, err := c.TopoOrder()
+	stim, err := stoch.PackTimedWaveforms(c.Inputs, lanes, horizon, tp.tick, 0)
 	if err != nil {
 		return nil, err
 	}
-	var delays []float64
-	if prm.Mode != ZeroDelay {
-		if delays, err = gateDelaySeconds(order, fanout, prm); err != nil {
-			return nil, err
-		}
-		if s.tick, err = resolveTick(prm, delays); err != nil {
-			return nil, err
-		}
-	}
-	for gi, g := range order {
-		gr, err := g.Cell.Graph()
-		if err != nil {
-			return nil, fmt.Errorf("sim: instance %s: %w", g.Name, err)
-		}
-		st := &instState{
-			inst:     g,
-			graph:    gr,
-			eval:     gr.NewEvaluator(),
-			idx:      gi,
-			nodes:    make([]bool, gr.NumNodes),
-			scratch:  make([]bool, gr.NumNodes),
-			internal: gr.InternalNodes(),
-			caps:     make([]float64, gr.NumNodes),
-			outCap:   prm.Cap.Cj*float64(gr.Degree(gate.Y)) + prm.Cap.OutputLoad(fanout[g.Out]),
-		}
-		for _, nk := range st.internal {
-			st.caps[nk] = prm.Cap.Cj * float64(gr.Degree(nk))
-		}
-		if prm.Mode != ZeroDelay {
-			st.delayTicks = quantizeDelay(delays[gi], s.tick)
-		}
-		s.insts = append(s.insts, st)
-		for _, p := range g.Pins {
-			s.readers[p] = append(s.readers[p], st)
-		}
-	}
-	return s, nil
-}
-
-// settle establishes the t=0 steady state without accounting energy.
-func (s *simulator) settle(init map[string]bool) {
-	for net, v := range init {
-		s.values[net] = v
-	}
-	for _, st := range s.insts { // insts are in topological order
-		m := s.minterm(st)
-		next := st.eval.StateAt(m, nil, st.scratch)
-		st.nodes, st.scratch = next, st.nodes
-		s.values[st.inst.Out] = st.nodes[gate.Y]
-	}
-}
-
-func (s *simulator) minterm(st *instState) uint {
-	var m uint
-	for i, p := range st.inst.Pins {
-		if s.values[p] {
-			m |= 1 << i
-		}
-	}
-	return m
-}
-
-// push inserts an event into the min-heap. The heap is hand-rolled over a
-// value slice: no container/heap interface boxing, no per-event
-// allocation once the slice has grown to the working-set size.
-func (s *simulator) push(e event) {
-	e.seq = s.seq
-	s.seq++
-	q := append(s.queue, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q[i].before(q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	s.queue = q
-}
-
-// pop removes the earliest event.
-func (s *simulator) pop() event {
-	q := s.queue
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{} // release the inst pointer
-	q = q[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && q[l].before(q[least]) {
-			least = l
-		}
-		if r < n && q[r].before(q[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	s.queue = q
-	return top
-}
-
-// runTimed is the unit/Elmore-delay loop on the discrete tick grid, with
-// instant-atomic delta-cycle semantics: all events sharing a tick are
-// drained first — primary-input edges apply immediately, scheduled gate
-// updates raise a fire flag — then the affected cone is swept once in
-// topological order. Per gate the sweep (a) re-evaluates the transistor
-// network if any fan-in changed this instant, metering internal-node
-// flips and scheduling an output update delayTicks later when the
-// computed output differs from the net, and (b) applies a pending output
-// update by *sampling* the gate's current computed output: a pulse that
-// collapsed before its update fires changes nothing and is filtered, the
-// inertial behaviour of a real gate. Because every per-instant effect
-// flows strictly forward in topological order, the settled result of an
-// instant is independent of event arrival order — the property that lets
-// the timed bit-parallel engine (timed.go) reproduce this loop word by
-// word, which the timed lane-equivalence test pins down.
-// Input events beyond the horizon were dropped at quantization; gate
-// updates they triggered drain to completion (the response to admitted
-// stimulus is metered fully, so results are invariant under the rigid
-// cluster shifts the timed packer applies).
-func (s *simulator) runTimed() {
-	for len(s.queue) > 0 {
-		t := s.queue[0].time
-		// Phase 1: drain every event at this tick.
-		mark := func(st *instState) {
-			if !st.dirty && !st.fireNow {
-				s.agenda = heapPush(s.agenda, int32(st.idx))
-			}
-		}
-		for len(s.queue) > 0 && s.queue[0].time == t {
-			e := s.pop()
-			s.events++
-			if e.inst != nil {
-				mark(e.inst)
-				e.inst.fireNow = true
-				continue
-			}
-			if s.values[e.net] == e.val {
-				continue
-			}
-			s.values[e.net] = e.val
-			s.netTrans[e.net]++
-			if s.observe != nil {
-				s.observe(t*s.tick, e.net, e.val)
-			}
-			for _, st := range s.readers[e.net] {
-				mark(st)
-				st.dirty = true
-			}
-		}
-		// Phase 2: sweep the marked cone in topological order — the
-		// agenda heap pops instance indices in increasing order, and
-		// marks only ever target later instances, so one drain settles
-		// the instant.
-		for len(s.agenda) > 0 {
-			var gi int32
-			gi, s.agenda = heapPop(s.agenda)
-			st := s.insts[gi]
-			if st.dirty {
-				st.dirty = false
-				s.events++
-				m := s.minterm(st)
-				next := st.eval.StateAt(m, st.nodes, st.scratch)
-				for _, nk := range st.internal {
-					if next[nk] != st.nodes[nk] {
-						s.internalFlips++
-						st.energy += s.halfCV2 * st.caps[nk]
-					}
-				}
-				prevY := st.nodes[gate.Y]
-				st.nodes, st.scratch = next, st.nodes
-				y := st.nodes[gate.Y]
-				if y != prevY || y != s.values[st.inst.Out] {
-					s.push(event{time: t + float64(st.delayTicks), inst: st})
-				}
-			}
-			if st.fireNow {
-				st.fireNow = false
-				y := st.nodes[gate.Y]
-				if y == s.values[st.inst.Out] {
-					continue // pulse collapsed before the update fired
-				}
-				s.values[st.inst.Out] = y
-				s.netTrans[st.inst.Out]++
-				s.outputFlips++
-				if s.observe != nil {
-					s.observe(t*s.tick, st.inst.Out, y)
-				}
-				st.energy += s.halfCV2 * st.outCap
-				for _, rd := range s.readers[st.inst.Out] {
-					mark(rd)
-					rd.dirty = true
-				}
-			}
-		}
-	}
-}
-
-// runZero is the zero-delay loop: all input events sharing a timestamp are
-// applied together, then the affected cone settles once, in topological
-// order. Each gate is evaluated at most once per instant with its final
-// input values, so the settled state — and every metered transition — is
-// independent of event ordering within the instant, exactly the semantics
-// the compiled bit-parallel engine implements (the lane-equivalence
-// property test in compile_test.go holds the two engines to it).
-func (s *simulator) runZero(horizon float64) {
-	for len(s.queue) > 0 {
-		t := s.queue[0].time
-		if t > horizon {
-			break
-		}
-		changed := false
-		for len(s.queue) > 0 && s.queue[0].time == t {
-			e := s.pop()
-			s.events++
-			if s.values[e.net] == e.val {
-				continue
-			}
-			s.values[e.net] = e.val
-			s.netTrans[e.net]++
-			if s.observe != nil {
-				s.observe(t, e.net, e.val)
-			}
-			for _, st := range s.readers[e.net] {
-				st.dirty = true
-			}
-			changed = true
-		}
-		if changed {
-			s.settleDirty(t)
-		}
-	}
-}
-
-// heapPush inserts v into the slice-backed binary min-heap h and returns
-// the grown heap. Shared by runTimed's instance agenda and the timed
-// bit-parallel engine's active-tick heap.
-func heapPush[T cmp.Ordered](h []T, v T) []T {
-	h = append(h, v)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-// heapPop removes the minimum element of h, returning it and the shrunk
-// heap.
-func heapPop[T cmp.Ordered](h []T) (T, []T) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h[l] < h[least] {
-			least = l
-		}
-		if r < n && h[r] < h[least] {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-	return top, h
-}
-
-// settleDirty re-evaluates every gate whose fan-in changed, in topological
-// order, metering internal and output transitions. A gate's output change
-// marks its readers dirty; readers appear later in the order, so a single
-// pass settles the whole cone.
-func (s *simulator) settleDirty(t float64) {
-	for _, st := range s.insts {
-		if !st.dirty {
-			continue
-		}
-		st.dirty = false
-		s.events++
-		m := s.minterm(st)
-		next := st.eval.StateAt(m, st.nodes, st.scratch)
-		for _, nk := range st.internal {
-			if next[nk] != st.nodes[nk] {
-				s.internalFlips++
-				st.energy += s.halfCV2 * st.caps[nk]
-			}
-		}
-		st.nodes, st.scratch = next, st.nodes
-		y := st.nodes[gate.Y]
-		if y == s.values[st.inst.Out] {
-			continue
-		}
-		s.values[st.inst.Out] = y
-		s.netTrans[st.inst.Out]++
-		s.outputFlips++
-		if s.observe != nil {
-			s.observe(t, st.inst.Out, y)
-		}
-		st.energy += s.halfCV2 * st.outCap
-		for _, rd := range s.readers[st.inst.Out] {
-			rd.dirty = true
-		}
-	}
-}
-
-func (s *simulator) result(horizon float64) *Result {
-	r := &Result{
-		Horizon:        horizon,
-		PerGate:        map[string]float64{},
-		NetTransitions: s.netTrans,
-		InternalFlips:  s.internalFlips,
-		OutputFlips:    s.outputFlips,
-		Events:         s.events,
-	}
-	for _, st := range s.insts {
-		r.PerGate[st.inst.Name] = st.energy
-		r.Energy += st.energy
-	}
-	r.Power = r.Energy / horizon
-	return r
+	return tp.runMetered(stim, lm)
 }
 
 // GenerateWaveforms draws per-input waveforms realizing the given

@@ -27,18 +27,23 @@ import (
 //     scheduled output updates live in a word-level timing wheel: a ring
 //     of maxDelay+1 slots, each holding (gate, lane-mask) entries, plus a
 //     min-heap of active ticks so empty grid ranges are skipped.
-//   - Per tick the engine mirrors the event engine's instant-atomic
-//     delta cycle (sim.runTimed): input toggles apply first, then the
-//     affected cone is swept once in topological order — re-evaluating a
-//     gate's word ops where any fan-in lane changed (metering internal
-//     flips by popcount and scheduling updates delayTicks ahead in
-//     exactly the lanes the event engine would), and firing pending
+//   - Per tick the engine runs one instant-atomic delta cycle: input
+//     toggles apply first, then the affected cone is swept once in
+//     topological order — re-evaluating a gate's word ops where any
+//     fan-in lane changed (metering internal flips by popcount and
+//     scheduling an update delayTicks ahead in the lanes whose computed
+//     output changed or differs from the net), and firing pending
 //     updates by sampling the gate's current computed output, so pulses
 //     that collapsed before their update fires are filtered per lane.
+//     Every per-instant effect flows forward in topological order, so
+//     the settled result of an instant is independent of arrival order.
+//     Input events beyond the horizon are dropped at quantization; the
+//     gate updates admitted stimulus triggered drain to completion, which
+//     keeps results invariant under the packer's cluster shifts.
 //
-// The timed lane-equivalence property test holds this engine to the event
-// engine lane for lane on every embedded benchmark, in both delay modes,
-// at the same tick resolution.
+// The timed lane-equivalence property test holds this engine to
+// internal/gen's naive oracle lane for lane on every embedded benchmark,
+// in both delay modes, at the same tick resolution.
 
 // fireEntry schedules an output update: gate g samples and applies its
 // computed output in the given lanes of block word `word` when the slot's
@@ -130,8 +135,8 @@ func (tp *TimedProgram) emit(code opCode, a, b int32) int32 {
 
 // CompileTimed lowers the circuit into a timed bit-parallel program. prm
 // must describe a unit- or Elmore-delay setup; the tick grid resolves per
-// Params.Tick (0 = auto) exactly as the event engine resolves it, so the
-// two backends share one time base.
+// Params.Tick (0 = auto) exactly as TickPlan resolves it, so the engine
+// and the reference oracle share one time base.
 func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -261,11 +266,10 @@ func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 	for gi, g := range order {
 		for _, pin := range g.Pins {
 			// A gate reading a net on several pins appears once: dirty
-			// marking is an idempotent OR, so the duplicate entries the
-			// event engine's reader lists carry would only cost redundant
-			// bitmap stores in the hot fire path. Duplicates from one
-			// gate's pin loop land consecutively, so checking the tail is
-			// enough.
+			// marking is an idempotent OR, so duplicate entries would only
+			// cost redundant bitmap stores in the hot fire path.
+			// Duplicates from one gate's pin loop land consecutively, so
+			// checking the tail is enough.
 			if di, ok := gateIdx[pin]; ok {
 				rs := tp.tg[di].readers
 				if n := len(rs); n == 0 || rs[n-1] != int32(gi) {
@@ -379,13 +383,13 @@ func (sc *timedScratch) reset() {
 // topological order, meter transitions by popcount. The TimedProgram is
 // read-only; concurrent Runs are safe.
 func (tp *TimedProgram) Run(stim *stoch.TimedStimulus) (*BitResult, error) {
-	return tp.run(stim, false)
+	return tp.runMetered(stim, nil)
 }
 
 // RunLanes is Run with per-lane metering, the form the lane-equivalence
-// property tests compare against independent event-driven runs.
+// property tests compare against independent oracle runs.
 func (tp *TimedProgram) RunLanes(stim *stoch.TimedStimulus) (*BitResult, error) {
-	return tp.run(stim, true)
+	return tp.runMetered(stim, &laneMeter{})
 }
 
 // RunEnergy is the lean measurement path: total metered energy in joules
@@ -404,26 +408,22 @@ func (tp *TimedProgram) RunEnergy(stim *stoch.TimedStimulus) (float64, error) {
 	return energy, nil
 }
 
-func (tp *TimedProgram) run(stim *stoch.TimedStimulus, perLane bool) (*BitResult, error) {
-	var laneCounts [][]int
-	if perLane {
-		laneCounts = make([][]int, len(tp.meters))
-		for i := range laneCounts {
-			laneCounts[i] = make([]int, stim.Lanes)
-		}
-	}
-	sc, err := tp.exec(stim, laneCounts)
+// runMetered is the timed counterpart of Program.runMetered.
+func (tp *TimedProgram) runMetered(stim *stoch.TimedStimulus, lm *laneMeter) (*BitResult, error) {
+	lm.begin(tp.meters, stim.Lanes, tp.tick)
+	sc, err := tp.exec(stim, lm)
 	if err != nil {
 		return nil, err
 	}
-	br := assembleResult(tp.gates, tp.meters, stim.Lanes, sc.steps, stim.Horizon, sc.counts, laneCounts)
+	br := assembleResult(tp.gates, tp.meters, stim.Lanes, sc.steps, stim.Horizon, sc.counts, lm)
+	lm.snapshot(func(reg int32) uint64 { return sc.regs[reg] }) // plane 0 holds word 0
 	tp.scratch.Put(sc)
 	return br, nil
 }
 
 // exec runs the timed simulation and returns the scratch holding raw
 // meter counts; the caller must Put it back into the pool.
-func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*timedScratch, error) {
+func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedScratch, error) {
 	if err := stim.Validate(); err != nil {
 		return nil, err
 	}
@@ -469,8 +469,8 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 
 	// t=0 settle: load initial inputs and evaluate every gate once in
 	// topological order, committing nets, computed outputs and internal
-	// states without metering — the same zero-delay settle the event
-	// engine performs. Gate evaluation and net commit interleave because
+	// states without metering — the zero-delay settle every timed run
+	// starts from. Gate evaluation and net commit interleave because
 	// each gate's ops read the committed `out` registers of its fan-in.
 	for w := 0; w < W; w++ {
 		plane := regs[w*R : w*R+R]
@@ -495,7 +495,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 		}
 	}
 
-	perLane := laneCounts != nil
+	perLane := lm != nil
 
 	ops, opStart, meters := tp.ops, tp.opStart, tp.meters
 	marked, agenda := sc.marked, sc.agenda
@@ -549,7 +549,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 				regs[int(tog.Word)*R+int(tp.inReg[i])] ^= m
 				counts[tp.inMeter[i]] += int64(bits.OnesCount64(m))
 				if perLane {
-					meterLanes(laneCounts[tp.inMeter[i]], int(tog.Word), m)
+					lm.add(tp.inMeter[i], int(tog.Word), m, t)
 				}
 				for _, r := range tp.inReaders[i] {
 					marked[r>>6] |= 1 << (uint(r) & 63)
@@ -591,7 +591,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 								if diff := (regs[mp.valueReg] ^ regs[mp.stateReg]) & masks[0]; diff != 0 {
 									counts[mi] += int64(bits.OnesCount64(diff))
 									if perLane {
-										meterLanes(laneCounts[mi], 0, diff)
+										lm.add(mi, 0, diff, t)
 									}
 									regs[mp.stateReg] = regs[mp.valueReg]
 								}
@@ -616,7 +616,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 								regs[gt.out] ^= diff
 								counts[gt.outMeter] += int64(bits.OnesCount64(diff))
 								if perLane {
-									meterLanes(laneCounts[gt.outMeter], 0, diff)
+									lm.add(gt.outMeter, 0, diff, t)
 								}
 								for _, r := range gt.readers {
 									marked[r>>6] |= 1 << (uint(r) & 63)
@@ -683,15 +683,15 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 								if diff := (regs[px+int(mp.valueReg)] ^ regs[px+int(mp.stateReg)]) & masks[x]; diff != 0 {
 									counts[mi] += int64(bits.OnesCount64(diff))
 									if perLane {
-										meterLanes(laneCounts[mi], x, diff)
+										lm.add(mi, x, diff, t)
 									}
 									regs[px+int(mp.stateReg)] = regs[px+int(mp.valueReg)]
 								}
 							}
 							y := regs[px+int(gt.yReg)]
-							// Schedule an update in exactly the lanes the event
-							// engine would: lanes re-evaluated this instant whose
-							// computed output changed or differs from the net.
+							// Schedule an update in the lanes re-evaluated this
+							// instant whose computed output changed or differs
+							// from the net.
 							sched := ((y ^ regs[px+int(gt.prevY)]) | (y ^ regs[px+int(gt.out)])) & d
 							regs[px+int(gt.prevY)] = y
 							if sched != 0 {
@@ -713,7 +713,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 								regs[px+int(gt.out)] ^= diff
 								counts[gt.outMeter] += int64(bits.OnesCount64(diff))
 								if perLane {
-									meterLanes(laneCounts[gt.outMeter], x, diff)
+									lm.add(gt.outMeter, x, diff, t)
 								}
 								for _, r := range gt.readers {
 									marked[r>>6] |= 1 << (uint(r) & 63)
@@ -729,15 +729,6 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, laneCounts [][]int) (*ti
 		}
 	}
 	return sc, nil
-}
-
-// meterLanes scatters a metered diff word into per-lane counters — the
-// RunLanes slow path; the measurement path never takes it.
-func meterLanes(lc []int, word int, diff uint64) {
-	base := word * stoch.MaxLanes
-	for x := diff; x != 0; x &= x - 1 {
-		lc[base+bits.TrailingZeros64(x)]++
-	}
 }
 
 // matchInputs maps program input order onto stimulus rows. A nil result
@@ -861,4 +852,46 @@ func ReductionTimed(best, worst *circuit.Circuit, laneWaves []map[string]*stoch.
 	// Powers share the lanes·horizon normalization, so the energy ratio
 	// is the power ratio.
 	return (ew - eb) / ew, nil
+}
+
+// heapPush inserts v into the slice-backed binary min-heap h and returns
+// the grown heap — the timed engine's active-tick heap.
+func heapPush(h []int64, v int64) []int64 {
+	h = append(h, v)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	return h
+}
+
+// heapPop removes the minimum element of h, returning it and the shrunk
+// heap.
+func heapPop(h []int64) (int64, []int64) {
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && h[l] < h[least] {
+			least = l
+		}
+		if r < n && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	return top, h
 }

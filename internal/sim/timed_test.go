@@ -13,96 +13,6 @@ import (
 	"repro/internal/stoch"
 )
 
-// timedLaneEquivalence is the tentpole property check: on every embedded
-// MCNC benchmark, the timed bit-parallel engine must reproduce the
-// event-driven engine's timed measurement lane for lane — per-net
-// transition counts, internal flips, output flips and energy — under 64
-// independently drawn Monte Carlo stimulus vectors, at the same tick.
-func timedLaneEquivalence(t *testing.T, prm Params) {
-	lib := library.Default()
-	const lanes = 64
-	const horizon = 1e-4
-	for _, name := range mcnc.EmbeddedNames() {
-		t.Run(name, func(t *testing.T) {
-			c, err := mcnc.Load(name, lib)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(len(name)) * 6007))
-			stats := make(map[string]stoch.Signal, len(c.Inputs))
-			for _, in := range c.Inputs {
-				stats[in] = stoch.Signal{P: 0.1 + 0.8*rng.Float64(), D: 1e5 + 4e5*rng.Float64()}
-			}
-			laneWaves, err := GenerateLaneWaveforms(c.Inputs, stats, horizon, lanes, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := CompileTimed(c, prm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stim, err := prog.PackTimed(laneWaves, horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br, err := prog.RunLanes(stim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var totalEnergy float64
-			for l := 0; l < lanes; l++ {
-				ref, err := Run(c, laneWaves[l], horizon, prm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for net, want := range ref.NetTransitions {
-					if got := br.LaneNetTransitions[net][l]; got != want {
-						t.Fatalf("lane %d net %s: bit-parallel %d transitions, event %d", l, net, got, want)
-					}
-				}
-				for net, row := range br.LaneNetTransitions {
-					if row[l] != ref.NetTransitions[net] {
-						t.Fatalf("lane %d net %s: bit-parallel %d transitions, event %d", l, net, row[l], ref.NetTransitions[net])
-					}
-				}
-				if br.LaneInternalFlips[l] != ref.InternalFlips {
-					t.Fatalf("lane %d: internal flips %d vs %d", l, br.LaneInternalFlips[l], ref.InternalFlips)
-				}
-				if br.LaneOutputFlips[l] != ref.OutputFlips {
-					t.Fatalf("lane %d: output flips %d vs %d", l, br.LaneOutputFlips[l], ref.OutputFlips)
-				}
-				if want := ref.Energy; math.Abs(br.LaneEnergy[l]-want) > 1e-9*math.Max(want, 1e-30) {
-					t.Fatalf("lane %d: energy %g vs %g", l, br.LaneEnergy[l], want)
-				}
-				totalEnergy += ref.Energy
-			}
-			if math.Abs(br.Energy-totalEnergy) > 1e-9*math.Max(totalEnergy, 1e-30) {
-				t.Fatalf("total energy %g, sum of event lanes %g", br.Energy, totalEnergy)
-			}
-			if br.OutputFlips == 0 {
-				t.Fatal("no output activity: the equivalence check is vacuous")
-			}
-		})
-	}
-}
-
-// TestTimedLaneEquivalenceUnitDelay pins the timed engines together in
-// unit-delay mode, where the automatic tick equals the unit delay and
-// quantization of the gate delays is exact.
-func TestTimedLaneEquivalenceUnitDelay(t *testing.T) {
-	timedLaneEquivalence(t, DefaultParams())
-}
-
-// TestTimedLaneEquivalenceElmoreDelay pins the timed engines together in
-// Elmore mode: heterogeneous per-gate delays exercise the timing wheel's
-// multi-tick scheduling, and both engines quantize delays to the same
-// automatic tick, so the equality is still exact.
-func TestTimedLaneEquivalenceElmoreDelay(t *testing.T) {
-	prm := DefaultParams()
-	prm.Mode = ElmoreDelay
-	timedLaneEquivalence(t, prm)
-}
-
 // TestElmoreQuantizationBound verifies the documented tick-resolution
 // error bound on every embedded benchmark: with the automatic tick (the
 // fastest gate delay / elmoreTickDiv) every gate's quantized delay is
@@ -200,10 +110,10 @@ func TestTimedTickRefinementConvergence(t *testing.T) {
 	}
 }
 
-// TestTimedGlitchGenerationAndFiltering ports the event engine's
-// reconvergence semantics to the compiled timed engine: a three-inverter
-// skew glitches the NAND output, while a skew of exactly one gate delay
-// is filtered by the sample-at-fire rule.
+// TestTimedGlitchGenerationAndFiltering pins the timed engine's
+// reconvergence semantics: a three-inverter skew glitches the NAND
+// output, while a skew of exactly one gate delay is filtered by the
+// sample-at-fire rule.
 func TestTimedGlitchGenerationAndFiltering(t *testing.T) {
 	invCell := gate.MustNew("inv", []string{"a"}, sp.MustParse("a"))
 	nandCell := gate.MustNew("nand2", []string{"a", "b"}, sp.MustParse("s(a,b)"))
@@ -232,9 +142,7 @@ func TestTimedGlitchGenerationAndFiltering(t *testing.T) {
 		return c
 	}
 	run := func(c *circuit.Circuit) *Result {
-		prm := DefaultParams()
-		prm.Engine = BitParallel
-		res, err := Run(c, waves, 6e-6, prm)
+		res, err := Run(c, waves, 6e-6, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,56 +155,6 @@ func TestTimedGlitchGenerationAndFiltering(t *testing.T) {
 	}
 	if res := run(build(1)); res.NetTransitions["z"] != 0 {
 		t.Errorf("one-delay skew produced %d transitions; sample-at-fire must filter it", res.NetTransitions["z"])
-	}
-}
-
-// TestTimedDispatchThroughRun: sim.Run with Engine == BitParallel in a
-// timed mode must return the same Result as the event engine.
-func TestTimedDispatchThroughRun(t *testing.T) {
-	lib := library.Default()
-	c, err := mcnc.Load("c17", lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(23))
-	stats := make(map[string]stoch.Signal, len(c.Inputs))
-	for _, in := range c.Inputs {
-		stats[in] = stoch.Signal{P: 0.5, D: 2e5}
-	}
-	const horizon = 1e-4
-	waves, err := GenerateWaveforms(c.Inputs, stats, horizon, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []DelayMode{UnitDelay, ElmoreDelay} {
-		prm := DefaultParams()
-		prm.Mode = mode
-		ev, err := Run(c, waves, horizon, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prm.Engine = BitParallel
-		bp, err := Run(c, waves, horizon, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for net, want := range ev.NetTransitions {
-			if bp.NetTransitions[net] != want {
-				t.Errorf("%s net %s: %d vs %d transitions", mode.name(), net, bp.NetTransitions[net], want)
-			}
-		}
-		if bp.InternalFlips != ev.InternalFlips || bp.OutputFlips != ev.OutputFlips {
-			t.Errorf("%s flips: bit-parallel %d/%d, event %d/%d",
-				mode.name(), bp.InternalFlips, bp.OutputFlips, ev.InternalFlips, ev.OutputFlips)
-		}
-		if math.Abs(bp.Energy-ev.Energy) > 1e-9*math.Max(ev.Energy, 1e-30) {
-			t.Errorf("%s energy %g vs %g", mode.name(), bp.Energy, ev.Energy)
-		}
-		for name, want := range ev.PerGate {
-			if got := bp.PerGate[name]; math.Abs(got-want) > 1e-9*math.Max(want, 1e-30) {
-				t.Errorf("%s gate %s energy %g vs %g", mode.name(), name, got, want)
-			}
-		}
 	}
 }
 
@@ -367,63 +225,6 @@ func TestCompileTimedErrors(t *testing.T) {
 	}
 	if _, err := ReductionTimed(c, c, []map[string]*stoch.Waveform{waves}, 1e-6, zeroParams()); err == nil {
 		t.Error("ReductionTimed accepted zero delay")
-	}
-}
-
-// TestReductionTimedSharedTick: a best/worst pair with different Elmore
-// delays measures on one shared grid, deterministically, and agrees with
-// a full MeasureReduction-style event computation in unit mode.
-func TestReductionTimedSharedTick(t *testing.T) {
-	g := gate.MustNew("oai21", []string{"a1", "a2", "b"}, sp.MustParse("s(p(a1,a2),b)"))
-	cfgs := g.AllConfigs()
-	best, worst := oai21Circuit(cfgs[0]), oai21Circuit(cfgs[len(cfgs)-1])
-	stats := map[string]stoch.Signal{
-		"a1": {P: 0.5, D: 1e4}, "a2": {P: 0.5, D: 1e5}, "b": {P: 0.5, D: 1e6},
-	}
-	const horizon = 2e-3
-	rng := rand.New(rand.NewSource(31))
-	laneWaves, err := GenerateLaneWaveforms(best.Inputs, stats, horizon, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []DelayMode{UnitDelay, ElmoreDelay} {
-		prm := DefaultParams()
-		prm.Mode = mode
-		red1, err := ReductionTimed(best, worst, laneWaves, horizon, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		red2, err := ReductionTimed(best, worst, laneWaves, horizon, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if red1 != red2 {
-			t.Errorf("%s: ReductionTimed not deterministic: %v vs %v", mode.name(), red1, red2)
-		}
-		if red1 <= -1 || red1 >= 1 {
-			t.Errorf("%s: reduction %v outside (-1,1)", mode.name(), red1)
-		}
-		// Cross-check against per-lane event-engine energies on the same
-		// quantized grid (unit mode shares the tick automatically).
-		if mode == UnitDelay {
-			var eb, ew float64
-			for _, waves := range laneWaves {
-				rb, err := Run(best, waves, horizon, prm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rw, err := Run(worst, waves, horizon, prm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eb += rb.Energy
-				ew += rw.Energy
-			}
-			want := (ew - eb) / ew
-			if math.Abs(red1-want) > 1e-9*math.Max(math.Abs(want), 1e-12) {
-				t.Errorf("unit: ReductionTimed %v, event engines say %v", red1, want)
-			}
-		}
 	}
 }
 

@@ -19,37 +19,83 @@ type Trace struct {
 	horizon float64
 }
 
-// RunTrace is Run with full transition recording.
+// RunTrace is Run with full transition recording. The single-lane run
+// takes the compiled engines' per-lane slow path, which logs every net
+// transition of lane 0 with its instant: tick × Tick for timed runs, the
+// merged input-event time for zero-delay runs. Within an instant, input
+// changes come first (in input order), then gate outputs in topological
+// order.
 func RunTrace(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64, prm Params) (*Result, *Trace, error) {
-	if err := prm.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if horizon <= 0 {
-		return nil, nil, fmt.Errorf("sim: horizon %v must be positive", horizon)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
-	}
-	s, err := newSimulator(c, prm)
+	lm := &laneMeter{trace: true}
+	br, err := runSingle(c, waves, horizon, prm, lm)
 	if err != nil {
 		return nil, nil, err
+	}
+	timeOf := func(tick int64) float64 { return float64(tick) * lm.tick }
+	if prm.Mode == ZeroDelay {
+		steps := stepTimes(c.Inputs, waves, horizon)
+		timeOf = func(step int64) float64 { return steps[step] }
 	}
 	tr := &Trace{Nets: c.Nets(), Initial: map[string]bool{}, horizon: horizon}
 	idx := make(map[string]int, len(tr.Nets))
 	for i, n := range tr.Nets {
 		idx[n] = i
 	}
-	s.observe = func(time float64, net string, val bool) {
-		tr.Changes = append(tr.Changes, stoch.TaggedEvent{Time: time, Input: idx[net], Value: val})
+	// Net values run forward from t=0. The engine reports final values, so
+	// a net's initial value is its final value flipped once per logged
+	// transition.
+	value := make(map[string]bool, len(tr.Nets))
+	for mi, mp := range lm.meters {
+		if mp.kind != meterInternal {
+			value[mp.net] = lm.final[mi]
+		}
 	}
-	if err := s.init(waves); err != nil {
-		return nil, nil, err
+	for _, e := range lm.log {
+		if mp := lm.meters[e.meter]; mp.kind != meterInternal {
+			value[mp.net] = !value[mp.net]
+		}
 	}
 	for _, n := range tr.Nets {
-		tr.Initial[n] = s.values[n]
+		tr.Initial[n] = value[n]
 	}
-	s.drive(waves, horizon)
-	return s.result(horizon), tr, nil
+	for _, e := range lm.log {
+		mp := lm.meters[e.meter]
+		if mp.kind == meterInternal {
+			continue
+		}
+		value[mp.net] = !value[mp.net]
+		tr.Changes = append(tr.Changes, stoch.TaggedEvent{Time: timeOf(e.at), Input: idx[mp.net], Value: value[mp.net]})
+	}
+	return &br.Result, tr, nil
+}
+
+// stepTimes returns the instant of every settling step of a single-lane
+// zero-delay stimulus: the distinct input-event times up to the horizon
+// at which some input changes value — the instants PackWaveforms turns
+// into steps.
+func stepTimes(inputs []string, waves map[string]*stoch.Waveform, horizon float64) []float64 {
+	ws := make([]*stoch.Waveform, len(inputs))
+	state := make([]bool, len(inputs))
+	for i, in := range inputs {
+		ws[i] = waves[in]
+		state[i] = ws[i].Initial
+	}
+	merged := stoch.MergeWaveforms(ws)
+	var times []float64
+	for k := 0; k < len(merged) && merged[k].Time <= horizon; {
+		t := merged[k].Time
+		changed := false
+		for ; k < len(merged) && merged[k].Time == t; k++ {
+			if state[merged[k].Input] != merged[k].Value {
+				state[merged[k].Input] = merged[k].Value
+				changed = true
+			}
+		}
+		if changed {
+			times = append(times, t)
+		}
+	}
+	return times
 }
 
 // WriteVCD renders the trace as a Value Change Dump viewable in any

@@ -14,7 +14,8 @@ import (
 // the energies sum exactly, so a run chunked into 64-lane packs and the
 // same vectors in one 512-lane pack are identical measurements — the
 // W=1 chunked path is the degenerate case of the wide path, and both are
-// pinned lane-for-lane against the event engine by the equivalence tests.
+// pinned lane-for-lane against the reference oracle by the equivalence
+// tests.
 
 // ReductionVectors measures (worstPower-bestPower)/worstPower over
 // `vectors` total Monte Carlo realizations drawn one at a time from gen,

@@ -52,7 +52,7 @@ func laneMaskWord(lanes, words, w int) uint64 {
 // with fewer instants than Steps simply repeat their final state (no
 // transitions, no energy). All simultaneous input changes of one instant
 // share a step, so a zero-delay circuit sees them atomically — the same
-// grouping the event-driven engine applies per timestamp.
+// per-timestamp grouping the reference oracle applies.
 //
 // Lane l lives in word l/64, bit l%64 of its block. Word w of input i's
 // block is Initial[i·W+w] at t=0 and Bits[i][s·W+w] after step s, where

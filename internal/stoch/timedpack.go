@@ -12,8 +12,8 @@ import (
 // one shared time axis, because the spacing between input edges and gate
 // delays is what creates (or suppresses) glitches. The shared axis is a
 // discrete tick grid: event times are snapped to integer multiples of a
-// tick, so both the event-driven engine and the timed bit-parallel engine
-// run on exact integer arithmetic and can be compared tick for tick.
+// tick, so the timed bit-parallel engine and the reference oracle run on
+// exact integer arithmetic and can be compared tick for tick.
 
 // TickEvent is one input change on the discrete tick grid.
 type TickEvent struct {
@@ -22,8 +22,9 @@ type TickEvent struct {
 }
 
 // TicksIn returns the number of whole ticks that fit in the horizon — the
-// last tick at which activity is simulated. Both timed engines use this
-// cut-off, which keeps their horizon handling identical.
+// last tick at which activity is simulated. The timed engine and the
+// reference oracle use this cut-off, which keeps their horizon handling
+// identical.
 func TicksIn(horizon, tick float64) int64 {
 	return int64(horizon / tick)
 }
@@ -33,9 +34,9 @@ func TicksIn(horizon, tick float64) int64 {
 // on the same tick collapse to the last value of that tick, and events
 // that do not change the running value vanish. The result is a canonical
 // tick-domain stimulus — every surviving event is a real transition at a
-// strictly increasing tick — consumed identically by the event-driven and
-// timed bit-parallel engines, which is what makes the two comparable lane
-// for lane. Snapping moves each event by at most half a tick (events
+// strictly increasing tick — consumed identically by the timed
+// bit-parallel engine and the reference oracle, which is what makes the
+// two comparable lane for lane. Snapping moves each event by at most half a tick (events
 // closer together than a tick may merge).
 func QuantizeWaveform(w *Waveform, tick float64, horizonTicks int64) []TickEvent {
 	var out []TickEvent

@@ -37,14 +37,12 @@
 //     chaos harness (internal/faults) through the workers and the store
 //     writer for the crash-safety test suites.
 //
-// The simulated S column follows Options.Expt.Sim: with the default
-// bit-parallel engine, zero-delay jobs run on the levelized compiled
-// program (internal/sim's Compile/RunPacked) and unit-/Elmore-delay jobs
-// on the timed compiled program (CompileTimed, a word-level timing
-// wheel), each measuring Options.Expt.SimVectors Monte Carlo vectors
-// streamed in register blocks of Options.Expt.SimLanes lanes per pass;
-// Expt.Sim.Engine == sim.EventDriven falls back to one event-driven
-// realization per job.
+// The simulated S column follows Options.Expt.Sim: zero-delay jobs run
+// on the levelized compiled program (internal/sim's Compile/RunPacked)
+// and unit-/Elmore-delay jobs on the timed compiled program
+// (CompileTimed, a word-level timing wheel), each measuring
+// Options.Expt.SimVectors Monte Carlo vectors streamed in register
+// blocks of Options.Expt.SimLanes lanes per pass.
 package sweep
 
 import (
