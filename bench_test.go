@@ -579,16 +579,16 @@ func BenchmarkRunEnergyAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneWidth measures the PR-10 tentpole: Monte Carlo
-// throughput of the compiled engines as the register block widens from
-// one machine word (64 lanes) through the 4- and 8-word kernels (256
-// and 512 lanes), on the largest embedded benchmark in all three delay
-// modes. Each iteration evaluates one full packed stimulus, so the
+// BenchmarkLaneWidth measures Monte Carlo throughput of the compiled
+// engines as the register file widens from one plane (64 lanes) to four
+// and eight planes (256 and 512 lanes), which dense steps evaluate four
+// planes per kernel pass, on the largest embedded benchmark in all three
+// delay modes. Each iteration evaluates one full packed stimulus, so the
 // vectors/sec metric scales with both the per-word kernel cost and the
-// pack width; the 64-lane rows continue the one-word engine's cross-PR
-// trajectory. Target: ≥2× the one-word throughput at 256+
-// lanes in every mode — the wide kernels amortize the per-gate agenda
-// and metering overhead across words.
+// pack width; the 64-lane rows continue the one-word engine's
+// trajectory. Target: ≥2× the one-word throughput at 256+ lanes in every
+// mode — the four-plane kernel amortizes op decoding, and the wide block
+// the per-gate agenda and metering overhead, across words.
 func BenchmarkLaneWidth(b *testing.B) {
 	lib := repro.DefaultLibrary()
 	c := largestEmbedded(b, lib)

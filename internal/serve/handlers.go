@@ -332,6 +332,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		} else {
 			prog, err := s.timedProgram(req.circuitKey(), c, prm)
 			if err != nil {
+				if req.Tick != 0 {
+					// The tick is legal on its own but not for this
+					// circuit's delays (the grid bound): a client error.
+					return nil, errf(http.StatusBadRequest, "invalid_request", "%v", err)
+				}
 				return nil, err
 			}
 			runPack = func(lanes int) (*sim.BitResult, error) {

@@ -88,6 +88,8 @@ func TestHandlerValidation(t *testing.T) {
 		{"simulate lanes on event engine", "POST", "/v1/simulate", `{"benchmark":"c17","engine":"event","lanes":64}`, 400, "invalid_request"},
 		{"simulate tick in zero-delay mode", "POST", "/v1/simulate", `{"benchmark":"c17","delay":"zero","tick":1e-10}`, 400, "invalid_request"},
 		{"simulate negative tick", "POST", "/v1/simulate", `{"benchmark":"c17","delay":"unit","tick":-1e-10}`, 400, "invalid_request"},
+		{"simulate tick too fine for the wheel", "POST", "/v1/simulate", `{"benchmark":"c17","delay":"unit","tick":1e-17}`, 400, "invalid_request"},
+		{"simulate tick overflowing elmore delays", "POST", "/v1/simulate", `{"benchmark":"c17","delay":"elmore","tick":1e-30}`, 400, "invalid_request"},
 		{"simulate horizon too long", "POST", "/v1/simulate", `{"benchmark":"c17","horizon":10}`, 400, "invalid_request"},
 		{"simulate negative horizon", "POST", "/v1/simulate", `{"benchmark":"c17","horizon":-1}`, 400, "invalid_request"},
 		{"simulate malformed JSON", "POST", "/v1/simulate", `[1,2]`, 400, "invalid_json"},

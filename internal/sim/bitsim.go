@@ -44,8 +44,8 @@ func RunPacked(c *circuit.Circuit, stim *stoch.PackedStimulus, prm Params) (*Bit
 }
 
 // Run evaluates the packed stimulus: one pass over the op array per
-// settling step, 64 lanes per register-block word (up to 512 lanes in an
-// 8-word block), transition metering by popcount. The Program is
+// settling step and changed register plane, 64 lanes per plane (up to 512
+// lanes in eight planes), transition metering by popcount. The Program is
 // read-only; concurrent Runs are safe — including runs of different lane
 // widths, whose scratch register files are never shared.
 func (p *Program) Run(stim *stoch.PackedStimulus) (*BitResult, error) {
@@ -87,7 +87,7 @@ func (p *Program) runMetered(stim *stoch.PackedStimulus, lm *laneMeter) (*BitRes
 		return nil, err
 	}
 	br := assembleResult(p.gates, p.meters, stim.Lanes, stim.Steps, stim.Horizon, sc.counts, lm)
-	lm.snapshot(func(reg int32) uint64 { return sc.regs[int(reg)*sc.words] })
+	lm.snapshot(sc.regs[:p.numRegs])
 	p.putScratch(sc)
 	return br, nil
 }
@@ -141,14 +141,15 @@ func (lm *laneMeter) add(mi int32, word int, diff uint64, at int64) {
 }
 
 // snapshot records lane 0's final value of every meter point for a
-// traced run; word0 returns word 0 of a register.
-func (lm *laneMeter) snapshot(word0 func(reg int32) uint64) {
+// traced run; plane0 is the register file's first plane (word 0 of every
+// register).
+func (lm *laneMeter) snapshot(plane0 []uint64) {
 	if lm == nil || !lm.trace {
 		return
 	}
 	lm.final = make([]bool, len(lm.meters))
 	for mi, mp := range lm.meters {
-		lm.final[mi] = word0(mp.stateReg)&1 != 0
+		lm.final[mi] = plane0[mp.stateReg]&1 != 0
 	}
 }
 
@@ -156,21 +157,16 @@ func (lm *laneMeter) snapshot(word0 func(reg int32) uint64) {
 // words records the block width the register file was sized for.
 type runScratch struct {
 	words  int
-	regs   []uint64
+	regs   []uint64 // plane-major: word w of register r is [w·numRegs + r]
 	counts []int64
 }
 
-// getScratch returns a zeroed scratch whose register file matches the
-// requested block width. Pooled buffers sized for a different width are
-// never handed out at the wrong stride — a stimulus of another lane width
-// forces the register file to be reallocated, so one Program can serve
-// interleaved 64-, 256- and 512-lane runs safely.
+// getScratch returns a zeroed scratch sized for the requested block width.
+// A pooled scratch from a run of a different lane width is dropped, never
+// reused at the wrong plane stride, so one Program can serve interleaved
+// 64-, 256- and 512-lane runs safely.
 func (p *Program) getScratch(words int) *runScratch {
-	if sc, ok := p.scratch.Get().(*runScratch); ok {
-		if sc.words != words {
-			sc.words = words
-			sc.regs = make([]uint64, p.numRegs*words)
-		}
+	if sc, ok := p.scratch.Get().(*runScratch); ok && sc.words == words {
 		for i := range sc.regs {
 			sc.regs[i] = 0
 		}
@@ -206,42 +202,46 @@ func (p *Program) execStim(stim *stoch.PackedStimulus, lm *laneMeter) (*runScrat
 	masks := maskArr[:W]
 	sc := p.getScratch(W)
 	regs, counts := sc.regs, sc.counts
-	for w := 0; w < W; w++ {
-		regs[W+w] = ^uint64(0) // register 1: the all-ones constant block
-	}
+	R := p.numRegs
 
 	// t=0 settle: load initial inputs, evaluate, commit without metering.
-	for i, r := range p.inReg {
-		row := i
-		if inRow != nil {
-			row = inRow[i]
-		}
-		for w := 0; w < W; w++ {
-			regs[int(r)*W+w] = stim.Initial[row*W+w] & masks[w]
+	for w := 0; w < W; w++ {
+		plane := regs[w*R : w*R+R]
+		plane[1] = ^uint64(0) // register 1: the all-ones constant
+		for i, r := range p.inReg {
+			row := i
+			if inRow != nil {
+				row = inRow[i]
+			}
+			plane[r] = stim.Initial[row*W+w] & masks[w]
 		}
 	}
-	runOps(p.ops, regs, W)
-	for _, mp := range p.meters {
-		copy(regs[int(mp.stateReg)*W:int(mp.stateReg)*W+W], regs[int(mp.valueReg)*W:int(mp.valueReg)*W+W])
+	execPlanes(p.ops, regs, R, W)
+	for w := 0; w < W; w++ {
+		plane := regs[w*R : w*R+R]
+		for _, mp := range p.meters {
+			plane[mp.stateReg] = plane[mp.valueReg]
+		}
 	}
 
 	for s := 0; s < stim.Steps; s++ {
-		// Word-change mask, folded into the input loads that happen anyway.
-		// The packed step axis is the union of every lane's settling
-		// instants, so at wide widths most steps touch one word of the
-		// block: an unchanged word would recompute exactly the values it
-		// already holds and meter all-zero diffs, so it is skipped outright
-		// — evaluation cost tracks per-lane activity, not steps × width.
+		// Plane-change mask, folded into the input loads that happen
+		// anyway. The packed step axis is the union of every lane's
+		// settling instants, so at wide widths most steps touch one word
+		// of the block: an unchanged plane would recompute exactly the
+		// values it already holds and meter all-zero diffs, so it is
+		// skipped outright — evaluation cost tracks per-lane activity,
+		// not steps × width.
 		var chg uint32
 		for i, r := range p.inReg {
 			row := i
 			if inRow != nil {
 				row = inRow[i]
 			}
-			rb, sb := int(r)*W, s*W
-			for w := 0; w < W; w++ {
-				if v := stim.Bits[row][sb+w] & masks[w]; regs[rb+w] != v {
-					regs[rb+w] = v
+			bs := stim.Bits[row][s*W : s*W+W]
+			for w, b := range bs {
+				if v := b & masks[w]; regs[w*R+int(r)] != v {
+					regs[w*R+int(r)] = v
 					chg |= 1 << uint(w)
 				}
 			}
@@ -249,28 +249,30 @@ func (p *Program) execStim(stim *stoch.PackedStimulus, lm *laneMeter) (*runScrat
 		if chg == 0 {
 			continue
 		}
-		// Half-full or better blocks run the full-width SIMD kernels (the
-		// unchanged words are recomputed in place, harmlessly); sparser
-		// blocks take the strided single-word kernel per changed word.
-		if k := bits.OnesCount32(chg); 2*k >= W {
-			runOps(p.ops, regs, W)
+		// Half-full or better blocks run every plane (the unchanged ones
+		// are recomputed in place, harmlessly); sparser blocks run only
+		// the changed planes.
+		if 2*bits.OnesCount32(chg) >= W {
+			execPlanes(p.ops, regs, R, W)
 		} else {
 			for m := chg; m != 0; m &= m - 1 {
-				runOpsWord(p.ops, regs, W, bits.TrailingZeros32(m))
+				w := bits.TrailingZeros32(m)
+				execOps(p.ops, regs[w*R:w*R+R])
 			}
 		}
+		// Commit meter by meter, each meter's changed planes together: the
+		// plane loads of one meter are independent of each other, where a
+		// plane-by-plane pass would re-walk the meter list per plane.
 		for mi := range p.meters {
-			mp := &p.meters[mi]
-			vb, sb := int(mp.valueReg)*W, int(mp.stateReg)*W
+			vr, sr := int(p.meters[mi].valueReg), int(p.meters[mi].stateReg)
 			for m := chg; m != 0; m &= m - 1 {
 				w := bits.TrailingZeros32(m)
-				d := (regs[vb+w] ^ regs[sb+w]) & masks[w]
-				if d != 0 {
+				if d := (regs[w*R+vr] ^ regs[w*R+sr]) & masks[w]; d != 0 {
 					counts[mi] += int64(bits.OnesCount64(d))
 					if lm != nil {
 						lm.add(int32(mi), w, d, int64(s))
 					}
-					regs[sb+w] = regs[vb+w]
+					regs[w*R+sr] = regs[w*R+vr]
 				}
 			}
 		}
@@ -278,24 +280,21 @@ func (p *Program) execStim(stim *stoch.PackedStimulus, lm *laneMeter) (*runScrat
 	return sc, nil
 }
 
-// runOps runs a compiled op stream once over a register file of W-word
-// blocks: register r is regs[r·W:(r+1)·W]. W ∈ {1, 4, 8} dispatch to
-// straight-line kernels whose fixed-size array blocks the compiler can
-// keep in vector registers; other widths take the generic block loop.
-func runOps(ops []bitOp, regs []uint64, words int) {
-	switch words {
-	case 1:
-		execOps(ops, regs)
-	case 4:
-		execOps4(ops, regs)
-	case 8:
-		execOps8(ops, regs)
-	default:
-		execOpsN(ops, regs, words)
+// execPlanes runs a compiled op stream once over every plane of a
+// plane-major register file of W planes (plane w is regs[w·R:(w+1)·R]):
+// four planes at a time, then the remainder one at a time. It is the one
+// dense-evaluation loop of both compiled engines.
+func execPlanes(ops []bitOp, regs []uint64, R, W int) {
+	w := 0
+	for ; w+4 <= W; w += 4 {
+		execOpsPlanes4(ops, regs[w*R:(w+4)*R], R)
+	}
+	for ; w < W; w++ {
+		execOps(ops, regs[w*R:w*R+R])
 	}
 }
 
-// execOps runs a compiled op stream once over a 1-word register file.
+// execOps runs a compiled op stream once over one register plane.
 func execOps(ops []bitOp, regs []uint64) {
 	for i := range ops {
 		op := &ops[i]
@@ -312,86 +311,10 @@ func execOps(ops []bitOp, regs []uint64) {
 	}
 }
 
-// execOps4 is the 4-word (256-lane) kernel: fixed-size array pointers per
-// block so each op is four independent word operations with no
-// loop-carried dependence — the shape the auto-vectorizer wants.
-func execOps4(ops []bitOp, regs []uint64) {
-	for i := range ops {
-		op := &ops[i]
-		dst := (*[4]uint64)(regs[int(op.dst)*4:])
-		a := (*[4]uint64)(regs[int(op.a)*4:])
-		switch op.code {
-		case opAnd:
-			b := (*[4]uint64)(regs[int(op.b)*4:])
-			dst[0], dst[1], dst[2], dst[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
-		case opOr:
-			b := (*[4]uint64)(regs[int(op.b)*4:])
-			dst[0], dst[1], dst[2], dst[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
-		case opAndNot:
-			b := (*[4]uint64)(regs[int(op.b)*4:])
-			dst[0], dst[1], dst[2], dst[3] = a[0]&^b[0], a[1]&^b[1], a[2]&^b[2], a[3]&^b[3]
-		default: // opNot
-			dst[0], dst[1], dst[2], dst[3] = ^a[0], ^a[1], ^a[2], ^a[3]
-		}
-	}
-}
-
-// execOps8 is the 8-word (512-lane) kernel.
-func execOps8(ops []bitOp, regs []uint64) {
-	for i := range ops {
-		op := &ops[i]
-		dst := (*[8]uint64)(regs[int(op.dst)*8:])
-		a := (*[8]uint64)(regs[int(op.a)*8:])
-		switch op.code {
-		case opAnd:
-			b := (*[8]uint64)(regs[int(op.b)*8:])
-			for w := 0; w < 8; w++ {
-				dst[w] = a[w] & b[w]
-			}
-		case opOr:
-			b := (*[8]uint64)(regs[int(op.b)*8:])
-			for w := 0; w < 8; w++ {
-				dst[w] = a[w] | b[w]
-			}
-		case opAndNot:
-			b := (*[8]uint64)(regs[int(op.b)*8:])
-			for w := 0; w < 8; w++ {
-				dst[w] = a[w] &^ b[w]
-			}
-		default: // opNot
-			for w := 0; w < 8; w++ {
-				dst[w] = ^a[w]
-			}
-		}
-	}
-}
-
-// runOpsWord runs a compiled op stream over a single word w of a W-word
-// block-interleaved register file (register r's word w is regs[r·W+w]) —
-// the zero-delay engine's sparse-step kernel, for steps that touch a
-// strict minority of a wide block's words.
-func runOpsWord(ops []bitOp, regs []uint64, W, w int) {
-	for i := range ops {
-		op := &ops[i]
-		switch op.code {
-		case opAnd:
-			regs[int(op.dst)*W+w] = regs[int(op.a)*W+w] & regs[int(op.b)*W+w]
-		case opOr:
-			regs[int(op.dst)*W+w] = regs[int(op.a)*W+w] | regs[int(op.b)*W+w]
-		case opAndNot:
-			regs[int(op.dst)*W+w] = regs[int(op.a)*W+w] &^ regs[int(op.b)*W+w]
-		default: // opNot
-			regs[int(op.dst)*W+w] = ^regs[int(op.a)*W+w]
-		}
-	}
-}
-
-// execOpsPlanes4 runs a compiled op stream once over four plane-major
-// register files at once (plane w is regs[w·R:(w+1)·R]) — the timed
-// engine's dense-instant kernel. Four independent word operations issue
-// per compiled op, recovering the instruction-level parallelism of the
-// block-interleaved execOps4 without giving up the plane layout the
-// sparse single-word path needs.
+// execOpsPlanes4 runs a compiled op stream once over four consecutive
+// register planes at once (plane w is regs[w·R:(w+1)·R]): four
+// independent word operations issue per compiled op, the instruction-
+// level parallelism a single-plane pass lacks.
 func execOpsPlanes4(ops []bitOp, regs []uint64, R int) {
 	p0, p1, p2, p3 := regs[0:R], regs[R:2*R], regs[2*R:3*R], regs[3*R:4*R]
 	for i := range ops {
@@ -406,43 +329,6 @@ func execOpsPlanes4(ops []bitOp, regs []uint64, R int) {
 			p0[d], p1[d], p2[d], p3[d] = p0[a]&^p0[b], p1[a]&^p1[b], p2[a]&^p2[b], p3[a]&^p3[b]
 		default: // opNot
 			p0[d], p1[d], p2[d], p3[d] = ^p0[a], ^p1[a], ^p2[a], ^p3[a]
-		}
-	}
-}
-
-// execOpsPlanes8 is the eight-plane form of execOpsPlanes4.
-func execOpsPlanes8(ops []bitOp, regs []uint64, R int) {
-	execOpsPlanes4(ops, regs[:4*R], R)
-	execOpsPlanes4(ops, regs[4*R:], R)
-}
-
-// execOpsN is the generic block kernel for widths without a specialized
-// form.
-func execOpsN(ops []bitOp, regs []uint64, words int) {
-	for i := range ops {
-		op := &ops[i]
-		dst := regs[int(op.dst)*words:][:words]
-		a := regs[int(op.a)*words:][:words:words]
-		switch op.code {
-		case opAnd:
-			b := regs[int(op.b)*words:][:words:words]
-			for w := range dst {
-				dst[w] = a[w] & b[w]
-			}
-		case opOr:
-			b := regs[int(op.b)*words:][:words:words]
-			for w := range dst {
-				dst[w] = a[w] | b[w]
-			}
-		case opAndNot:
-			b := regs[int(op.b)*words:][:words:words]
-			for w := range dst {
-				dst[w] = a[w] &^ b[w]
-			}
-		default: // opNot
-			for w := range dst {
-				dst[w] = ^a[w]
-			}
 		}
 	}
 }

@@ -15,13 +15,14 @@ import (
 // flooding at run time — only straight-line code over dense register
 // indices:
 //
-//   - Every net and every transistor-level node gets a register in a flat
-//     []uint64 file. A register is a block of W consecutive words
-//     (structure-of-arrays; W is fixed per evaluation by the stimulus, up
-//     to stoch.MaxWords): bit l%64 of block word l/64 is the node's value
-//     in Monte Carlo lane l. The compiled program itself is width-agnostic
-//     — ops name register indices, and the exec kernels stride them by
-//     the block width at run time.
+//   - Every net and every transistor-level node gets a register index.
+//     An evaluation over W words (fixed per evaluation by the stimulus,
+//     up to stoch.MaxWords) keeps W register planes in one plane-major
+//     []uint64 file: plane w is regs[w·R:(w+1)·R] for R registers, and
+//     bit l%64 of register r in plane l/64 is the node's value in Monte
+//     Carlo lane l. The compiled program itself is width-agnostic — ops
+//     name register indices within a plane, and the exec kernels run
+//     them over one plane or four planes at a time.
 //   - Each gate's output is its path function H_y; each internal node nk
 //     settles to  new = H_nk | (prev &^ (H_nk|G_nk))  — driven nodes take
 //     their rail value, undriven nodes retain charge. H and G are exactly

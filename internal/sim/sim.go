@@ -160,27 +160,45 @@ func gateDelaySeconds(order []*circuit.Instance, fanout map[string]int, prm Para
 	return delays, nil
 }
 
+// maxGridDelayTicks bounds the largest quantized gate delay a tick grid
+// may produce. Every timed run allocates a timing wheel of maxDelay+1
+// slots, so an unbounded ratio of gate delay to tick lets one request
+// allocate gigabytes (a 1 ns unit delay on a 1e-17 s tick is 1e8 slots),
+// and past 2^63 the float-to-int conversion of quantizeDelay overflows.
+// Automatic ticks stay far below the bound: at most 38 ticks on every
+// embedded benchmark.
+const maxGridDelayTicks = 1 << 16
+
 // resolveTick picks the tick duration for a timed run: the explicit
 // Params.Tick when set, the unit delay in UnitDelay mode (gate delays are
 // then exactly one tick), or the fastest gate delay / elmoreTickDiv in
-// ElmoreDelay mode.
+// ElmoreDelay mode. It rejects a tick on which the slowest gate delay
+// quantizes to more than maxGridDelayTicks ticks.
 func resolveTick(prm Params, delays []float64) (float64, error) {
-	if prm.Tick > 0 {
-		return prm.Tick, nil
+	tick := prm.Tick
+	switch {
+	case tick > 0:
+	case prm.Mode == UnitDelay:
+		tick = prm.Unit
+	default:
+		min := math.Inf(1)
+		for _, d := range delays {
+			if d < min {
+				min = d
+			}
+		}
+		if math.IsInf(min, 1) || min <= 0 {
+			return 0, fmt.Errorf("sim: cannot derive a tick from gate delays (min %v); set Params.Tick", min)
+		}
+		tick = min / elmoreTickDiv
 	}
-	if prm.Mode == UnitDelay {
-		return prm.Unit, nil
-	}
-	min := math.Inf(1)
 	for _, d := range delays {
-		if d < min {
-			min = d
+		if q := math.Round(d / tick); !(q <= maxGridDelayTicks) {
+			return 0, fmt.Errorf("sim: tick %g s quantizes a %g s gate delay to %g ticks; the timed grid allows at most %d",
+				tick, d, q, maxGridDelayTicks)
 		}
 	}
-	if math.IsInf(min, 1) || min <= 0 {
-		return 0, fmt.Errorf("sim: cannot derive a tick from gate delays (min %v); set Params.Tick", min)
-	}
-	return min / elmoreTickDiv, nil
+	return tick, nil
 }
 
 // quantizeDelay converts a gate delay to ticks: nearest tick, at least

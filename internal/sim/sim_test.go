@@ -464,3 +464,58 @@ func TestTickPlan(t *testing.T) {
 		t.Fatal("zero-delay tick plan accepted")
 	}
 }
+
+// TestTickGridBound pins the tick-grid bound TickPlan and CompileTimed
+// share: a tick on which the slowest gate delay quantizes past
+// maxGridDelayTicks is rejected (it would size every run's timing wheel by
+// the ratio, or overflow the quantization), and the bound itself is
+// accepted.
+func TestTickGridBound(t *testing.T) {
+	lib := library.Default()
+	c, err := mcnc.Load("rca8", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := DefaultParams()
+	elmore := DefaultParams()
+	elmore.Mode = ElmoreDelay
+	for _, tc := range []struct {
+		name string
+		prm  Params
+		tick float64
+	}{
+		{"unit-1e-17", unit, 1e-17},                                    // 1e8 ticks per gate
+		{"unit-past-bound", unit, unit.Unit / (maxGridDelayTicks + 1)}, // one tick past
+		{"elmore-1e-30", elmore, 1e-30},                                // int64 overflow
+		{"elmore-denormal", elmore, math.SmallestNonzeroFloat64},       // infinite ratio
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prm := tc.prm
+			prm.Tick = tc.tick
+			if _, _, _, err := TickPlan(c, prm); err == nil {
+				t.Fatalf("TickPlan accepted tick %g", tc.tick)
+			}
+			if tp, err := CompileTimed(c, prm); err == nil {
+				t.Fatalf("CompileTimed accepted tick %g (max delay %d ticks)", tc.tick, tp.MaxDelayTicks())
+			}
+		})
+	}
+	prm := unit
+	prm.Tick = unit.Unit / maxGridDelayTicks
+	tp, err := CompileTimed(c, prm)
+	if err != nil {
+		t.Fatalf("tick at the bound rejected: %v", err)
+	}
+	if got := tp.MaxDelayTicks(); got != maxGridDelayTicks {
+		t.Fatalf("max delay %d ticks at the bound, want %d", got, maxGridDelayTicks)
+	}
+	_, delays, _, err := TickPlan(c, prm)
+	if err != nil {
+		t.Fatalf("TickPlan rejected the bound: %v", err)
+	}
+	for i, d := range delays {
+		if d != maxGridDelayTicks {
+			t.Fatalf("gate %d: %d ticks, want %d", i, d, maxGridDelayTicks)
+		}
+	}
+}

@@ -416,7 +416,7 @@ func (tp *TimedProgram) runMetered(stim *stoch.TimedStimulus, lm *laneMeter) (*B
 		return nil, err
 	}
 	br := assembleResult(tp.gates, tp.meters, stim.Lanes, sc.steps, stim.Horizon, sc.counts, lm)
-	lm.snapshot(func(reg int32) uint64 { return sc.regs[reg] }) // plane 0 holds word 0
+	lm.snapshot(sc.regs[:tp.numRegs])
 	tp.scratch.Put(sc)
 	return br, nil
 }
@@ -457,13 +457,12 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 	masks := maskArr[:W]
 	sc := tp.getScratch(W)
 	regs, dirty, fire, counts := sc.regs, sc.dirty, sc.fire, sc.counts
-	// The timed register file is plane-major: word w of every register
-	// lives in the contiguous plane regs[w·R:(w+1)·R]. Lanes toggle at
-	// independent instants, so most of a timed run evaluates single words
-	// of a wide block — a plane keeps that single-word work inside one
-	// L1-resident window with unit-stride addressing, where the zero-delay
-	// engine's block-interleaved layout would spread it across the whole
-	// wide register file.
+	// The register file is plane-major, as in the zero-delay engine: word
+	// w of every register lives in the contiguous plane regs[w·R:(w+1)·R].
+	// Lanes toggle at independent instants, so most of a timed run
+	// evaluates single words of a wide block — a plane keeps that
+	// single-word work inside one L1-resident window with unit-stride
+	// addressing.
 	R := tp.numRegs
 	wheelLen := int64(len(sc.wheel))
 
@@ -635,11 +634,11 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 					// stays proportional to actual activity instead of
 					// scaling with the block width — and a single-word
 					// visit stays inside its own register plane. Fully
-					// dirty blocks (aligned cluster starts) take the
-					// plane-parallel kernels instead, which issue W
-					// independent word ops per compiled op.
+					// dirty blocks (aligned cluster starts) take
+					// execPlanes instead, which issues four independent
+					// word ops per compiled op.
 					// One pass over the block loads and clears both masks into
-					// stack words; the kernel dispatch and the per-word commit
+					// stack words; the evaluation and the per-word commit
 					// below read the cached copies instead of rescanning the
 					// bitmap arrays.
 					var dArr, fArr [stoch.MaxWords]uint64
@@ -656,22 +655,12 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 							fw |= 1 << uint(x)
 						}
 					}
-					if dw != 0 {
-						gops := ops[opStart[g]:opStart[g+1]]
-						switch {
-						case dw != fullW || W == 1:
-							for m := dw; m != 0; m &= m - 1 {
-								x := bits.TrailingZeros32(m)
-								execOps(gops, regs[x*R:x*R+R])
-							}
-						case W == 4:
-							execOpsPlanes4(gops, regs, R)
-						case W == 8:
-							execOpsPlanes8(gops, regs, R)
-						default:
-							for x := 0; x < W; x++ {
-								execOps(gops, regs[x*R:x*R+R])
-							}
+					if gops := ops[opStart[g]:opStart[g+1]]; dw == fullW {
+						execPlanes(gops, regs, R, W)
+					} else {
+						for m := dw; m != 0; m &= m - 1 {
+							x := bits.TrailingZeros32(m)
+							execOps(gops, regs[x*R:x*R+R])
 						}
 					}
 					for m := dw | fw; m != 0; m &= m - 1 {

@@ -1,19 +1,22 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/library"
 	"repro/internal/mcnc"
 	"repro/internal/stoch"
 )
 
-// wideLaneEquivalence is the W-word register-block property check: on
+// wideLaneEquivalence is the W-plane register-file property check: on
 // every embedded MCNC benchmark, one wide run over `lanes` Monte Carlo
-// vectors must be bit-identical lane for lane to lanes/64 independent
-// 64-lane chunked runs of the same program — per-net transition counts,
+// vectors must be bit-identical lane for lane to independent chunked runs
+// of the same program, 64 lanes each and a partial last chunk when lanes
+// is not a multiple of 64 — per-net transition counts,
 // internal flips, output flips and per-lane energy (the per-lane energy
 // sums walk the meter list in program order at every width, so even the
 // floats match exactly). Both directions run through the same compiled
@@ -21,9 +24,6 @@ import (
 // the wide pass and the chunked passes (the width-validation path in
 // getScratch).
 func wideLaneEquivalence(t *testing.T, prm Params, lanes int) {
-	if lanes%stoch.MaxLanes != 0 {
-		t.Fatalf("lanes %d must be a multiple of %d", lanes, stoch.MaxLanes)
-	}
 	lib := library.Default()
 	const horizon = 1e-4
 	for _, name := range mcnc.EmbeddedNames() {
@@ -80,14 +80,14 @@ func wideLaneEquivalence(t *testing.T, prm Params, lanes int) {
 			}
 
 			var chunkEnergy float64
-			for chunk := 0; chunk < lanes/stoch.MaxLanes; chunk++ {
-				lo := chunk * stoch.MaxLanes
-				ref, err := run(laneWaves[lo : lo+stoch.MaxLanes])
+			for lo := 0; lo < lanes; lo += stoch.MaxLanes {
+				hi := min(lo+stoch.MaxLanes, lanes)
+				ref, err := run(laneWaves[lo:hi])
 				if err != nil {
 					t.Fatal(err)
 				}
 				chunkEnergy += ref.Energy
-				for o := 0; o < stoch.MaxLanes; o++ {
+				for o := 0; o < hi-lo; o++ {
 					l := lo + o
 					for net, row := range ref.LaneNetTransitions {
 						if wide.LaneNetTransitions[net][l] != row[o] {
@@ -127,8 +127,9 @@ func wideLaneEquivalence(t *testing.T, prm Params, lanes int) {
 	}
 }
 
-// TestWideLaneEquivalenceZeroDelay pins the 256-lane (W=4) levelized
-// kernels to the one-word engine on every embedded benchmark.
+// TestWideLaneEquivalenceZeroDelay pins the 256-lane (W=4) zero-delay
+// engine, one four-plane kernel pass per dense step, to the one-word
+// engine on every embedded benchmark.
 func TestWideLaneEquivalenceZeroDelay(t *testing.T) {
 	wideLaneEquivalence(t, zeroParams(), 4*stoch.MaxLanes)
 }
@@ -148,17 +149,33 @@ func TestWideLaneEquivalenceElmoreDelay(t *testing.T) {
 	wideLaneEquivalence(t, prm, 4*stoch.MaxLanes)
 }
 
-// TestWideLaneEquivalence512 runs the full three-mode property at the
-// 512-lane (W=8) maximum width, where the unrolled 8-word kernels and
-// the top word-block of every mask boundary are in play.
-func TestWideLaneEquivalence512(t *testing.T) {
+// allModesLaneEquivalence runs the property in all three delay modes.
+func allModesLaneEquivalence(t *testing.T, lanes int) {
 	zero := zeroParams()
 	unit := DefaultParams()
 	elmore := DefaultParams()
 	elmore.Mode = ElmoreDelay
-	t.Run("zero", func(t *testing.T) { wideLaneEquivalence(t, zero, 8*stoch.MaxLanes) })
-	t.Run("unit", func(t *testing.T) { wideLaneEquivalence(t, unit, 8*stoch.MaxLanes) })
-	t.Run("elmore", func(t *testing.T) { wideLaneEquivalence(t, elmore, 8*stoch.MaxLanes) })
+	t.Run("zero", func(t *testing.T) { wideLaneEquivalence(t, zero, lanes) })
+	t.Run("unit", func(t *testing.T) { wideLaneEquivalence(t, unit, lanes) })
+	t.Run("elmore", func(t *testing.T) { wideLaneEquivalence(t, elmore, lanes) })
+}
+
+// TestWideLaneEquivalence512 runs the full three-mode property at the
+// 512-lane (W=8) maximum width, where two four-plane kernel passes and
+// the top word of every mask boundary are in play.
+func TestWideLaneEquivalence512(t *testing.T) {
+	allModesLaneEquivalence(t, 8*stoch.MaxLanes)
+}
+
+// TestWideLaneEquivalencePartialBlocks runs the property at widths the
+// four-plane kernel does not divide, as /v1/simulate produces when it
+// streams a vector count through partial final blocks: 129 lanes (W=3,
+// single-plane passes only, one live lane in the top word) and 448 lanes
+// (W=7, one four-plane pass plus three single planes).
+func TestWideLaneEquivalencePartialBlocks(t *testing.T) {
+	for _, lanes := range []int{129, 448} {
+		t.Run(fmt.Sprint(lanes), func(t *testing.T) { allModesLaneEquivalence(t, lanes) })
+	}
 }
 
 // TestScratchPoolWidthReuse interleaves widths on one compiled program
@@ -225,9 +242,9 @@ func TestScratchPoolWidthReuse(t *testing.T) {
 				}
 			}
 			// Fresh-pool references, one per width.
-			widths := []int{64, 256, 512, 64, 512, 256}
+			widths := []int{64, 256, 512, 128, 64, 512, 256, 128}
 			want := map[int]float64{}
-			for _, w := range []int{64, 256, 512} {
+			for _, w := range []int{64, 128, 256, 512} {
 				want[w] = run(laneWaves[:w])
 			}
 			// Interleave widths; each run's pooled scratch comes from a
@@ -239,5 +256,75 @@ func TestScratchPoolWidthReuse(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunEnergyZeroAlloc pins the pooled measurement path at every lane
+// width: on the largest embedded benchmark, in all three delay modes, a
+// warmed RunEnergy call must not allocate — the scratch pool hands back
+// a register file of the right width instead of building a new one.
+func TestRunEnergyZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	lib := library.Default()
+	var c *circuit.Circuit
+	for _, name := range mcnc.EmbeddedNames() {
+		cc, err := mcnc.Load(name, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil || len(cc.Gates) > len(c.Gates) {
+			c = cc
+		}
+	}
+	const horizon = 1e-4
+	stats := make(map[string]stoch.Signal, len(c.Inputs))
+	for _, in := range c.Inputs {
+		stats[in] = stoch.Signal{P: 0.5, D: 2e5}
+	}
+	laneWaves, err := GenerateLaneWaveforms(c.Inputs, stats, horizon, stoch.MaxPackLanes, rand.New(rand.NewSource(65)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []DelayMode{ZeroDelay, UnitDelay, ElmoreDelay} {
+		prm := DefaultParams()
+		prm.Mode = mode
+		for _, lanes := range []int{64, 256, 512} {
+			t.Run(fmt.Sprintf("%s/%d", mode.name(), lanes), func(t *testing.T) {
+				var runEnergy func() (float64, error)
+				if mode == ZeroDelay {
+					prog, err := Compile(c, prm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stim, err := stoch.PackWaveforms(c.Inputs, laneWaves[:lanes], horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runEnergy = func() (float64, error) { return prog.RunEnergy(stim) }
+				} else {
+					prog, err := CompileTimed(c, prm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stim, err := prog.PackTimed(laneWaves[:lanes], horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runEnergy = func() (float64, error) { return prog.RunEnergy(stim) }
+				}
+				if _, err := runEnergy(); err != nil { // warm the scratch pool
+					t.Fatal(err)
+				}
+				if avg := testing.AllocsPerRun(5, func() {
+					if _, err := runEnergy(); err != nil {
+						t.Fatal(err)
+					}
+				}); avg >= 1 {
+					t.Fatalf("warmed RunEnergy allocates %.1f objects/op, want 0", avg)
+				}
+			})
+		}
 	}
 }
