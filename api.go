@@ -139,8 +139,8 @@ const (
 const EngineBitParallel = sim.BitParallel
 
 // MaxSimVectors is the lane capacity of one packed bit-parallel run: the
-// widest register block (8 words × 64 lanes). Lane counts of 64, 256 and
-// 512 hit the specialized one-, four- and eight-word kernels.
+// widest register block (8 words × 64 lanes). The kernels evaluate four
+// words at a time, so multiples of 256 lanes keep them full.
 const MaxSimVectors = stoch.MaxPackLanes
 
 // DefaultLibrary returns the paper's Table 2 cell library.
@@ -234,27 +234,14 @@ func Simulate(c *Circuit, pi map[string]Signal, horizon float64, seed int64, prm
 // program (glitches included) under unit or Elmore delay. The result's
 // Power is the mean per-lane power.
 func SimulateVectors(c *Circuit, pi map[string]Signal, horizon float64, vectors int, seed int64, prm SimParams) (*BitSimResult, error) {
-	rng := newRand(seed)
-	if prm.Mode != sim.ZeroDelay {
-		prog, err := sim.CompileTimed(c, prm)
-		if err != nil {
-			return nil, err
-		}
-		laneWaves, err := sim.GenerateLaneWaveforms(c.Inputs, pi, horizon, vectors, rng)
-		if err != nil {
-			return nil, err
-		}
-		stim, err := prog.PackTimed(laneWaves, horizon)
-		if err != nil {
-			return nil, err
-		}
-		return prog.Run(stim)
-	}
-	stim, err := sim.GeneratePackedWaveforms(c.Inputs, pi, horizon, vectors, rng)
+	p, err := sim.CompileFor(c, prm)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunPacked(c, stim, prm)
+	rng := newRand(seed)
+	return sim.RunVectors(p, func() (map[string]*stoch.Waveform, error) {
+		return sim.GenerateWaveforms(c.Inputs, pi, horizon, rng)
+	}, vectors, vectors, horizon)
 }
 
 // CompileSimulation lowers the circuit into the zero-delay bit-parallel

@@ -1,5 +1,7 @@
 // Benchmarks that regenerate every table and figure of the paper, plus
-// the ablations called out in DESIGN.md §6. Each benchmark reports the
+// ablations of the model and optimizer (input-only and output-only
+// reordering, delay rules, capacitance weights) and the engine
+// throughput measurements. Each benchmark reports the
 // headline quantity of its experiment via b.ReportMetric, so
 // `go test -bench=. -benchmem` doubles as the experiment harness
 // (cmd/paper prints the full human-readable tables).
@@ -274,13 +276,12 @@ func BenchmarkSimDelayModes(b *testing.B) {
 			var red float64
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(13))
-				waves, err := sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
 				prm := sim.DefaultParams()
 				prm.Mode = m.mode
-				red, _, _, err = sim.MeasureReduction(best.Circuit, worst.Circuit, waves, horizon, prm)
+				var err error
+				red, err = sim.ReductionVectors(best.Circuit, worst.Circuit, func() (map[string]*stoch.Waveform, error) {
+					return sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
+				}, 1, 1, horizon, prm)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -408,8 +409,9 @@ func BenchmarkUselessTransitions(b *testing.B) {
 // BenchmarkCapacitanceSensitivity sweeps the junction-capacitance weight
 // and reports the model reduction at each point: the paper's absolute
 // percentages hinge on how much of the switched capacitance sits on
-// internal nodes, and this bench quantifies that dependence (the source
-// of the magnitude gap documented in EXPERIMENTS.md).
+// internal nodes, and this bench quantifies that dependence (one
+// candidate source of the gap between the paper's Table 3 averages and
+// this reproduction's).
 func BenchmarkCapacitanceSensitivity(b *testing.B) {
 	lib := repro.DefaultLibrary()
 	c, err := repro.LoadBenchmark("alu2", lib)

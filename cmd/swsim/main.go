@@ -4,7 +4,7 @@
 //
 // The circuit runs on the compiled bit-parallel engine: Monte Carlo
 // vectors packed into register blocks of -lanes bits — 64 per machine
-// word, 256/512 via the wide kernels. Zero delay runs the levelized
+// word, up to 512 per block. Zero delay runs the levelized
 // program, unit/elmore the timed program on an integer tick grid; -tick
 // overrides the automatic resolution. -vcd dumps the waveforms of a
 // single vector.
@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"os"
 
-	"repro/internal/circuit"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/library"
@@ -120,10 +119,17 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode 
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", vcdPath)
 	} else {
-		res, err = runVectors(c, pi, horizon, vectors, lanes, rng, prm)
+		prog, err := sim.CompileFor(c, prm)
 		if err != nil {
 			return err
 		}
+		br, err := sim.RunVectors(prog, func() (map[string]*stoch.Waveform, error) {
+			return sim.GenerateWaveforms(c.Inputs, pi, horizon, rng)
+		}, vectors, lanes, horizon)
+		if err != nil {
+			return err
+		}
+		res = &br.Result
 	}
 	model, err := core.AnalyzeCircuit(c, pi, prm.Cap)
 	if err != nil {
@@ -135,55 +141,4 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode 
 		res.Power, res.InternalFlips, res.OutputFlips)
 	fmt.Printf("model power:    %.4g W (ratio %.2f)\n", model.Power, res.Power/model.Power)
 	return nil
-}
-
-// runVectors compiles the circuit once (the levelized program under zero
-// delay, the timed program otherwise) and evaluates ceil(n/width) packed
-// register blocks, folding counts and averaging power across all vectors.
-func runVectors(c *circuit.Circuit, pi map[string]stoch.Signal, horizon float64, vectors, width int, rng *rand.Rand, prm sim.Params) (*sim.Result, error) {
-	var runBatch func(lanes int) (*sim.BitResult, error)
-	if prm.Mode == sim.ZeroDelay {
-		prog, err := sim.Compile(c, prm)
-		if err != nil {
-			return nil, err
-		}
-		runBatch = func(lanes int) (*sim.BitResult, error) {
-			stim, err := sim.GeneratePackedWaveforms(c.Inputs, pi, horizon, lanes, rng)
-			if err != nil {
-				return nil, err
-			}
-			return prog.Run(stim)
-		}
-	} else {
-		prog, err := sim.CompileTimed(c, prm)
-		if err != nil {
-			return nil, err
-		}
-		runBatch = func(lanes int) (*sim.BitResult, error) {
-			laneWaves, err := sim.GenerateLaneWaveforms(c.Inputs, pi, horizon, lanes, rng)
-			if err != nil {
-				return nil, err
-			}
-			stim, err := prog.PackTimed(laneWaves, horizon)
-			if err != nil {
-				return nil, err
-			}
-			return prog.Run(stim)
-		}
-	}
-	total := &sim.Result{Horizon: horizon}
-	for done := 0; done < vectors; {
-		lanes := vectors - done
-		if lanes > width {
-			lanes = width
-		}
-		br, err := runBatch(lanes)
-		if err != nil {
-			return nil, err
-		}
-		total.Accumulate(&br.Result)
-		done += lanes
-	}
-	total.Power = total.Energy / (float64(vectors) * horizon)
-	return total, nil
 }

@@ -107,12 +107,16 @@ func TestScenarioBClockedCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, rb, rw, err := sim.MeasureReduction(mk(best.Gate), mk(worst.Gate), waves, cycles*period, sim.DefaultParams())
+	rb, err := sim.Run(mk(best.Gate), waves, cycles*period, sim.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := sim.Run(mk(worst.Gate), waves, cycles*period, sim.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rb.Power > rw.Power*(1+1e-9) {
 		t.Errorf("clocked stimulus inverted the ordering: best %g vs worst %g", rb.Power, rw.Power)
 	}
-	t.Logf("clocked best-vs-worst reduction: %.1f%%", 100*red)
+	t.Logf("clocked best-vs-worst reduction: %.1f%%", 100*(rw.Power-rb.Power)/rw.Power)
 }

@@ -149,7 +149,8 @@ func TestMotivationGateNodeNumbers(t *testing.T) {
 	if math.Abs(pdNode.P-3.0/7.0) > 1e-12 {
 		t.Errorf("P(n0) = %g, want 3/7", pdNode.P)
 	}
-	// T_n0 = 0.1429·(Da1+Da2) + 0.857·Db (see DESIGN.md §2 derivation).
+	// T_n0 = 0.1429·(Da1+Da2) + 0.857·Db: the package doc's T_nk|xi with
+	// P(n0) = 3/7, summed over the three inputs.
 	wantT := (4.0/28.0)*(1e4+1e5) + (6.0/7.0)*1e6
 	if rel := math.Abs(pdNode.T-wantT) / wantT; rel > 1e-9 {
 		t.Errorf("T_n0 = %g, want %g", pdNode.T, wantT)

@@ -3,7 +3,8 @@
 // switching activity and equilibrium probabilities of the gate's internal
 // nodes (Section 3.3), and the circuit-level power estimation built on it.
 //
-// The model, restated (see DESIGN.md §2 for the derivation):
+// The model, restated (derived in the paper's Section 3.3; ARCHITECTURE.md,
+// "The power model", maps it onto this package):
 //
 //	P(nk)    = P(H_nk) / (P(H_nk) + P(G_nk))                    (steady state)
 //	T_nk|xi  = D(xi)·[P(¬nk)·P(∂H_nk/∂xi) + P(nk)·P(∂G_nk/∂xi)]

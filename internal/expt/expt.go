@@ -63,10 +63,12 @@ type Options struct {
 	// SimLanes lanes per pass. 0 means SimLanes (one pack).
 	SimVectors int
 	// SimLanes is the register-block lane width of one bit-parallel pass
-	// (1..stoch.MaxPackLanes; 64, 256 and 512 hit the specialized
-	// kernels). Chunking is exact: any SimVectors total gives the same
-	// measurement at every lane width. 0 means 64 — one word per
-	// register, the pre-wide-block default.
+	// (1..stoch.MaxPackLanes; the kernels evaluate four 64-lane words at a
+	// time, so multiples of 256 keep them full). The width does not
+	// change which vectors are drawn or their transition counts, but each
+	// width sums the per-block energies in its own order, so the
+	// reduction can differ in the last digits across widths. 0 means
+	// 64 — one word per register, the pre-wide-block default.
 	SimLanes int
 	Lib      *library.Library
 }
@@ -292,8 +294,9 @@ func generateScenarioWaveforms(inputs []string, sigs map[string]stoch.Signal, sc
 // compiled engines in register blocks of opt.SimLanes lanes per pass —
 // zero-delay runs on the levelized compiled engine, unit- and Elmore-delay
 // runs on the timed compiled engine (both circuits on one shared tick
-// grid); chunking is exact, so the result depends on the vector total but
-// not on the lane width.
+// grid). The lane width does not change the stimulus or the transition
+// counts, only the floating-point order in which block energies sum, so
+// results at different widths agree to rounding.
 func SimReduction(c, best, worst *circuit.Circuit, pi map[string]stoch.Signal, sc Scenario, seed int64, opt Options) (float64, error) {
 	rng := rand.New(rand.NewSource(seed))
 	sigs := scenarioSignals(pi, sc, opt)
@@ -381,8 +384,8 @@ func Run(sc Scenario, names []string, opt Options) ([]Table3Row, Averages, error
 	return rows, avg, nil
 }
 
-// PaperAverages are the numbers the paper reports for Table 3, used by
-// EXPERIMENTS.md and the comparison printout: scenario A improves power
+// PaperNumbers are the numbers the paper reports for Table 3, used by the
+// comparison printout: scenario A improves power
 // by 12% (measured) / 9% (model) with a 4% average delay increase;
 // scenario B achieves roughly half the scenario-A reduction.
 type PaperNumbers struct {

@@ -41,7 +41,8 @@ type cellDef struct {
 
 // defaultDefs lists the Table 2 library. Pull-ups are the duals.
 // nand4/nor2 are included to make the technology mapper practical; the
-// paper's OCR-damaged table is reconstructed in full in EXPERIMENTS.md.
+// paper's OCR-damaged table is reconstructed in full here (`paper table2`
+// prints it).
 var defaultDefs = []cellDef{
 	{"inv", []string{"a"}, "a"},
 	{"nand2", []string{"a", "b"}, "s(a,b)"},

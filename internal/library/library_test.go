@@ -8,7 +8,7 @@ import (
 
 func TestTable2ConfigCounts(t *testing.T) {
 	// The #C column of the paper's Table 2, cross-checked against the
-	// closed-form products (see DESIGN.md): chains give k!·k'!, complex
+	// closed-form products: chains give k!·k'!, complex
 	// gates multiply the two networks' independent ordering counts.
 	want := map[string]int{
 		"inv":    1,

@@ -1,7 +1,6 @@
 // Package mcnc provides the benchmark circuits for the Table 3
 // experiments. The original MCNC netlists are not redistributable here,
-// so the suite has two parts (see DESIGN.md §3 for the substitution
-// rationale):
+// so the suite has two parts:
 //
 //   - Embedded classics: small, hand-written BLIF netlists (ripple-carry
 //     adders, ISCAS c17, a decoder, a multiplexer, parity and majority,
@@ -28,8 +27,7 @@ import (
 // Entry is one row of the paper's Table 3 benchmark list. Gates is the
 // paper's column G. (The OCR of the paper lost the name column and two G
 // values; names are reassigned from the standard MCNC combinational set
-// in order and the two unreadable counts are reconstructed as 96 and 88 —
-// see EXPERIMENTS.md.)
+// in order and the two unreadable counts are reconstructed as 96 and 88.)
 type Entry struct {
 	Name  string
 	Gates int

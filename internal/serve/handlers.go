@@ -306,72 +306,36 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		prm := sim.DefaultParams()
 		prm.Mode = mode
 		prm.Tick = req.Tick
-		rng := rand.New(rand.NewSource(req.Seed))
-		resp := simulateResponse{
-			Benchmark: req.Benchmark,
-			Engine:    req.Engine,
-			Delay:     req.Delay,
-			Horizon:   req.Horizon,
-		}
-
 		// The compiled program is width-agnostic and cached per netlist;
 		// vectors stream through it in register blocks of req.Lanes lanes.
-		var runPack func(lanes int) (*sim.BitResult, error)
-		if mode == sim.ZeroDelay {
-			prog, err := s.program(req.circuitKey(), c, prm)
-			if err != nil {
-				return nil, err
+		prog, err := s.program(req.circuitKey(), c, prm)
+		if err != nil {
+			if req.Tick != 0 {
+				// The tick is legal on its own but not for this
+				// circuit's delays (the grid bound): a client error.
+				return nil, errf(http.StatusBadRequest, "invalid_request", "%v", err)
 			}
-			runPack = func(lanes int) (*sim.BitResult, error) {
-				stim, err := sim.GeneratePackedWaveforms(c.Inputs, pi, req.Horizon, lanes, rng)
-				if err != nil {
-					return nil, err
-				}
-				return prog.Run(stim)
-			}
-		} else {
-			prog, err := s.timedProgram(req.circuitKey(), c, prm)
-			if err != nil {
-				if req.Tick != 0 {
-					// The tick is legal on its own but not for this
-					// circuit's delays (the grid bound): a client error.
-					return nil, errf(http.StatusBadRequest, "invalid_request", "%v", err)
-				}
-				return nil, err
-			}
-			runPack = func(lanes int) (*sim.BitResult, error) {
-				laneWaves, err := sim.GenerateLaneWaveforms(c.Inputs, pi, req.Horizon, lanes, rng)
-				if err != nil {
-					return nil, err
-				}
-				stim, err := prog.PackTimed(laneWaves, req.Horizon)
-				if err != nil {
-					return nil, err
-				}
-				return prog.Run(stim)
-			}
+			return nil, err
 		}
-		total := sim.Result{Horizon: req.Horizon}
-		steps := 0
-		for done := 0; done < req.Vectors; {
-			n := req.Lanes
-			if req.Vectors-done < n {
-				n = req.Vectors - done
-			}
-			res, err := runPack(n)
-			if err != nil {
-				return nil, err
-			}
-			total.Accumulate(&res.Result)
-			steps += res.Steps
-			done += n
+		rng := rand.New(rand.NewSource(req.Seed))
+		total, err := sim.RunVectors(prog, func() (map[string]*stoch.Waveform, error) {
+			return sim.GenerateWaveforms(c.Inputs, pi, req.Horizon, rng)
+		}, req.Vectors, req.Lanes, req.Horizon)
+		if err != nil {
+			return nil, err
 		}
-		resp.Lanes = req.Vectors
-		resp.Energy = total.Energy
-		resp.Power = total.Energy / (float64(req.Vectors) * req.Horizon)
-		resp.InternalFlips = total.InternalFlips
-		resp.OutputFlips = total.OutputFlips
-		resp.Steps = steps
+		resp := simulateResponse{
+			Benchmark:     req.Benchmark,
+			Engine:        req.Engine,
+			Delay:         req.Delay,
+			Lanes:         total.Lanes,
+			Horizon:       req.Horizon,
+			Energy:        total.Energy,
+			Power:         total.Power,
+			InternalFlips: total.InternalFlips,
+			OutputFlips:   total.OutputFlips,
+			Steps:         total.Steps,
+		}
 		return resp, nil
 	})
 	if err != nil {
@@ -381,31 +345,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, body)
 }
 
-// program returns the circuit's compiled zero-delay bit-parallel program,
-// reusing one compilation across requests for the same netlist. Programs
-// are immutable and safe for concurrent runs.
-func (s *Server) program(circuitKey string, c *circuit.Circuit, prm sim.Params) (*sim.Program, error) {
-	key := circuitKey + "|prog:zero"
-	v, err := s.programs.Get(key, func() (any, error) { return sim.Compile(c, prm) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*sim.Program), nil
-}
-
-// timedProgram is the timed counterpart, keyed additionally by delay mode
-// and tick so every distinct grid compiles once.
-func (s *Server) timedProgram(circuitKey string, c *circuit.Circuit, prm sim.Params) (*sim.TimedProgram, error) {
-	mode := "unit"
-	if prm.Mode == sim.ElmoreDelay {
-		mode = "elmore"
-	}
-	key := circuitKey + "|prog:" + mode + "|tick=" + strconv.FormatFloat(prm.Tick, 'g', -1, 64)
-	v, err := s.programs.Get(key, func() (any, error) { return sim.CompileTimed(c, prm) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*sim.TimedProgram), nil
+// program returns the circuit's compiled program for prm's delay mode,
+// reusing one compilation across requests for the same netlist, mode and
+// tick, so every distinct grid compiles once. Programs are immutable and
+// safe for concurrent runs.
+func (s *Server) program(circuitKey string, c *circuit.Circuit, prm sim.Params) (sim.Compiled, error) {
+	key := circuitKey + "|prog:mode=" + strconv.Itoa(int(prm.Mode)) + "|tick=" + strconv.FormatFloat(prm.Tick, 'g', -1, 64)
+	return s.programs.Get(key, func() (sim.Compiled, error) { return sim.CompileFor(c, prm) })
 }
 
 // ---------------------------------------------------------------------

@@ -254,6 +254,19 @@ func TestEndpointsHappyPath(t *testing.T) {
 	if sr.Lanes != 4 || sr.Energy <= 0 || sr.Steps == 0 {
 		t.Fatalf("simulate shape off: %+v", sr)
 	}
+	// 200 vectors in 64-lane blocks (the last one partial) and in one
+	// 200-lane block measure the same transitions.
+	var blocks [2]simulateResponse
+	for i, lanes := range []string{"64", "200"} {
+		code, body = post("/v1/simulate", `{"benchmark":"c17","delay":"unit","vectors":200,"lanes":`+lanes+`,"seed":5}`)
+		if code != 200 || json.Unmarshal(body, &blocks[i]) != nil {
+			t.Fatalf("simulate %s lanes: %d %s", lanes, code, body)
+		}
+	}
+	if b64, b200 := blocks[0], blocks[1]; b64.Lanes != 200 || b64.OutputFlips == 0 ||
+		b64.InternalFlips != b200.InternalFlips || b64.OutputFlips != b200.OutputFlips {
+		t.Fatalf("simulate flips depend on the block width: 64 lanes %+v, 200 lanes %+v", b64, b200)
+	}
 
 	resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json",
 		strings.NewReader(`{"benchmarks":["c17"],"scenarios":["A"],"seeds":[1,2]}`))

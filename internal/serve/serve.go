@@ -6,9 +6,9 @@
 //     (internal/serve/cache, shared with the sweep engine), so a
 //     benchmark or request-supplied GNL netlist is parsed once no matter
 //     how many requests touch it;
-//   - an LRU of compiled simulation programs (sim.Program /
-//     sim.TimedProgram), which are immutable and safe for concurrent
-//     runs, keyed by circuit content + delay-mode parameters;
+//   - an LRU of compiled simulation programs (sim.Compiled), which are
+//     immutable and safe for concurrent runs, keyed by circuit content,
+//     delay mode and tick;
 //   - a response cache with singleflight coalescing: every response is a
 //     pure function of its request (deterministic FNV-style seeding,
 //     sorted-map JSON encoding), so identical requests are served the
@@ -51,6 +51,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/library"
 	"repro/internal/serve/cache"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -128,11 +129,11 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	circuits  *sweep.CircuitCache        // parsed+mapped circuits, shared with /v1/sweep jobs
-	programs  *cache.LRU[string, any]    // compiled *sim.Program / *sim.TimedProgram
-	responses *cache.LRU[string, []byte] // serialized response bodies
-	sem       chan struct{}              // worker slots
-	queued    atomic.Int64               // jobs waiting for a slot
+	circuits  *sweep.CircuitCache              // parsed+mapped circuits, shared with /v1/sweep jobs
+	programs  *cache.LRU[string, sim.Compiled] // compiled programs per netlist, delay mode and tick
+	responses *cache.LRU[string, []byte]       // serialized response bodies
+	sem       chan struct{}                    // worker slots
+	queued    atomic.Int64                     // jobs waiting for a slot
 	metrics   *metrics
 }
 
@@ -143,7 +144,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		circuits:  sweep.NewCircuitCache(cfg.CircuitCacheSize),
-		programs:  cache.New[string, any](cfg.ProgramCacheSize),
+		programs:  cache.New[string, sim.Compiled](cfg.ProgramCacheSize),
 		responses: cache.New[string, []byte](cfg.ResponseCacheSize),
 		sem:       make(chan struct{}, cfg.Workers),
 		metrics:   newMetrics(),

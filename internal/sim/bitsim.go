@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/circuit"
 	"repro/internal/stoch"
@@ -26,21 +24,6 @@ type BitResult struct {
 	LaneInternalFlips  []int
 	LaneOutputFlips    []int
 	LaneEnergy         []float64 // joules per lane
-}
-
-// RunPacked compiles the circuit and evaluates the packed stimulus on the
-// zero-delay bit-parallel engine. prm must describe a zero-delay setup;
-// timed setups go through CompileTimed and a TimedStimulus instead (the
-// per-lane settling instants of a PackedStimulus carry no shared clock).
-func RunPacked(c *circuit.Circuit, stim *stoch.PackedStimulus, prm Params) (*BitResult, error) {
-	if prm.Mode != ZeroDelay {
-		return nil, fmt.Errorf("sim: RunPacked is zero-delay only: %s delay needs CompileTimed and a timed stimulus", prm.Mode.name())
-	}
-	p, err := Compile(c, prm)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(stim)
 }
 
 // Run evaluates the packed stimulus: one pass over the op array per
@@ -399,93 +382,4 @@ func assembleResult(gates []*circuit.Instance, meters []meterPoint, lanes, steps
 	}
 	br.Power = br.Energy / (float64(lanes) * horizon)
 	return br
-}
-
-// GeneratePackedWaveforms draws `lanes` independent scenario-A waveform
-// sets (exponential inter-transition times) from one rng and bit-packs
-// them: lane l is Monte Carlo trial l. A fixed seed reproduces the exact
-// stimulus, so best and worst circuits can be measured under identical
-// vectors.
-func GeneratePackedWaveforms(inputs []string, stats map[string]stoch.Signal, horizon float64, lanes int, rng *rand.Rand) (*stoch.PackedStimulus, error) {
-	laneWaves, err := generateLaneWaveforms(inputs, lanes, func() (map[string]*stoch.Waveform, error) {
-		return GenerateWaveforms(inputs, stats, horizon, rng)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return stoch.PackWaveforms(inputs, laneWaves, horizon)
-}
-
-// GeneratePackedClockedWaveforms is the scenario-B counterpart: `lanes`
-// independent clocked waveform sets, packed. The horizon is cycles·period.
-func GeneratePackedClockedWaveforms(inputs []string, stats map[string]stoch.Signal, cycles int, period float64, lanes int, rng *rand.Rand) (*stoch.PackedStimulus, error) {
-	laneWaves, err := generateLaneWaveforms(inputs, lanes, func() (map[string]*stoch.Waveform, error) {
-		return GenerateClockedWaveforms(inputs, stats, cycles, period, rng)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return stoch.PackWaveforms(inputs, laneWaves, float64(cycles)*period)
-}
-
-func generateLaneWaveforms(inputs []string, lanes int, gen func() (map[string]*stoch.Waveform, error)) ([]map[string]*stoch.Waveform, error) {
-	if lanes < 1 || lanes > stoch.MaxPackLanes {
-		return nil, fmt.Errorf("sim: %d vectors out of [1,%d] per packed run", lanes, stoch.MaxPackLanes)
-	}
-	laneWaves := make([]map[string]*stoch.Waveform, lanes)
-	for l := range laneWaves {
-		w, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		laneWaves[l] = w
-	}
-	return laneWaves, nil
-}
-
-// ReductionPacked is the lean form of MeasureReductionPacked: the
-// reduction alone, measured through the pooled RunEnergy path — the sweep
-// engine's zero-delay hot loop.
-func ReductionPacked(best, worst *circuit.Circuit, stim *stoch.PackedStimulus, prm Params) (float64, error) {
-	if prm.Mode != ZeroDelay {
-		return 0, fmt.Errorf("sim: the zero-delay bit-parallel engine got %s delay: use ReductionTimed", prm.Mode.name())
-	}
-	pb, err := Compile(best, prm)
-	if err != nil {
-		return 0, fmt.Errorf("sim: best circuit: %w", err)
-	}
-	pw, err := Compile(worst, prm)
-	if err != nil {
-		return 0, fmt.Errorf("sim: worst circuit: %w", err)
-	}
-	eb, err := pb.RunEnergy(stim)
-	if err != nil {
-		return 0, fmt.Errorf("sim: best circuit: %w", err)
-	}
-	ew, err := pw.RunEnergy(stim)
-	if err != nil {
-		return 0, fmt.Errorf("sim: worst circuit: %w", err)
-	}
-	if ew == 0 {
-		return 0, nil
-	}
-	return (ew - eb) / ew, nil
-}
-
-// MeasureReductionPacked measures (worstPower-bestPower)/worstPower on
-// the bit-parallel engine under identical packed stimulus — the S column
-// of Table 3 for zero-delay runs, 64 Monte Carlo vectors per pass.
-func MeasureReductionPacked(best, worst *circuit.Circuit, stim *stoch.PackedStimulus, prm Params) (float64, *BitResult, *BitResult, error) {
-	rb, err := RunPacked(best, stim, prm)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("sim: best circuit: %w", err)
-	}
-	rw, err := RunPacked(worst, stim, prm)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("sim: worst circuit: %w", err)
-	}
-	if rw.Power == 0 {
-		return 0, rb, rw, nil
-	}
-	return (rw.Power - rb.Power) / rw.Power, rb, rw, nil
 }

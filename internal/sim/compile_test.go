@@ -37,7 +37,11 @@ func TestCompiledChargeRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPacked(circ, stim, zeroParams())
+	p, err := Compile(circ, zeroParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(stim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,25 +69,17 @@ func TestCompileRejectsWideGate(t *testing.T) {
 	}
 }
 
-// TestRunPackedRejectsNonZeroDelay: the zero-delay packed entry point
-// must refuse unit- and Elmore-delay parameter sets (they need the timed
-// engine's shared-clock stimulus), while Params.Validate accepts the
-// bit-parallel engine in every delay mode since the timed backend exists.
-func TestRunPackedRejectsNonZeroDelay(t *testing.T) {
-	nandCell := gate.MustNew("nand2", []string{"a", "b"}, sp.MustParse("s(a,b)"))
-	c := nandCircuit(nandCell)
-	waves := map[string]*stoch.Waveform{"a": {Initial: false}, "b": {Initial: false}}
-	stim, err := stoch.PackWaveforms(c.Inputs, []map[string]*stoch.Waveform{waves}, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunPacked(c, stim, DefaultParams()); err == nil {
-		t.Fatal("unit-delay parameters accepted by the zero-delay packed engine")
+// TestParamsValidate: the bit-parallel engine is valid in every delay
+// mode; an unknown engine or a negative tick is rejected.
+func TestParamsValidate(t *testing.T) {
+	for _, mode := range []DelayMode{UnitDelay, ElmoreDelay, ZeroDelay} {
+		prm := DefaultParams()
+		prm.Mode = mode
+		if err := prm.Validate(); err != nil {
+			t.Fatalf("Params.Validate rejected bit-parallel with %s delay: %v", mode.name(), err)
+		}
 	}
 	prm := DefaultParams()
-	if err := prm.Validate(); err != nil {
-		t.Fatalf("Params.Validate rejected bit-parallel with unit delay: %v", err)
-	}
 	prm.Engine = BitParallel + 1
 	if err := prm.Validate(); err == nil {
 		t.Fatal("unknown engine accepted")
@@ -119,25 +115,28 @@ func TestCompiledProgramStats(t *testing.T) {
 }
 
 // TestMeasureReductionPackedMotivationGate mirrors the single-vector
-// MeasureReduction cross-check under 64 packed vectors: the model-chosen
-// best configuration must also measure better.
+// TestMeasureReductionMotivationGate cross-check under 64 packed vectors:
+// every configuration of the gate measures visibly different power under
+// the same stimulus.
 func TestMeasureReductionPackedMotivationGate(t *testing.T) {
 	g := gate.MustNew("oai21", []string{"a1", "a2", "b"}, sp.MustParse("s(p(a1,a2),b)"))
 	cfgs := g.AllConfigs()
 	stats := map[string]stoch.Signal{
 		"a1": {P: 0.5, D: 1e4}, "a2": {P: 0.5, D: 1e5}, "b": {P: 0.5, D: 1e6},
 	}
-	rng := rand.New(rand.NewSource(17))
 	const horizon = 2e-3
-	stim, err := GeneratePackedWaveforms([]string{"a1", "a2", "b"}, stats, horizon, 64, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measure every configuration; the spread must be visible and
-	// deterministic under the shared stimulus.
+	// Measure every configuration under the same seeded stimulus; the
+	// spread must be visible.
 	powers := make([]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := RunPacked(oai21Circuit(cfg), stim, zeroParams())
+		p, err := CompileFor(oai21Circuit(cfg), zeroParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(17))
+		res, err := RunVectors(p, func() (map[string]*stoch.Waveform, error) {
+			return GenerateWaveforms([]string{"a1", "a2", "b"}, stats, horizon, rng)
+		}, 64, 64, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

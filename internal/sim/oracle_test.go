@@ -259,10 +259,10 @@ func TestTimedDispatchThroughRun(t *testing.T) {
 	}
 }
 
-// TestReductionTimedSharedTick: a best/worst pair with different Elmore
-// delays measures on one shared grid, deterministically, and agrees with
-// per-lane oracle energies in unit mode.
-func TestReductionTimedSharedTick(t *testing.T) {
+// TestReductionVectorsSharedTick: a best/worst pair with different Elmore
+// delays measures on one shared grid, deterministically and at any block
+// width, and agrees with per-lane oracle energies in unit mode.
+func TestReductionVectorsSharedTick(t *testing.T) {
 	g := gate.MustNew("oai21", []string{"a1", "a2", "b"}, sp.MustParse("s(p(a1,a2),b)"))
 	cfgs := g.AllConfigs()
 	circ := func(cfg *gate.Gate) *circuit.Circuit {
@@ -283,19 +283,26 @@ func TestReductionTimedSharedTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reduction := func(lanes int, prm sim.Params) float64 {
+		next := 0
+		red, err := sim.ReductionVectors(best, worst, func() (map[string]*stoch.Waveform, error) {
+			next++
+			return laneWaves[next-1], nil
+		}, len(laneWaves), lanes, horizon, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return red
+	}
 	for _, mode := range []sim.DelayMode{sim.UnitDelay, sim.ElmoreDelay} {
 		prm := sim.DefaultParams()
 		prm.Mode = mode
-		red1, err := sim.ReductionTimed(best, worst, laneWaves, horizon, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		red2, err := sim.ReductionTimed(best, worst, laneWaves, horizon, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		red1, red2 := reduction(8, prm), reduction(8, prm)
 		if red1 != red2 {
-			t.Errorf("mode %d: ReductionTimed not deterministic: %v vs %v", mode, red1, red2)
+			t.Errorf("mode %d: ReductionVectors not deterministic: %v vs %v", mode, red1, red2)
+		}
+		if red3 := reduction(3, prm); !relClose(red1, red3, 1e-12) {
+			t.Errorf("mode %d: 3-lane blocks give %v, one 8-lane block %v", mode, red3, red1)
 		}
 		if red1 <= -1 || red1 >= 1 {
 			t.Errorf("mode %d: reduction %v outside (-1,1)", mode, red1)
@@ -312,7 +319,7 @@ func TestReductionTimedSharedTick(t *testing.T) {
 			}
 			want := (ew - eb) / ew
 			if !relClose(red1, want, 1e-9) {
-				t.Errorf("unit: ReductionTimed %v, oracle says %v", red1, want)
+				t.Errorf("unit: ReductionVectors %v, oracle says %v", red1, want)
 			}
 		}
 	}

@@ -20,8 +20,11 @@
 //     the useless transitions (glitches) whose power the paper's
 //     introduction highlights.
 //
-// Run, RunTrace and Glitches evaluate one waveform set as a single-lane
-// run of the same programs. The semantic reference is the deliberately
+// CompileFor picks the backend for a delay mode, and RunVectors measures
+// any Monte Carlo vector budget on it in register blocks of a chosen lane
+// width (vectors.go); ReductionVectors is the best/worst pair form. Run,
+// RunTrace and Glitches evaluate one waveform set as a single-lane run of
+// the same programs. The semantic reference is the deliberately
 // naive oracle in internal/gen: the lane-equivalence tests and the
 // differential harness hold every lane of both engines to it in all
 // three delay modes.
@@ -384,22 +387,4 @@ func GenerateClockedWaveforms(inputs []string, stats map[string]stoch.Signal, cy
 		waves[in] = w
 	}
 	return waves, nil
-}
-
-// MeasureReduction simulates two functionally equivalent circuits under
-// identical stimulus and returns (worstPower-bestPower)/worstPower — the
-// S column of Table 3.
-func MeasureReduction(best, worst *circuit.Circuit, waves map[string]*stoch.Waveform, horizon float64, prm Params) (float64, *Result, *Result, error) {
-	rb, err := Run(best, waves, horizon, prm)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("sim: best circuit: %w", err)
-	}
-	rw, err := Run(worst, waves, horizon, prm)
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("sim: worst circuit: %w", err)
-	}
-	if rw.Power == 0 {
-		return 0, rb, rw, nil
-	}
-	return (rw.Power - rb.Power) / rw.Power, rb, rw, nil
 }

@@ -755,17 +755,18 @@ func matchInputs(progInputs, stimInputs []string) ([]int, error) {
 // sets (exponential inter-transition times) from one rng — the raw
 // material for both PackWaveforms (zero delay) and PackTimedWaveforms.
 func GenerateLaneWaveforms(inputs []string, stats map[string]stoch.Signal, horizon float64, lanes int, rng *rand.Rand) ([]map[string]*stoch.Waveform, error) {
-	return generateLaneWaveforms(inputs, lanes, func() (map[string]*stoch.Waveform, error) {
-		return GenerateWaveforms(inputs, stats, horizon, rng)
-	})
-}
-
-// GenerateClockedLaneWaveforms is the scenario-B counterpart: `lanes`
-// independent clocked waveform sets.
-func GenerateClockedLaneWaveforms(inputs []string, stats map[string]stoch.Signal, cycles int, period float64, lanes int, rng *rand.Rand) ([]map[string]*stoch.Waveform, error) {
-	return generateLaneWaveforms(inputs, lanes, func() (map[string]*stoch.Waveform, error) {
-		return GenerateClockedWaveforms(inputs, stats, cycles, period, rng)
-	})
+	if lanes < 1 || lanes > stoch.MaxPackLanes {
+		return nil, fmt.Errorf("sim: %d lanes out of [1,%d]", lanes, stoch.MaxPackLanes)
+	}
+	laneWaves := make([]map[string]*stoch.Waveform, lanes)
+	for l := range laneWaves {
+		w, err := GenerateWaveforms(inputs, stats, horizon, rng)
+		if err != nil {
+			return nil, err
+		}
+		laneWaves[l] = w
+	}
+	return laneWaves, nil
 }
 
 // autoTick resolves the tick a circuit would get under prm (without
@@ -780,67 +781,6 @@ func autoTick(c *circuit.Circuit, prm Params) (float64, error) {
 		return 0, err
 	}
 	return resolveTick(prm, delays)
-}
-
-// ReductionTimed measures (worstPower-bestPower)/worstPower on the timed
-// bit-parallel engine — the S column of Table 3 for unit- and
-// Elmore-delay runs, up to 64 Monte Carlo vectors per pass. Both circuits
-// are compiled onto one shared tick grid (the finer of their automatic
-// resolutions unless prm.Tick pins one) and measured under identical
-// packed stimulus.
-func ReductionTimed(best, worst *circuit.Circuit, laneWaves []map[string]*stoch.Waveform, horizon float64, prm Params) (float64, error) {
-	if err := prm.Validate(); err != nil {
-		return 0, err
-	}
-	if prm.Mode == ZeroDelay {
-		return 0, fmt.Errorf("sim: ReductionTimed needs a timed delay mode; use MeasureReductionPacked for zero delay")
-	}
-	if prm.Tick == 0 {
-		tb, err := autoTick(best, prm)
-		if err != nil {
-			return 0, fmt.Errorf("sim: best circuit: %w", err)
-		}
-		tw, err := autoTick(worst, prm)
-		if err != nil {
-			return 0, fmt.Errorf("sim: worst circuit: %w", err)
-		}
-		prm.Tick = tb
-		if tw < tb {
-			prm.Tick = tw
-		}
-	}
-	pb, err := CompileTimed(best, prm)
-	if err != nil {
-		return 0, fmt.Errorf("sim: best circuit: %w", err)
-	}
-	pw, err := CompileTimed(worst, prm)
-	if err != nil {
-		return 0, fmt.Errorf("sim: worst circuit: %w", err)
-	}
-	// One stimulus serves both circuits: align with the wider of the two
-	// settle windows so the rigid cluster shifts stay exact for each.
-	guard := pb.SettleTicks()
-	if pw.SettleTicks() > guard {
-		guard = pw.SettleTicks()
-	}
-	stim, err := stoch.PackTimedWaveforms(best.Inputs, laneWaves, horizon, prm.Tick, guard)
-	if err != nil {
-		return 0, err
-	}
-	eb, err := pb.RunEnergy(stim)
-	if err != nil {
-		return 0, fmt.Errorf("sim: best circuit: %w", err)
-	}
-	ew, err := pw.RunEnergy(stim)
-	if err != nil {
-		return 0, fmt.Errorf("sim: worst circuit: %w", err)
-	}
-	if ew == 0 {
-		return 0, nil
-	}
-	// Powers share the lanes·horizon normalization, so the energy ratio
-	// is the power ratio.
-	return (ew - eb) / ew, nil
 }
 
 // heapPush inserts v into the slice-backed binary min-heap h and returns

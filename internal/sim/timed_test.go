@@ -223,9 +223,6 @@ func TestCompileTimedErrors(t *testing.T) {
 	if _, err := prog.Run(stim); err == nil {
 		t.Error("stimulus with a mismatched tick accepted")
 	}
-	if _, err := ReductionTimed(c, c, []map[string]*stoch.Waveform{waves}, 1e-6, zeroParams()); err == nil {
-		t.Error("ReductionTimed accepted zero delay")
-	}
 }
 
 // TestClusterAlignmentExact: packing with the program's settle-window

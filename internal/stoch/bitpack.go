@@ -12,8 +12,7 @@ const MaxLanes = 64
 // MaxWords is the widest register block the bit-parallel engines
 // evaluate: W machine words per node, structure-of-arrays, so a packed
 // stimulus carries up to MaxPackLanes independent lanes. The engines
-// have specialized straight-line kernels for W ∈ {1, 4, 8} (64/256/512
-// lanes); other widths up to MaxWords run on a generic block loop.
+// evaluate four words at a time and any remainder one word at a time.
 const MaxWords = 8
 
 // MaxPackLanes is the lane capacity of the widest register block.

@@ -37,10 +37,10 @@
 //     chaos harness (internal/faults) through the workers and the store
 //     writer for the crash-safety test suites.
 //
-// The simulated S column follows Options.Expt.Sim: zero-delay jobs run
-// on the levelized compiled program (internal/sim's Compile/RunPacked)
-// and unit-/Elmore-delay jobs on the timed compiled program
-// (CompileTimed, a word-level timing wheel), each measuring
+// The simulated S column follows Options.Expt.Sim: sim.ReductionVectors
+// runs zero-delay jobs on the levelized compiled program and
+// unit-/Elmore-delay jobs on the timed compiled program (a word-level
+// timing wheel), each measuring
 // Options.Expt.SimVectors Monte Carlo vectors streamed in register
 // blocks of Options.Expt.SimLanes lanes per pass.
 package sweep
