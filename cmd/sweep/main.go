@@ -26,17 +26,15 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/dist"
 	"repro/internal/expt"
 	"repro/internal/faults"
 	"repro/internal/mcnc"
 	"repro/internal/reorder"
 	"repro/internal/sim"
-	"repro/internal/stoch"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -84,39 +82,8 @@ func run() error {
 	}
 
 	opt := sweep.DefaultOptions()
-	if *bench != "" {
-		opt.Benchmarks = splitTrim(*bench)
-	}
-	opt.Scenarios = opt.Scenarios[:0]
-	for _, s := range splitTrim(*scenarios) {
-		sc, err := sweep.ParseScenario(s)
-		if err != nil {
-			return err
-		}
-		opt.Scenarios = append(opt.Scenarios, sc)
-	}
-	if len(opt.Scenarios) == 0 {
-		return fmt.Errorf("-scenarios %q names no scenario", *scenarios)
-	}
-	opt.Modes = opt.Modes[:0]
-	for _, s := range splitTrim(*modes) {
-		m, err := sweep.ParseMode(s)
-		if err != nil {
-			return err
-		}
-		opt.Modes = append(opt.Modes, m)
-	}
-	if len(opt.Modes) == 0 {
-		return fmt.Errorf("-modes %q names no mode", *modes)
-	}
-	if *seeds != "" {
-		for _, s := range splitTrim(*seeds) {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %w", s, err)
-			}
-			opt.Seeds = append(opt.Seeds, v)
-		}
+	if err := cli.SweepMatrix(&opt, *bench, *scenarios, *modes, *seeds, *vectors, *lanes); err != nil {
+		return err
 	}
 	if *workers > 0 {
 		opt.Workers = *workers
@@ -149,18 +116,6 @@ func run() error {
 		return fmt.Errorf("-tick applies to timed simulation: pass -delay unit or elmore")
 	}
 	opt.Expt.Sim.Tick = *tick
-	if *vectors != 0 {
-		if *vectors < 1 {
-			return fmt.Errorf("-vectors %d; need at least 1", *vectors)
-		}
-		opt.Expt.SimVectors = *vectors
-	}
-	if *lanes != 0 {
-		if *lanes < 1 || *lanes > stoch.MaxPackLanes {
-			return fmt.Errorf("-lanes %d out of [1,%d]", *lanes, stoch.MaxPackLanes)
-		}
-		opt.Expt.SimLanes = *lanes
-	}
 
 	if *retries < 0 {
 		return fmt.Errorf("-retries %d is negative", *retries)
@@ -304,14 +259,4 @@ func runWorkerMode(url, id, storeDir string, retries int, backoff, reconnect tim
 			stats.Reconnects, stats.Spilled, stats.Redelivered)
 	}
 	return err
-}
-
-func splitTrim(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -32,14 +32,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/dist"
 	"repro/internal/faults"
-	"repro/internal/stoch"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -81,47 +79,10 @@ func run() error {
 	}
 
 	opt := sweep.DefaultOptions()
-	if *bench != "" {
-		opt.Benchmarks = splitTrim(*bench)
-	}
-	opt.Scenarios = opt.Scenarios[:0]
-	for _, s := range splitTrim(*scenarios) {
-		sc, err := sweep.ParseScenario(s)
-		if err != nil {
-			return err
-		}
-		opt.Scenarios = append(opt.Scenarios, sc)
-	}
-	opt.Modes = opt.Modes[:0]
-	for _, s := range splitTrim(*modes) {
-		m, err := sweep.ParseMode(s)
-		if err != nil {
-			return err
-		}
-		opt.Modes = append(opt.Modes, m)
-	}
-	if *seeds != "" {
-		for _, s := range splitTrim(*seeds) {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %w", s, err)
-			}
-			opt.Seeds = append(opt.Seeds, v)
-		}
+	if err := cli.SweepMatrix(&opt, *bench, *scenarios, *modes, *seeds, *vectors, *lanes); err != nil {
+		return err
 	}
 	opt.Simulate = !*nosim
-	if *vectors != 0 {
-		if *vectors < 1 {
-			return fmt.Errorf("-vectors %d; need at least 1", *vectors)
-		}
-		opt.Expt.SimVectors = *vectors
-	}
-	if *lanes != 0 {
-		if *lanes < 1 || *lanes > stoch.MaxPackLanes {
-			return fmt.Errorf("-lanes %d out of [1,%d]", *lanes, stoch.MaxPackLanes)
-		}
-		opt.Expt.SimLanes = *lanes
-	}
 
 	plan, err := faults.Parse(*faultSpec, *faultSeed)
 	if err != nil {
@@ -236,14 +197,4 @@ func run() error {
 		return fmt.Errorf("%d of %d jobs failed", s.Failed, len(s.Results))
 	}
 	return nil
-}
-
-func splitTrim(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -1,5 +1,5 @@
 // Package cli holds the loading and configuration helpers shared by the
-// command-line tools (lowpower, powerest, swsim).
+// command-line tools (lowpower, powerest, swsim, sweep, sweepd).
 package cli
 
 import (
@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/circuit"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/netlist"
 	"repro/internal/stoch"
+	"repro/internal/sweep"
 )
 
 // LoadCircuit reads a netlist file, dispatching on the extension: .gnl is
@@ -76,4 +78,68 @@ func InputStats(c *circuit.Circuit, statsFile, scenario string, seed int64) (map
 		}
 	}
 	return stats, nil
+}
+
+// SweepMatrix applies the job-matrix flags shared by sweep and sweepd to
+// opt: comma-separated benchmarks, scenarios, modes and seeds, plus the
+// S-column vector count and lane width. An empty bench or seeds list and
+// a zero vectors or lanes keep opt's defaults; scenarios and modes must
+// name at least one entry.
+func SweepMatrix(opt *sweep.Options, bench, scenarios, modes, seeds string, vectors, lanes int) error {
+	if bench != "" {
+		opt.Benchmarks = splitTrim(bench)
+	}
+	opt.Scenarios = opt.Scenarios[:0]
+	for _, s := range splitTrim(scenarios) {
+		sc, err := sweep.ParseScenario(s)
+		if err != nil {
+			return err
+		}
+		opt.Scenarios = append(opt.Scenarios, sc)
+	}
+	if len(opt.Scenarios) == 0 {
+		return fmt.Errorf("-scenarios %q names no scenario", scenarios)
+	}
+	opt.Modes = opt.Modes[:0]
+	for _, s := range splitTrim(modes) {
+		m, err := sweep.ParseMode(s)
+		if err != nil {
+			return err
+		}
+		opt.Modes = append(opt.Modes, m)
+	}
+	if len(opt.Modes) == 0 {
+		return fmt.Errorf("-modes %q names no mode", modes)
+	}
+	for _, s := range splitTrim(seeds) {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad seed %q: %w", s, err)
+		}
+		opt.Seeds = append(opt.Seeds, v)
+	}
+	if vectors != 0 {
+		if vectors < 1 {
+			return fmt.Errorf("-vectors %d; need at least 1", vectors)
+		}
+		opt.Expt.SimVectors = vectors
+	}
+	if lanes != 0 {
+		if lanes < 1 || lanes > stoch.MaxPackLanes {
+			return fmt.Errorf("-lanes %d out of [1,%d]", lanes, stoch.MaxPackLanes)
+		}
+		opt.Expt.SimLanes = lanes
+	}
+	return nil
+}
+
+// splitTrim splits a comma-separated flag value, dropping empty fields.
+func splitTrim(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }

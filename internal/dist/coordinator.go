@@ -41,7 +41,6 @@
 package dist
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,6 +51,7 @@ import (
 
 	"repro/internal/expt"
 	"repro/internal/faults"
+	"repro/internal/httpapi"
 	"repro/internal/mcnc"
 	"repro/internal/reorder"
 	"repro/internal/store"
@@ -387,12 +387,12 @@ func (c *Coordinator) Summary() (*sweep.Summary, error) {
 }
 
 // ---------------------------------------------------------------------
-// Handlers. Same conventions as internal/serve: strict JSON decode,
-// {"error":{code,message}} envelopes, Prometheus text /metrics.
+// Handlers, on the plumbing shared with servd (internal/httpapi): strict
+// JSON decode, structured error envelopes, Prometheus text /metrics.
 
 func (c *Coordinator) handleConfig(w http.ResponseWriter, r *http.Request) {
-	if err := requireGET(r); err != nil {
-		writeError(w, err)
+	if err := httpapi.RequireGET(r); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -401,12 +401,12 @@ func (c *Coordinator) handleConfig(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := decodeJSON(w, r, 1<<20, &req); err != nil {
-		writeError(w, err)
+	if err := httpapi.DecodeJSON(w, r, 1<<20, &req); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	if req.Worker == "" {
-		writeError(w, errf(http.StatusBadRequest, "invalid_request", "\"worker\" is required"))
+		httpapi.WriteError(w, httpapi.Errorf(http.StatusBadRequest, "invalid_request", "\"worker\" is required"))
 		return
 	}
 	if req.Reconnected {
@@ -433,27 +433,27 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	} else if !done {
 		resp.RetryMs = DefaultRetryMs
 	}
-	writeJSON(w, resp)
+	httpapi.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := decodeJSON(w, r, 1<<20, &req); err != nil {
-		writeError(w, err)
+	if err := httpapi.DecodeJSON(w, r, 1<<20, &req); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	if !c.tracker.renew(req.LeaseID) {
-		writeError(w, errf(http.StatusGone, codeLeaseGone,
+		httpapi.WriteError(w, httpapi.Errorf(http.StatusGone, codeLeaseGone,
 			"lease %s expired or was never granted", req.LeaseID))
 		return
 	}
-	writeJSON(w, HeartbeatResponse{TTLMs: c.cfg.LeaseTTL.Milliseconds()})
+	httpapi.WriteJSON(w, HeartbeatResponse{TTLMs: c.cfg.LeaseTTL.Milliseconds()})
 }
 
 func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req UploadRequest
-	if err := decodeJSON(w, r, 64<<20, &req); err != nil {
-		writeError(w, err)
+	if err := httpapi.DecodeJSON(w, r, 64<<20, &req); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	if req.Attempt < 1 {
@@ -469,13 +469,13 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	n := len(req.Results)
 	switch c.cfg.Faults.Decide(siteMerge, req.LeaseID, req.Attempt) {
 	case faults.Error, faults.Panic:
-		writeError(w, errf(http.StatusServiceUnavailable, "injected_fault",
+		httpapi.WriteError(w, httpapi.Errorf(http.StatusServiceUnavailable, "injected_fault",
 			"injected merge failure for lease %s attempt %d", req.LeaseID, req.Attempt))
 		return
 	case faults.TornWrite:
 		keep := c.cfg.Faults.TearAt(siteMerge, req.LeaseID, req.Attempt, n)
 		c.mergeRecords(req.Worker, req.Results[:keep])
-		writeError(w, errf(http.StatusServiceUnavailable, "injected_fault",
+		httpapi.WriteError(w, httpapi.Errorf(http.StatusServiceUnavailable, "injected_fault",
 			"injected torn merge for lease %s attempt %d: accepted %d/%d", req.LeaseID, req.Attempt, keep, n))
 		return
 	case faults.Delay:
@@ -486,7 +486,7 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// A successful upload retires the lease; any jobs the worker chose
 	// not to deliver go straight back to pending.
 	c.tracker.release(req.LeaseID)
-	writeJSON(w, resp)
+	httpapi.WriteJSON(w, resp)
 }
 
 // mergeRecords applies uploaded records to the ledger and the journal.
@@ -528,24 +528,24 @@ func (c *Coordinator) mergeRecords(worker string, recs []UploadRecord) UploadRes
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if err := requireGET(r); err != nil {
-		writeError(w, err)
+	if err := httpapi.RequireGET(r); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
-	writeJSON(w, c.tracker.status())
+	httpapi.WriteJSON(w, c.tracker.status())
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if err := requireGET(r); err != nil {
-		writeError(w, err)
+	if err := httpapi.RequireGET(r); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if err := requireGET(r); err != nil {
-		writeError(w, err)
+	if err := httpapi.RequireGET(r); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -555,55 +555,28 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) writeMetrics(w io.Writer) {
 	st := c.tracker.status()
 	granted, renewed, expired, speculated := c.tracker.counters()
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
-	gauge("dist_jobs_total", "Jobs in this sweep.", st.Total)
-	gauge("dist_jobs_done", "Jobs finished (delivered or resumed).", st.Done)
-	gauge("dist_jobs_pending", "Jobs waiting for a lease.", st.Pending)
-	gauge("dist_jobs_leased", "Jobs currently leased out.", st.Leased)
-	gauge("dist_jobs_failed", "Jobs that ended in a terminal failure.", st.Failed)
-	gauge("dist_jobs_resumed", "Jobs satisfied from the journal at startup.", c.resumed)
-	gauge("dist_jobs_quarantined", "Poison jobs excluded after repeated lease failures across workers.", st.Quarantined)
-	counter("dist_jobs_speculated_total", "Jobs re-granted past a straggling (still-renewing) lease.", speculated)
-	counter("dist_leases_granted_total", "Leases handed out.", granted)
-	counter("dist_leases_renewed_total", "Heartbeat renewals honored.", renewed)
-	counter("dist_leases_expired_total", "Leases reclaimed after TTL lapse (worker death or lost heartbeats).", expired)
-	counter("dist_coord_restarts_total", "Coordinators that attached to an already-written state journal (crash/shutdown recoveries).", c.restarts)
-	counter("dist_worker_reconnects_total", "Workers that survived a coordinator outage and reattached after config revalidation.", c.reconnects.Load())
-	counter("dist_coord_journal_drops_total", "Coordinator state records lost to persistent journal write failures.", c.journalDrops.Load())
+	httpapi.Gauge(w, "dist_jobs_total", "Jobs in this sweep.", st.Total)
+	httpapi.Gauge(w, "dist_jobs_done", "Jobs finished (delivered or resumed).", st.Done)
+	httpapi.Gauge(w, "dist_jobs_pending", "Jobs waiting for a lease.", st.Pending)
+	httpapi.Gauge(w, "dist_jobs_leased", "Jobs currently leased out.", st.Leased)
+	httpapi.Gauge(w, "dist_jobs_failed", "Jobs that ended in a terminal failure.", st.Failed)
+	httpapi.Gauge(w, "dist_jobs_resumed", "Jobs satisfied from the journal at startup.", c.resumed)
+	httpapi.Gauge(w, "dist_jobs_quarantined", "Poison jobs excluded after repeated lease failures across workers.", st.Quarantined)
+	httpapi.Counter(w, "dist_jobs_speculated_total", "Jobs re-granted past a straggling (still-renewing) lease.", speculated)
+	httpapi.Counter(w, "dist_leases_granted_total", "Leases handed out.", granted)
+	httpapi.Counter(w, "dist_leases_renewed_total", "Heartbeat renewals honored.", renewed)
+	httpapi.Counter(w, "dist_leases_expired_total", "Leases reclaimed after TTL lapse (worker death or lost heartbeats).", expired)
+	httpapi.Counter(w, "dist_coord_restarts_total", "Coordinators that attached to an already-written state journal (crash/shutdown recoveries).", c.restarts)
+	httpapi.Counter(w, "dist_worker_reconnects_total", "Workers that survived a coordinator outage and reattached after config revalidation.", c.reconnects.Load())
+	httpapi.Counter(w, "dist_coord_journal_drops_total", "Coordinator state records lost to persistent journal write failures.", c.journalDrops.Load())
 
 	stats := c.store.Stats()
-	counter("dist_results_merged_total", "Uploaded results appended to the journal.", stats.MergeAdded)
-	counter("dist_results_deduped_total", "Uploaded results already journaled (duplicate executions absorbed).", stats.MergeSkipped)
-	gauge("dist_store_records", "Distinct results in the journal.", stats.Records)
-	gauge("dist_store_segments", "Journal segments on disk.", stats.Segments)
-	gauge("dist_store_discarded_bytes", "Torn-tail bytes discarded when the journal was opened.", stats.DiscardedBytes)
+	httpapi.Counter(w, "dist_results_merged_total", "Uploaded results appended to the journal.", stats.MergeAdded)
+	httpapi.Counter(w, "dist_results_deduped_total", "Uploaded results already journaled (duplicate executions absorbed).", stats.MergeSkipped)
+	httpapi.Gauge(w, "dist_store_records", "Distinct results in the journal.", stats.Records)
+	httpapi.Gauge(w, "dist_store_segments", "Journal segments on disk.", stats.Segments)
+	httpapi.Gauge(w, "dist_store_discarded_bytes", "Torn-tail bytes discarded when the journal was opened.", stats.DiscardedBytes)
 }
-
-// Serve runs the coordinator on an *http.Server until ctx is canceled
-// or the listener fails.
-func Serve(ctx context.Context, addr string, c *Coordinator) error {
-	srv := &http.Server{Addr: addr, Handler: c}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	select {
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-		return ctx.Err()
-	case err := <-errCh:
-		return err
-	}
-}
-
-// ---------------------------------------------------------------------
-// Shared HTTP plumbing (same idiom as internal/serve, whose helpers are
-// unexported).
 
 const codeLeaseGone = "lease_gone"
 
@@ -615,59 +588,3 @@ const (
 	siteMerge     = "dist/merge"
 	siteReconnect = "dist/reconnect"
 )
-
-// httpError renders as {"error":{"code","message"}} with its status.
-type httpError struct {
-	Status  int    `json:"-"`
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func (e *httpError) Error() string { return e.Code + ": " + e.Message }
-
-func errf(status int, code, format string, args ...any) *httpError {
-	return &httpError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	var he *httpError
-	if !errors.As(err, &he) {
-		he = errf(http.StatusInternalServerError, "internal", "%v", err)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(he.Status)
-	json.NewEncoder(w).Encode(map[string]*httpError{"error": he})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, dst any) error {
-	if r.Method != http.MethodPost {
-		return errf(http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST", r.URL.Path)
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return errf(http.StatusRequestEntityTooLarge, "body_too_large",
-				"request body exceeds %d bytes", mbe.Limit)
-		}
-		return errf(http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
-	}
-	if dec.More() {
-		return errf(http.StatusBadRequest, "invalid_json", "trailing data after JSON object")
-	}
-	return nil
-}
-
-func requireGET(r *http.Request) error {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		return errf(http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET", r.URL.Path)
-	}
-	return nil
-}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/expt"
+	"repro/internal/httpapi"
 	"repro/internal/reorder"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -338,10 +339,10 @@ func TestWorkerRPCRetry(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
 		if calls <= fails {
-			writeError(w, errf(503, "unavailable", "try again"))
+			httpapi.WriteError(w, httpapi.Errorf(503, "unavailable", "try again"))
 			return
 		}
-		writeJSON(w, map[string]int{"ok": 1})
+		httpapi.WriteJSON(w, map[string]int{"ok": 1})
 	}))
 	defer ts.Close()
 
@@ -356,7 +357,7 @@ func TestWorkerRPCRetry(t *testing.T) {
 	calls, fails = 0, 0
 	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
-		writeError(w, errf(400, "invalid_request", "no"))
+		httpapi.WriteError(w, httpapi.Errorf(400, "invalid_request", "no"))
 	}))
 	defer ts2.Close()
 	w2 := &worker{cfg: WorkerConfig{RPCRetries: 4, RPCBackoff: time.Millisecond, Logf: func(string, ...any) {}},

@@ -12,8 +12,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// Protocol endpoints. All bodies are JSON; errors use the same
-// {"error":{"code","message"}} envelope as internal/serve.
+// Protocol endpoints. All bodies are JSON; errors use internal/httpapi's
+// structured envelope, as servd's do.
 const (
 	PathConfig    = "/dist/v1/config"    // GET: the sweep definition workers must compute under
 	PathLease     = "/dist/v1/lease"     // POST: claim a bounded job range under a TTL lease

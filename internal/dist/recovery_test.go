@@ -22,6 +22,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/faults"
 	"repro/internal/gen"
+	"repro/internal/httpapi"
 	"repro/internal/reorder"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -386,7 +387,7 @@ func TestWorkerSpillAndRedeliver(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if failUploads.Load() && r.URL.Path == PathUpload {
 			rejected.Add(1)
-			writeError(w, errf(503, "unavailable", "uploads disabled"))
+			httpapi.WriteError(w, httpapi.Errorf(503, "unavailable", "uploads disabled"))
 			return
 		}
 		c.ServeHTTP(w, r)
@@ -459,7 +460,7 @@ func TestWorkerReconnectRejectsDifferentSweep(t *testing.T) {
 		if !swapped.Load() {
 			if r.URL.Path == PathLease {
 				swapped.Store(true)
-				writeError(w, errf(503, "unavailable", "restarting"))
+				httpapi.WriteError(w, httpapi.Errorf(503, "unavailable", "restarting"))
 				return
 			}
 			cA.ServeHTTP(w, r)
@@ -469,7 +470,7 @@ func TestWorkerReconnectRejectsDifferentSweep(t *testing.T) {
 			cB.ServeHTTP(w, r)
 			return
 		}
-		writeError(w, errf(503, "unavailable", "restarting"))
+		httpapi.WriteError(w, httpapi.Errorf(503, "unavailable", "restarting"))
 	}))
 	defer ts.Close()
 
@@ -772,7 +773,7 @@ func TestChaosCoordinatorKillRestartMidSweep(t *testing.T) {
 		if r.URL.Path == PathUpload && gateArmed.Load() {
 			if uploadsPassed.Load() >= 2 {
 				uploadsRejected.Add(1)
-				writeError(w, errf(503, "unavailable", "upload gate closed"))
+				httpapi.WriteError(w, httpapi.Errorf(503, "unavailable", "upload gate closed"))
 				return
 			}
 			uploadsPassed.Add(1)

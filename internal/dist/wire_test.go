@@ -63,6 +63,32 @@ func TestWireGolden(t *testing.T) {
 	compareGolden(t, "wire.golden", buf.Bytes())
 }
 
+// TestMetricsDocumented checks that every metric family sweepd exports
+// (with every optional source attached) is named verbatim in
+// docs/distributed.md.
+func TestMetricsDocumented(t *testing.T) {
+	c, _, _ := newTestCoordinator(t, chaosSweep(), time.Minute, 2)
+	var metrics strings.Builder
+	c.writeMetrics(&metrics)
+	doc, err := os.ReadFile("../../docs/distributed.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := 0
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			families++
+			if !bytes.Contains(doc, []byte("`"+name+"`")) {
+				t.Errorf("metric %s is not documented in docs/distributed.md", name)
+			}
+		}
+	}
+	if families == 0 {
+		t.Fatal("no metric families exported")
+	}
+}
+
 func compareGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/httpapi"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -590,17 +591,8 @@ func (w *worker) roundTrip(req *http.Request, out any) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		re := &remoteError{Status: resp.StatusCode, Code: "unknown", Message: string(raw)}
-		if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
-			re.Code, re.Message = env.Error.Code, env.Error.Message
-		}
-		return re
+		he := httpapi.ParseError(resp.StatusCode, raw)
+		return &remoteError{Status: he.Status, Code: he.Code, Message: he.Message}
 	}
 	if out == nil {
 		return nil

@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/httpapi"
 	"repro/internal/netlist"
 	"repro/internal/reorder"
 	"repro/internal/sim"
@@ -50,12 +51,12 @@ type analyzeResponse struct {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req analyzeRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
+	if err := httpapi.DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	if err := req.normalize(); err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	body, err := s.cachedJSON(r.Context(), "analyze", req, func(context.Context) (any, error) {
@@ -82,7 +83,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return resp, nil
 	})
 	if err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	writeJSON(w, body)
@@ -108,7 +109,7 @@ func (req *optimizeRequest) normalizeOptimize() (reorder.Mode, reorder.Objective
 	}
 	mode, err := sweep.ParseMode(req.Mode)
 	if err != nil {
-		return 0, 0, errf(http.StatusBadRequest, "invalid_request", "%v", err)
+		return 0, 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request", "%v", err)
 	}
 	obj := reorder.Minimize
 	switch req.Objective {
@@ -117,11 +118,11 @@ func (req *optimizeRequest) normalizeOptimize() (reorder.Mode, reorder.Objective
 	case "max":
 		obj = reorder.Maximize
 	default:
-		return 0, 0, errf(http.StatusBadRequest, "invalid_request",
+		return 0, 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"unknown objective %q (want min or max)", req.Objective)
 	}
 	if req.Workers < 0 || req.Workers > 256 {
-		return 0, 0, errf(http.StatusBadRequest, "invalid_request",
+		return 0, 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"workers %d outside [0,256]", req.Workers)
 	}
 	return mode, obj, nil
@@ -141,13 +142,13 @@ type optimizeResponse struct {
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req optimizeRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
+	if err := httpapi.DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	mode, obj, err := req.normalizeOptimize()
 	if err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	body, err := s.cachedJSON(r.Context(), "optimize", req, func(context.Context) (any, error) {
@@ -186,7 +187,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return resp, nil
 	})
 	if err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	writeJSON(w, body)
@@ -229,7 +230,7 @@ func (req *simulateRequest) normalizeSimulate() (sim.DelayMode, error) {
 	case "", "bitparallel", "bit-parallel":
 		req.Engine = sim.BitParallel.String() // canonicalize aliases
 	default:
-		return 0, errf(http.StatusBadRequest, "invalid_request",
+		return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"unknown engine %q (bitparallel is the only engine)", req.Engine)
 	}
 	if req.Delay == "" {
@@ -237,29 +238,29 @@ func (req *simulateRequest) normalizeSimulate() (sim.DelayMode, error) {
 	}
 	mode, err := parseDelayMode(req.Delay)
 	if err != nil {
-		return 0, errf(http.StatusBadRequest, "invalid_request", "%v", err)
+		return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request", "%v", err)
 	}
 	if req.Vectors == 0 {
 		req.Vectors = 16
 	}
 	if req.Vectors < 1 || req.Vectors > maxSimulateVectors {
-		return 0, errf(http.StatusBadRequest, "invalid_request",
+		return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"vectors %d outside [1,%d]", req.Vectors, maxSimulateVectors)
 	}
 	if req.Lanes == 0 {
 		req.Lanes = stoch.MaxLanes
 	}
 	if req.Lanes < 1 || req.Lanes > stoch.MaxPackLanes {
-		return 0, errf(http.StatusBadRequest, "invalid_request",
+		return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"lanes %d outside [1,%d]", req.Lanes, stoch.MaxPackLanes)
 	}
 	if req.Tick != 0 {
 		if mode == sim.ZeroDelay {
-			return 0, errf(http.StatusBadRequest, "invalid_request",
+			return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 				"\"tick\" applies only to the timed delay modes (unit, elmore)")
 		}
 		if req.Tick < 0 || math.IsNaN(req.Tick) || math.IsInf(req.Tick, 0) {
-			return 0, errf(http.StatusBadRequest, "invalid_request",
+			return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 				"tick %v must be a positive duration in seconds", req.Tick)
 		}
 	}
@@ -267,7 +268,7 @@ func (req *simulateRequest) normalizeSimulate() (sim.DelayMode, error) {
 		req.Horizon = defaultHorizon
 	}
 	if req.Horizon <= 0 || math.IsNaN(req.Horizon) || req.Horizon > maxHorizon {
-		return 0, errf(http.StatusBadRequest, "invalid_request",
+		return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"horizon %v outside (0,%v] seconds", req.Horizon, maxHorizon)
 	}
 	return mode, nil
@@ -288,13 +289,13 @@ type simulateResponse struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
+	if err := httpapi.DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	mode, err := req.normalizeSimulate()
 	if err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	body, err := s.cachedJSON(r.Context(), "simulate", req, func(context.Context) (any, error) {
@@ -313,7 +314,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			if req.Tick != 0 {
 				// The tick is legal on its own but not for this
 				// circuit's delays (the grid bound): a client error.
-				return nil, errf(http.StatusBadRequest, "invalid_request", "%v", err)
+				return nil, httpapi.Errorf(http.StatusBadRequest, "invalid_request", "%v", err)
 			}
 			return nil, err
 		}
@@ -339,7 +340,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return resp, nil
 	})
 	if err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	writeJSON(w, body)
@@ -377,12 +378,12 @@ func (req *sweepRequest) toOptions(s *Server) (sweep.Options, error) {
 	opt.Workers = s.cfg.Workers
 	opt.Cache = s.circuits
 	if len(req.Benchmarks) == 0 {
-		return opt, errf(http.StatusBadRequest, "invalid_request",
+		return opt, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"\"benchmarks\" must name at least one circuit")
 	}
 	for _, b := range req.Benchmarks {
 		if !knownBenchmark(b) {
-			return opt, errf(http.StatusNotFound, "unknown_benchmark",
+			return opt, httpapi.Errorf(http.StatusNotFound, "unknown_benchmark",
 				"benchmark %q is neither an embedded classic nor a Table 3 name", b)
 		}
 	}
@@ -392,7 +393,7 @@ func (req *sweepRequest) toOptions(s *Server) (sweep.Options, error) {
 		for _, sc := range req.Scenarios {
 			parsed, err := sweep.ParseScenario(sc)
 			if err != nil {
-				return opt, errf(http.StatusBadRequest, "invalid_request", "%v", err)
+				return opt, httpapi.Errorf(http.StatusBadRequest, "invalid_request", "%v", err)
 			}
 			opt.Scenarios = append(opt.Scenarios, parsed)
 		}
@@ -402,28 +403,28 @@ func (req *sweepRequest) toOptions(s *Server) (sweep.Options, error) {
 		for _, m := range req.Modes {
 			parsed, err := sweep.ParseMode(m)
 			if err != nil {
-				return opt, errf(http.StatusBadRequest, "invalid_request", "%v", err)
+				return opt, httpapi.Errorf(http.StatusBadRequest, "invalid_request", "%v", err)
 			}
 			opt.Modes = append(opt.Modes, parsed)
 		}
 	}
 	if req.Vectors != 0 {
 		if req.Vectors < 1 || req.Vectors > maxSimulateVectors {
-			return opt, errf(http.StatusBadRequest, "invalid_request",
+			return opt, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 				"vectors %d outside [1,%d]", req.Vectors, maxSimulateVectors)
 		}
 		opt.Expt.SimVectors = req.Vectors
 	}
 	if req.Lanes != 0 {
 		if req.Lanes < 1 || req.Lanes > stoch.MaxPackLanes {
-			return opt, errf(http.StatusBadRequest, "invalid_request",
+			return opt, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 				"lanes %d outside [1,%d]", req.Lanes, stoch.MaxPackLanes)
 		}
 		opt.Expt.SimLanes = req.Lanes
 	}
 	opt.Seeds = req.Seeds
 	if n := len(sweep.Jobs(opt)); n > maxSweepJobs {
-		return opt, errf(http.StatusBadRequest, "invalid_request",
+		return opt, httpapi.Errorf(http.StatusBadRequest, "invalid_request",
 			"sweep expands to %d jobs, limit %d", n, maxSweepJobs)
 	}
 	return opt, nil
@@ -437,18 +438,18 @@ type sweepSummaryLine struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
+	if err := httpapi.DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	opt, err := req.toOptions(s)
 	if err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	release, err := s.acquire(r.Context())
 	if err != nil {
-		writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	defer release()
@@ -511,8 +512,8 @@ func (fw *flushWriter) Write(b []byte) (int, error) {
 // GET /healthz, GET /metrics.
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if err := requireGET(r); err != nil {
-		writeError(w, err)
+	if err := httpapi.RequireGET(r); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -520,8 +521,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if err := requireGET(r); err != nil {
-		writeError(w, err)
+	if err := httpapi.RequireGET(r); err != nil {
+		httpapi.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

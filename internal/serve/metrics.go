@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/httpapi"
 	"repro/internal/serve/cache"
 )
 
@@ -70,8 +71,7 @@ func (m *metrics) snapshotRequests() []struct {
 // shared caches, so /metrics is also how the load tests assert that
 // cross-request caching and coalescing actually happened.
 func (s *Server) writeMetrics(w io.Writer) {
-	fmt.Fprintln(w, "# HELP servd_requests_total HTTP requests by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE servd_requests_total counter")
+	httpapi.Family(w, "servd_requests_total", "counter", "HTTP requests by endpoint and status code.")
 	for _, r := range s.metrics.snapshotRequests() {
 		fmt.Fprintf(w, "servd_requests_total{endpoint=%q,code=\"%d\"} %d\n", r.endpoint, r.code, r.n)
 	}
@@ -84,62 +84,37 @@ func (s *Server) writeMetrics(w io.Writer) {
 		{"program", s.programs.Stats()},
 		{"response", s.responses.Stats()},
 	}
-	writeCacheCounter := func(metric, help string, value func(cache.Stats) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", metric, help, metric)
+	writeCacheFamily := func(metric, typ, help string, value func(cache.Stats) uint64) {
+		httpapi.Family(w, metric, typ, help)
 		for _, c := range caches {
 			fmt.Fprintf(w, "%s{cache=%q} %d\n", metric, c.name, value(c.stats))
 		}
 	}
-	writeCacheCounter("servd_cache_hits_total", "Cache lookups served from a completed entry.",
+	writeCacheFamily("servd_cache_hits_total", "counter", "Cache lookups served from a completed entry.",
 		func(st cache.Stats) uint64 { return st.Hits })
-	writeCacheCounter("servd_cache_misses_total", "Cache lookups that computed a fresh entry.",
+	writeCacheFamily("servd_cache_misses_total", "counter", "Cache lookups that computed a fresh entry.",
 		func(st cache.Stats) uint64 { return st.Misses })
-	writeCacheCounter("servd_cache_coalesced_total", "Lookups that joined an identical in-flight computation.",
+	writeCacheFamily("servd_cache_coalesced_total", "counter", "Lookups that joined an identical in-flight computation.",
 		func(st cache.Stats) uint64 { return st.Coalesced })
-	writeCacheCounter("servd_cache_evictions_total", "Entries evicted for capacity.",
+	writeCacheFamily("servd_cache_evictions_total", "counter", "Entries evicted for capacity.",
 		func(st cache.Stats) uint64 { return st.Evictions })
-	fmt.Fprintln(w, "# HELP servd_cache_entries Completed entries currently cached.")
-	fmt.Fprintln(w, "# TYPE servd_cache_entries gauge")
-	for _, c := range caches {
-		fmt.Fprintf(w, "servd_cache_entries{cache=%q} %d\n", c.name, c.stats.Len)
-	}
+	writeCacheFamily("servd_cache_entries", "gauge", "Completed entries currently cached.",
+		func(st cache.Stats) uint64 { return uint64(st.Len) })
 
-	fmt.Fprintln(w, "# HELP servd_queue_depth Jobs currently waiting for a worker slot.")
-	fmt.Fprintln(w, "# TYPE servd_queue_depth gauge")
-	fmt.Fprintf(w, "servd_queue_depth %d\n", s.queued.Load())
-	fmt.Fprintln(w, "# HELP servd_inflight_jobs Jobs currently holding a worker slot.")
-	fmt.Fprintln(w, "# TYPE servd_inflight_jobs gauge")
-	fmt.Fprintf(w, "servd_inflight_jobs %d\n", len(s.sem))
-	fmt.Fprintln(w, "# HELP servd_shed_total Requests rejected with 429 because the queue was full.")
-	fmt.Fprintln(w, "# TYPE servd_shed_total counter")
-	fmt.Fprintf(w, "servd_shed_total %d\n", s.metrics.shed.Load())
+	httpapi.Gauge(w, "servd_queue_depth", "Jobs currently waiting for a worker slot.", s.queued.Load())
+	httpapi.Gauge(w, "servd_inflight_jobs", "Jobs currently holding a worker slot.", len(s.sem))
+	httpapi.Counter(w, "servd_shed_total", "Requests rejected with 429 because the queue was full.", s.metrics.shed.Load())
 
-	fmt.Fprintln(w, "# HELP servd_sweep_jobs_total Sweep job results delivered (computed or resumed).")
-	fmt.Fprintln(w, "# TYPE servd_sweep_jobs_total counter")
-	fmt.Fprintf(w, "servd_sweep_jobs_total %d\n", s.metrics.sweepJobs.Load())
-	fmt.Fprintln(w, "# HELP servd_sweep_jobs_retried_total Extra sweep job attempts spent on transient failures.")
-	fmt.Fprintln(w, "# TYPE servd_sweep_jobs_retried_total counter")
-	fmt.Fprintf(w, "servd_sweep_jobs_retried_total %d\n", s.metrics.sweepRetried.Load())
-	fmt.Fprintln(w, "# HELP servd_sweep_jobs_resumed_total Sweep jobs replayed from the result store instead of recomputed.")
-	fmt.Fprintln(w, "# TYPE servd_sweep_jobs_resumed_total counter")
-	fmt.Fprintf(w, "servd_sweep_jobs_resumed_total %d\n", s.metrics.sweepResumed.Load())
-	fmt.Fprintln(w, "# HELP servd_sweep_jobs_failed_total Sweep jobs that exhausted their retry budget.")
-	fmt.Fprintln(w, "# TYPE servd_sweep_jobs_failed_total counter")
-	fmt.Fprintf(w, "servd_sweep_jobs_failed_total %d\n", s.metrics.sweepFailed.Load())
+	httpapi.Counter(w, "servd_sweep_jobs_total", "Sweep job results delivered (computed or resumed).", s.metrics.sweepJobs.Load())
+	httpapi.Counter(w, "servd_sweep_jobs_retried_total", "Extra sweep job attempts spent on transient failures.", s.metrics.sweepRetried.Load())
+	httpapi.Counter(w, "servd_sweep_jobs_resumed_total", "Sweep jobs replayed from the result store instead of recomputed.", s.metrics.sweepResumed.Load())
+	httpapi.Counter(w, "servd_sweep_jobs_failed_total", "Sweep jobs that exhausted their retry budget.", s.metrics.sweepFailed.Load())
 
 	if st := s.cfg.Store; st != nil {
 		stats := st.Stats()
-		fmt.Fprintln(w, "# HELP servd_store_records Distinct results in the result store.")
-		fmt.Fprintln(w, "# TYPE servd_store_records gauge")
-		fmt.Fprintf(w, "servd_store_records %d\n", stats.Records)
-		fmt.Fprintln(w, "# HELP servd_store_appends_total Records journaled since the store opened.")
-		fmt.Fprintln(w, "# TYPE servd_store_appends_total counter")
-		fmt.Fprintf(w, "servd_store_appends_total %d\n", stats.Appends)
-		fmt.Fprintln(w, "# HELP servd_store_segments Journal segments on disk.")
-		fmt.Fprintln(w, "# TYPE servd_store_segments gauge")
-		fmt.Fprintf(w, "servd_store_segments %d\n", stats.Segments)
-		fmt.Fprintln(w, "# HELP servd_store_discarded_bytes Torn-tail bytes discarded when the journal was opened.")
-		fmt.Fprintln(w, "# TYPE servd_store_discarded_bytes gauge")
-		fmt.Fprintf(w, "servd_store_discarded_bytes %d\n", stats.DiscardedBytes)
+		httpapi.Gauge(w, "servd_store_records", "Distinct results in the result store.", stats.Records)
+		httpapi.Counter(w, "servd_store_appends_total", "Records journaled since the store opened.", stats.Appends)
+		httpapi.Gauge(w, "servd_store_segments", "Journal segments on disk.", stats.Segments)
+		httpapi.Gauge(w, "servd_store_discarded_bytes", "Torn-tail bytes discarded when the journal was opened.", stats.DiscardedBytes)
 	}
 }

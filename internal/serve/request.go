@@ -3,13 +3,12 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/expt"
+	"repro/internal/httpapi"
 	"repro/internal/library"
 	"repro/internal/mcnc"
 	"repro/internal/netlist"
@@ -36,28 +35,28 @@ type circuitRequest struct {
 func (cr *circuitRequest) normalize() error {
 	switch {
 	case cr.Benchmark == "" && cr.GNL == "":
-		return errf(http.StatusBadRequest, "invalid_request", "one of \"benchmark\" or \"gnl\" is required")
+		return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "one of \"benchmark\" or \"gnl\" is required")
 	case cr.Benchmark != "" && cr.GNL != "":
-		return errf(http.StatusBadRequest, "invalid_request", "\"benchmark\" and \"gnl\" are mutually exclusive")
+		return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "\"benchmark\" and \"gnl\" are mutually exclusive")
 	}
 	if cr.Benchmark != "" {
 		if !knownBenchmark(cr.Benchmark) {
-			return errf(http.StatusNotFound, "unknown_benchmark",
+			return httpapi.Errorf(http.StatusNotFound, "unknown_benchmark",
 				"benchmark %q is neither an embedded classic nor a Table 3 name", cr.Benchmark)
 		}
 	}
 	if (cr.P == nil) != (cr.D == nil) {
-		return errf(http.StatusBadRequest, "invalid_request", "\"p\" and \"d\" must be given together")
+		return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "\"p\" and \"d\" must be given together")
 	}
 	if cr.P != nil {
 		if *cr.P < 0 || *cr.P > 1 {
-			return errf(http.StatusBadRequest, "invalid_request", "probability p=%v outside [0,1]", *cr.P)
+			return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "probability p=%v outside [0,1]", *cr.P)
 		}
 		if *cr.D < 0 {
-			return errf(http.StatusBadRequest, "invalid_request", "density d=%v must be non-negative", *cr.D)
+			return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "density d=%v must be non-negative", *cr.D)
 		}
 		if cr.Scenario != "" {
-			return errf(http.StatusBadRequest, "invalid_request", "\"scenario\" and explicit (p, d) are mutually exclusive")
+			return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "\"scenario\" and explicit (p, d) are mutually exclusive")
 		}
 		return nil
 	}
@@ -67,7 +66,7 @@ func (cr *circuitRequest) normalize() error {
 	case "B", "b":
 		cr.Scenario = "B"
 	default:
-		return errf(http.StatusBadRequest, "invalid_request", "unknown scenario %q (want A or B)", cr.Scenario)
+		return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "unknown scenario %q (want A or B)", cr.Scenario)
 	}
 	return nil
 }
@@ -85,7 +84,7 @@ func knownBenchmark(name string) bool {
 func loadBenchmarkCircuit(name string, lib *library.Library) (*circuit.Circuit, error) {
 	c, err := mcnc.Load(name, lib)
 	if err != nil {
-		return nil, errf(http.StatusNotFound, "unknown_benchmark", "%v", err)
+		return nil, httpapi.Errorf(http.StatusNotFound, "unknown_benchmark", "%v", err)
 	}
 	return c, nil
 }
@@ -111,7 +110,7 @@ func (s *Server) resolve(cr *circuitRequest) (*circuit.Circuit, error) {
 	return s.circuits.Get(cr.circuitKey(), func() (*circuit.Circuit, error) {
 		c, err := netlist.ReadGNL(strings.NewReader(cr.GNL), s.cfg.Lib)
 		if err != nil {
-			return nil, errf(http.StatusBadRequest, "invalid_gnl", "%v", err)
+			return nil, httpapi.Errorf(http.StatusBadRequest, "invalid_gnl", "%v", err)
 		}
 		return c, nil
 	})
@@ -135,35 +134,4 @@ func (cr *circuitRequest) inputStats(c *circuit.Circuit) map[string]stoch.Signal
 		sc = expt.ScenarioB
 	}
 	return expt.InputStats(c, sc, eo)
-}
-
-// decodeJSON reads one JSON object into dst with the service's body
-// limits and strict field checking, mapping failures to structured 4xx.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, dst any) error {
-	if r.Method != http.MethodPost {
-		return errf(http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST", r.URL.Path)
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return errf(http.StatusRequestEntityTooLarge, "body_too_large",
-				"request body exceeds %d bytes", mbe.Limit)
-		}
-		return errf(http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
-	}
-	if dec.More() {
-		return errf(http.StatusBadRequest, "invalid_json", "trailing data after JSON object")
-	}
-	return nil
-}
-
-// requireGET guards the read-only endpoints.
-func requireGET(r *http.Request) error {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		return errf(http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET", r.URL.Path)
-	}
-	return nil
 }

@@ -40,8 +40,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -49,6 +47,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/faults"
+	"repro/internal/httpapi"
 	"repro/internal/library"
 	"repro/internal/serve/cache"
 	"repro/internal/sim"
@@ -208,35 +207,6 @@ func (sw *statusWriter) Status() int {
 	return sw.status
 }
 
-// ---------------------------------------------------------------------
-// Structured errors.
-
-// httpError is a structured API error: it renders as
-// {"error":{"code":..., "message":...}} with the given status.
-type httpError struct {
-	Status  int    `json:"-"`
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func (e *httpError) Error() string { return e.Code + ": " + e.Message }
-
-func errf(status int, code, format string, args ...any) *httpError {
-	return &httpError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-// writeError renders any error as structured JSON; non-httpErrors become
-// 500 internal.
-func writeError(w http.ResponseWriter, err error) {
-	var he *httpError
-	if !errors.As(err, &he) {
-		he = errf(http.StatusInternalServerError, "internal", "%v", err)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(he.Status)
-	json.NewEncoder(w).Encode(map[string]*httpError{"error": he})
-}
-
 // writeJSON sends a precomputed response body.
 func writeJSON(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -258,7 +228,7 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	if q := s.queued.Add(1); q > int64(s.cfg.QueueDepth) {
 		s.queued.Add(-1)
 		s.metrics.shed.Add(1)
-		return nil, errf(http.StatusTooManyRequests, "overloaded",
+		return nil, httpapi.Errorf(http.StatusTooManyRequests, "overloaded",
 			"all %d workers busy and queue of %d full; retry later", s.cfg.Workers, s.cfg.QueueDepth)
 	}
 	defer s.queued.Add(-1)
@@ -266,7 +236,7 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, nil
 	case <-ctx.Done():
-		return nil, errf(http.StatusServiceUnavailable, "deadline",
+		return nil, httpapi.Errorf(http.StatusServiceUnavailable, "deadline",
 			"request deadline expired while queued: %v", ctx.Err())
 	}
 }
@@ -278,7 +248,7 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 func (s *Server) cachedJSON(ctx context.Context, endpoint string, normReq any, compute func(ctx context.Context) (any, error)) ([]byte, error) {
 	kb, err := json.Marshal(normReq)
 	if err != nil {
-		return nil, errf(http.StatusInternalServerError, "internal", "hashing request: %v", err)
+		return nil, httpapi.Errorf(http.StatusInternalServerError, "internal", "hashing request: %v", err)
 	}
 	sum := sha256.Sum256(kb)
 	key := endpoint + ":" + hex.EncodeToString(sum[:])
@@ -292,7 +262,7 @@ func (s *Server) cachedJSON(ctx context.Context, endpoint string, normReq any, c
 			time.Sleep(d)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, errf(http.StatusServiceUnavailable, "deadline", "request deadline expired: %v", err)
+			return nil, httpapi.Errorf(http.StatusServiceUnavailable, "deadline", "request deadline expired: %v", err)
 		}
 		v, err := compute(ctx)
 		if err != nil {
@@ -300,7 +270,7 @@ func (s *Server) cachedJSON(ctx context.Context, endpoint string, normReq any, c
 		}
 		body, err := json.Marshal(v)
 		if err != nil {
-			return nil, errf(http.StatusInternalServerError, "internal", "encoding response: %v", err)
+			return nil, httpapi.Errorf(http.StatusInternalServerError, "internal", "encoding response: %v", err)
 		}
 		return append(body, '\n'), nil
 	})

@@ -72,6 +72,36 @@ func writeExchange(t *testing.T, buf *bytes.Buffer, client *http.Client, base, m
 	fmt.Fprintf(buf, "=== %s %s -> %d\nContent-Type: %s\n%s", method, path, resp.StatusCode, resp.Header.Get("Content-Type"), b)
 }
 
+// TestMetricsDocumented checks that every metric family servd exports
+// (with every optional source attached) is named verbatim in
+// docs/api.md.
+func TestMetricsDocumented(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var metrics strings.Builder
+	New(Config{Store: st}).writeMetrics(&metrics)
+	doc, err := os.ReadFile("../../docs/api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := 0
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			families++
+			if !bytes.Contains(doc, []byte("`"+name+"`")) {
+				t.Errorf("metric %s is not documented in docs/api.md", name)
+			}
+		}
+	}
+	if families == 0 {
+		t.Fatal("no metric families exported")
+	}
+}
+
 func compareGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
