@@ -2,7 +2,7 @@ package stoch
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // MaxLanes is the number of independent Monte Carlo vector streams one
@@ -112,10 +112,43 @@ func (ps *PackedStimulus) Validate() error {
 	return nil
 }
 
-// packedEvent is one input change of one lane during packing.
+// gatherWaveforms looks up every lane's waveform for every input and
+// returns them lane-major, waves[l·len(inputs)+i], with the total event
+// count (an upper bound on the events packed). It sets each lane's
+// initial bits in initial ([input·W + w], W = WordsFor(len(lanes))) and
+// rejects a missing waveform or an event time that is NaN, infinite or
+// negative, naming the lane and the input.
+func gatherWaveforms(inputs []string, lanes []map[string]*Waveform, initial []uint64) ([]*Waveform, int, error) {
+	W := WordsFor(len(lanes))
+	waves := make([]*Waveform, 0, len(lanes)*len(inputs))
+	events := 0
+	for l, lw := range lanes {
+		for i, in := range inputs {
+			w, ok := lw[in]
+			if !ok {
+				return nil, 0, fmt.Errorf("stoch: lane %d has no waveform for input %q", l, in)
+			}
+			for _, e := range w.Events {
+				if !(e.Time >= 0) || math.IsInf(e.Time, 1) {
+					return nil, 0, fmt.Errorf("stoch: lane %d input %q: event time %v is not finite and non-negative", l, in, e.Time)
+				}
+			}
+			if w.Initial {
+				initial[i*W+l/MaxLanes] |= 1 << uint(l%MaxLanes)
+			}
+			waves = append(waves, w)
+			events += len(w.Events)
+		}
+	}
+	return waves, events, nil
+}
+
+// packedEvent is one input change of one lane during packing. key is the
+// float64 bit pattern of the event time, with -0 stored as +0: times are
+// non-negative, so keys order and compare equal exactly like the times.
 type packedEvent struct {
-	time  float64
-	input int
+	key   uint64
+	input int32
 	value bool
 }
 
@@ -126,7 +159,13 @@ type packedEvent struct {
 // the horizon are dropped, events at the same instant within a lane
 // collapse into one step, and events that do not change the input value
 // contribute no step — the packed sequence records exactly the settling
-// instants a zero-delay simulation of the same waveforms would see.
+// instants a zero-delay simulation of the same waveforms would see. A
+// NaN, infinite or negative event time is an error.
+//
+// Packing runs in time linear in the events and the packed words: each
+// lane's events are ordered by stable radix passes, never a comparison
+// sort, and each input's runs of equal value are written straight into
+// Bits, with no per-step snapshot.
 func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float64) (*PackedStimulus, error) {
 	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
 		return nil, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
@@ -141,73 +180,132 @@ func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float6
 		Words:   W,
 		Horizon: horizon,
 		Initial: make([]uint64, len(inputs)*W),
+		Bits:    make([][]uint64, len(inputs)),
 	}
-	// Per lane: the sequence of input-state snapshots, one per instant at
-	// which at least one input actually changes.
-	snapshots := make([][][]bool, len(lanes))
-	for l, waves := range lanes {
-		state := make([]bool, len(inputs))
-		var evs []packedEvent
-		for i, in := range inputs {
-			w, ok := waves[in]
-			if !ok {
-				return nil, fmt.Errorf("stoch: lane %d has no waveform for input %q", l, in)
-			}
-			state[i] = w.Initial
-			if w.Initial {
-				ps.Initial[i*W+l/MaxLanes] |= 1 << uint(l%MaxLanes)
-			}
+	waves, _, err := gatherWaveforms(inputs, lanes, ps.Initial)
+	if err != nil {
+		return nil, err
+	}
+	for i := range ps.Bits {
+		ps.Bits[i] = []uint64{}
+	}
+	n := len(inputs)
+	// Each input's bits are written a run at a time: runs[l·n+i] is the
+	// step at which lane l's input i took its current value, val[i], and
+	// state[i] is its value while an instant's events apply. When a lane
+	// is done, runs holds -1 for inputs that end at 0.
+	runs := make([]int, len(lanes)*n)
+	state, val := make([]bool, n), make([]bool, n)
+	var evs, scratch []packedEvent
+	for l := range lanes {
+		run := runs[l*n : (l+1)*n]
+		evs = evs[:0]
+		for i, w := range waves[l*n : (l+1)*n] {
+			state[i], val[i] = w.Initial, w.Initial
 			for _, e := range w.Events {
 				if e.Time > horizon {
 					break
 				}
-				evs = append(evs, packedEvent{time: e.Time, input: i, value: e.Value})
+				key := math.Float64bits(e.Time)
+				if e.Time == 0 {
+					key = 0
+				}
+				evs = append(evs, packedEvent{key: key, input: int32(i), value: e.Value})
 			}
 		}
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].time < evs[b].time })
+		if cap(scratch) < len(evs) {
+			scratch = make([]packedEvent, cap(evs))
+		}
+		sortByTime(evs, scratch[:len(evs)])
+		word, bit := l/MaxLanes, uint64(1)<<uint(l%MaxLanes)
+		s := 0 // the lane's next step
 		for k := 0; k < len(evs); {
-			t := evs[k].time
+			first := k
 			changed := false
-			for ; k < len(evs) && evs[k].time == t; k++ {
-				if state[evs[k].input] != evs[k].value {
-					state[evs[k].input] = evs[k].value
+			for ; k < len(evs) && evs[k].key == evs[first].key; k++ {
+				if e := evs[k]; state[e.input] != e.value {
+					state[e.input] = e.value
 					changed = true
 				}
 			}
-			if changed {
-				snapshots[l] = append(snapshots[l], append([]bool(nil), state...))
+			if !changed {
+				continue
+			}
+			if s == ps.Steps {
+				ps.Steps++
+				for i := range ps.Bits {
+					ps.Bits[i] = append(ps.Bits[i], make([]uint64, W)...)
+				}
+			}
+			for _, e := range evs[first:k] {
+				if i := e.input; state[i] != val[i] {
+					if val[i] {
+						setLane(ps.Bits[i], run[i], s, W, word, bit)
+					}
+					val[i], run[i] = state[i], s
+				}
+			}
+			s++
+		}
+		for i, v := range val {
+			if !v {
+				run[i] = -1
 			}
 		}
 	}
-	for _, seq := range snapshots {
-		if len(seq) > ps.Steps {
-			ps.Steps = len(seq)
-		}
-	}
-	ps.Bits = make([][]uint64, len(inputs))
-	for i := range inputs {
-		ps.Bits[i] = make([]uint64, ps.Steps*W)
-	}
-	for l, seq := range snapshots {
+	// Every lane holds its final values through the last step.
+	for l := range lanes {
 		word, bit := l/MaxLanes, uint64(1)<<uint(l%MaxLanes)
-		for s := 0; s < ps.Steps; s++ {
-			var snap []bool
-			switch {
-			case s < len(seq):
-				snap = seq[s]
-			case len(seq) > 0:
-				snap = seq[len(seq)-1] // lane exhausted: hold final state
-			}
-			for i := range inputs {
-				v := snap != nil && snap[i]
-				if snap == nil { // lane has no events at all: hold initial
-					v = ps.Initial[i*W+word]&bit != 0
-				}
-				if v {
-					ps.Bits[i][s*W+word] |= bit
-				}
+		for i, from := range runs[l*n : (l+1)*n] {
+			if from >= 0 {
+				setLane(ps.Bits[i], from, ps.Steps, W, word, bit)
 			}
 		}
 	}
 	return ps, nil
+}
+
+// setLane sets a lane's bit (bit of block word word) in steps [from, to)
+// of an input's Bits row.
+func setLane(row []uint64, from, to, W, word int, bit uint64) {
+	for s := from; s < to; s++ {
+		row[s*W+word] |= bit
+	}
+}
+
+// sortByTime stably sorts evs by key in place, one byte of the key per
+// LSD radix pass, with scratch (as long as evs) as the other buffer.
+// Bytes on which every key agrees take no pass.
+func sortByTime(evs, scratch []packedEvent) {
+	if len(evs) < 2 {
+		return
+	}
+	var diff uint64
+	for _, e := range evs {
+		diff |= e.key ^ evs[0].key
+	}
+	src, dst := evs, scratch
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var pos [256]int
+		for _, e := range src {
+			pos[byte(e.key>>shift)]++
+		}
+		sum := 0
+		for d, n := range pos {
+			pos[d] = sum
+			sum += n
+		}
+		for _, e := range src {
+			d := byte(e.key >> shift)
+			dst[pos[d]] = e
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &evs[0] {
+		copy(evs, src)
+	}
 }

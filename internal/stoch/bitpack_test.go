@@ -1,7 +1,9 @@
 package stoch
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -103,6 +105,45 @@ func TestPackWaveformsErrors(t *testing.T) {
 	}
 	if _, err := PackWaveforms([]string{"a"}, []map[string]*Waveform{{"a": {}}}, 0); err == nil {
 		t.Error("zero horizon accepted")
+	}
+	// An event time the packer cannot order is an error naming its lane
+	// and input, wherever it sits: a NaN used to hang the packer.
+	for _, tc := range badEventTimes {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := PackWaveforms([]string{"a", "b"}, badTimeLanes(tc.time), 10)
+			checkBadTimeError(t, err)
+		})
+	}
+}
+
+// badEventTimes are the event times both packers reject.
+var badEventTimes = []struct {
+	name string
+	time float64
+}{
+	{"NaN", math.NaN()},
+	{"+Inf", math.Inf(1)},
+	{"-Inf", math.Inf(-1)},
+	{"negative", -3e-9},
+}
+
+// badTimeLanes is a two-lane block whose lane 1 input "b" carries an
+// event at time bad between two good ones.
+func badTimeLanes(bad float64) []map[string]*Waveform {
+	good := &Waveform{Events: []Event{{Time: 1e-9, Value: true}}}
+	return []map[string]*Waveform{
+		{"a": good, "b": good},
+		{"a": good, "b": {Events: []Event{{Time: 1e-9, Value: true}, {Time: bad, Value: false}, {Time: 5e-9, Value: true}}}},
+	}
+}
+
+func checkBadTimeError(t *testing.T, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("bad event time accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "lane 1") || !strings.Contains(msg, `"b"`) {
+		t.Fatalf("error %q does not name lane 1 and input \"b\"", msg)
 	}
 }
 

@@ -1,0 +1,182 @@
+package stoch
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// randomBlock draws one lane block for the packer property test: every
+// (lane, input) waveform is exponential, clocked, empty or a burst of
+// events on a coarse grid (same-instant pulses, no-op events, -0), and the
+// first two kinds run past the horizon. Events per waveform shrink as the
+// block grows so the naive references stay quick.
+func randomBlock(rng *rand.Rand, inputs []string, lanes int, horizon float64) []map[string]*Waveform {
+	perWave := max(1, min(30, 4000/(lanes*len(inputs))))
+	sig := Signal{P: 0.2 + 0.6*rng.Float64(), D: float64(perWave) / horizon}
+	cycle := horizon / float64(perWave*2)
+	block := make([]map[string]*Waveform, lanes)
+	for l := range block {
+		block[l] = make(map[string]*Waveform, len(inputs))
+		for _, in := range inputs {
+			var w *Waveform
+			var err error
+			switch rng.Intn(4) {
+			case 0:
+				w, err = sig.Exponential(1.2*horizon, rng)
+			case 1:
+				w, err = Signal{P: 0.5, D: 0.5}.Clocked(perWave*5/2, cycle, rng)
+			case 2:
+				w = &Waveform{Initial: rng.Intn(2) == 0}
+			default:
+				w = &Waveform{Initial: rng.Intn(2) == 0}
+				times := make([]float64, rng.Intn(perWave+1))
+				for k := range times {
+					times[k] = horizon * float64(rng.Intn(8)) / 7
+					if times[k] == 0 && rng.Intn(2) == 0 {
+						times[k] = math.Copysign(0, -1) // must pack as +0
+					}
+				}
+				sort.Float64s(times)
+				for _, tm := range times {
+					w.Events = append(w.Events, Event{Time: tm, Value: rng.Intn(2) == 0})
+				}
+			}
+			if err != nil {
+				panic(err)
+			}
+			block[l][in] = w
+		}
+	}
+	return block
+}
+
+// TestPackMatchesReference holds both packers to the naive references in
+// reference_test.go on seeded random blocks: 1–32 inputs, 1–512 lanes
+// (partial last words included), several tick widths per block (coarse
+// ones collapse same-tick events) and guards from unaligned to wider than
+// the horizon.
+func TestPackMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	const horizon = 1e-6
+	laneCounts := []int{1, 63, 64, 65, MaxPackLanes}
+	for trial := 0; trial < 40; trial++ {
+		inputs := make([]string, 1+rng.Intn(32))
+		for i := range inputs {
+			inputs[i] = fmt.Sprintf("x%d", i)
+		}
+		lanes := 1 + rng.Intn(MaxPackLanes)
+		if trial < len(laneCounts) {
+			lanes = laneCounts[trial]
+		}
+		block := randomBlock(rng, inputs, lanes, horizon)
+		name := fmt.Sprintf("trial %d (%d inputs, %d lanes)", trial, len(inputs), lanes)
+
+		got, err := PackWaveforms(inputs, block, horizon)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := referencePackWaveforms(inputs, block, horizon)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: PackWaveforms differs from the reference", name)
+		}
+
+		for _, tick := range []float64{horizon / 20, horizon / 997, horizon / 1e5} {
+			horizonTicks := TicksIn(horizon, tick)
+			for _, guard := range []int64{0, 1 + rng.Int63n(4), 1 + rng.Int63n(horizonTicks), horizonTicks + 1} {
+				got, err := PackTimedWaveforms(inputs, block, horizon, tick, guard)
+				if err != nil {
+					t.Fatalf("%s tick %g guard %d: %v", name, tick, guard, err)
+				}
+				want, err := referencePackTimedWaveforms(inputs, block, horizon, tick, guard)
+				if err != nil {
+					t.Fatalf("%s tick %g guard %d: reference: %v", name, tick, guard, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s tick %g guard %d: PackTimedWaveforms differs from the reference", name, tick, guard)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s tick %g guard %d: %v", name, tick, guard, err)
+				}
+			}
+		}
+	}
+}
+
+// benchBlock is a 64-lane, 16-input block shaped like the repository
+// benchmark's sweep jobs on a 1 ns tick: scenario A draws exponential
+// waveforms at 0.5 transitions per 100 ns over 50 µs, scenario B latches
+// the inputs on a 100 ns clock for 200 cycles.
+func benchBlock(scenario string) (inputs []string, lanes []map[string]*Waveform, horizon float64) {
+	const period = 100e-9
+	rng := rand.New(rand.NewSource(1))
+	inputs = make([]string, 16)
+	for i := range inputs {
+		inputs[i] = fmt.Sprintf("x%d", i)
+	}
+	horizon = 5e-5
+	if scenario == "B" {
+		horizon = 200 * period
+	}
+	lanes = make([]map[string]*Waveform, MaxLanes)
+	for l := range lanes {
+		lanes[l] = make(map[string]*Waveform, len(inputs))
+		for _, in := range inputs {
+			var w *Waveform
+			var err error
+			if scenario == "B" {
+				w, err = Signal{P: 0.5, D: 0.5}.Clocked(200, period, rng)
+			} else {
+				w, err = Signal{P: 0.5, D: 0.5 / period}.Exponential(horizon, rng)
+			}
+			if err != nil {
+				panic(err)
+			}
+			lanes[l][in] = w
+		}
+	}
+	return inputs, lanes, horizon
+}
+
+// benchGuard is a settle window typical of the benchmark's circuits.
+const benchTick, benchGuard = 1e-9, 20
+
+var benchSink any
+
+func BenchmarkPackTimed(b *testing.B) {
+	for _, scenario := range []string{"A", "B"} {
+		b.Run("scenario"+scenario, func(b *testing.B) {
+			inputs, lanes, horizon := benchBlock(scenario)
+			b.ReportAllocs()
+			for b.Loop() {
+				ts, err := PackTimedWaveforms(inputs, lanes, horizon, benchTick, benchGuard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = ts
+			}
+		})
+	}
+}
+
+func BenchmarkPack(b *testing.B) {
+	for _, scenario := range []string{"A", "B"} {
+		b.Run("scenario"+scenario, func(b *testing.B) {
+			inputs, lanes, horizon := benchBlock(scenario)
+			b.ReportAllocs()
+			for b.Loop() {
+				ps, err := PackWaveforms(inputs, lanes, horizon)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = ps
+			}
+		})
+	}
+}

@@ -25,13 +25,14 @@ type Signal struct {
 // Validate reports whether the statistics are physically meaningful.
 // Beyond range checks it enforces the stationarity bound D ≤ 2·min(P,1-P)·Dmax
 // only when a maximum update rate is known, which it is not here; the
-// basic sanity conditions are P∈[0,1] and D≥0.
+// basic sanity conditions are P∈[0,1] and a finite D≥0 (an infinite
+// density would have Exponential emit events at t=0 without end).
 func (s Signal) Validate() error {
 	if math.IsNaN(s.P) || s.P < 0 || s.P > 1 {
 		return fmt.Errorf("stoch: probability %v out of [0,1]", s.P)
 	}
-	if math.IsNaN(s.D) || s.D < 0 {
-		return fmt.Errorf("stoch: transition density %v negative", s.D)
+	if !(s.D >= 0) || math.IsInf(s.D, 1) {
+		return fmt.Errorf("stoch: transition density %v is not finite and non-negative", s.D)
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ func TestValidate(t *testing.T) {
 		{Signal{P: 0.5, D: -1}, false},
 		{Signal{P: math.NaN(), D: 1}, false},
 		{Signal{P: 0.5, D: math.NaN()}, false},
+		{Signal{P: 0.5, D: math.Inf(1)}, false}, // Exponential would never return
 	}
 	for _, c := range cases {
 		err := c.s.Validate()
@@ -87,6 +88,9 @@ func TestExponentialRejectsBadInput(t *testing.T) {
 	}
 	if _, err := (Signal{P: 0.5, D: 1}).Exponential(-1, rng); err == nil {
 		t.Error("negative horizon accepted")
+	}
+	if _, err := (Signal{P: 0.5, D: math.Inf(1)}).Exponential(1, rng); err == nil {
+		t.Error("infinite density accepted")
 	}
 }
 

@@ -3,7 +3,6 @@ package stoch
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file packs waveforms for the *timed* bit-parallel simulator. Unlike
@@ -39,22 +38,30 @@ func TicksIn(horizon, tick float64) int64 {
 // two comparable lane for lane. Snapping moves each event by at most half a tick (events
 // closer together than a tick may merge).
 func QuantizeWaveform(w *Waveform, tick float64, horizonTicks int64) []TickEvent {
-	var out []TickEvent
+	return appendQuantized(nil, w, tick, horizonTicks)
+}
+
+// appendQuantized appends QuantizeWaveform's result to dst, so a caller
+// can quantize many waveforms through one reused buffer.
+func appendQuantized(dst []TickEvent, w *Waveform, tick float64, horizonTicks int64) []TickEvent {
+	start := len(dst)
 	for _, e := range w.Events {
-		qt := int64(math.Round(e.Time / tick))
-		if qt > horizonTicks {
+		qt := math.Round(e.Time / tick)
+		// Compared as a float, so a time too large for int64 (or NaN) stops
+		// here instead of converting to a negative tick.
+		if !(qt <= float64(horizonTicks)) {
 			break // events are time-ordered; the rest are beyond the horizon too
 		}
-		if n := len(out); n > 0 && out[n-1].Tick == qt {
-			out[n-1].Value = e.Value
+		if n := len(dst); n > start && dst[n-1].Tick == int64(qt) {
+			dst[n-1].Value = e.Value
 			continue
 		}
-		out = append(out, TickEvent{Tick: qt, Value: e.Value})
+		dst = append(dst, TickEvent{Tick: int64(qt), Value: e.Value})
 	}
 	// Drop collapsed no-ops in place (write index never passes read index).
 	val := w.Initial
-	kept := out[:0]
-	for _, te := range out {
+	kept := dst[:start]
+	for _, te := range dst[start:] {
 		if te.Value != val {
 			kept = append(kept, te)
 			val = te.Value
@@ -144,11 +151,11 @@ func (ts *TimedStimulus) Validate() error {
 	}
 	prev := int64(-1)
 	for k, tk := range ts.Ticks {
+		if tk < 0 {
+			return fmt.Errorf("stoch: negative tick %d at index %d", tk, k)
+		}
 		if tk <= prev {
 			return fmt.Errorf("stoch: ticks not strictly increasing at index %d", k)
-		}
-		if tk < 0 {
-			return fmt.Errorf("stoch: negative tick %d", tk)
 		}
 		prev = tk
 		for _, tg := range ts.Toggles[k] {
@@ -170,7 +177,7 @@ func (ts *TimedStimulus) Validate() error {
 type timedEvent struct {
 	tick  int64
 	input int32
-	lane  int
+	lane  int32
 }
 
 // PackTimedWaveforms quantizes per-lane waveform sets onto the tick grid
@@ -179,7 +186,8 @@ type timedEvent struct {
 // waveform is snapped with QuantizeWaveform — at most half a tick of skew
 // per event, events beyond the horizon dropped — and the surviving
 // transitions of all lanes are merged onto one shared, sorted tick axis
-// as per-input toggle masks.
+// as per-input toggle masks. A NaN, infinite or negative event time is an
+// error.
 //
 // guard > 0 enables cluster alignment (see TimedStimulus): per lane,
 // consecutive events further apart than guard ticks start a new cluster;
@@ -187,6 +195,9 @@ type timedEvent struct {
 // start, preserving every intra-cluster offset. Pass the consuming
 // program's settle window (TimedProgram.SettleTicks) as the guard; 0
 // packs the original axis unchanged.
+//
+// Packing runs in time linear in the number of events: every ordering is
+// a stable counting or radix pass, never a comparison sort.
 func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, tick float64, guard int64) (*TimedStimulus, error) {
 	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
 		return nil, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
@@ -208,58 +219,128 @@ func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, 
 		Guard:        guard,
 		Initial:      make([]uint64, len(inputs)*W),
 	}
+	waves, events, err := gatherWaveforms(inputs, lanes, ts.Initial)
+	if err != nil {
+		return nil, err
+	}
+	// Quantize into one buffer, lane-major and input-major within a lane:
+	// perLane[l] is lane l's stretch of it.
+	evs := make([]timedEvent, 0, events)
 	perLane := make([][]timedEvent, len(lanes))
-	for l, waves := range lanes {
-		for i, in := range inputs {
-			w, ok := waves[in]
-			if !ok {
-				return nil, fmt.Errorf("stoch: lane %d has no waveform for input %q", l, in)
-			}
-			if w.Initial {
-				ts.Initial[i*W+l/MaxLanes] |= 1 << uint(l%MaxLanes)
-			}
-			for _, te := range QuantizeWaveform(w, tick, ts.HorizonTicks) {
-				perLane[l] = append(perLane[l], timedEvent{tick: te.Tick, input: int32(i), lane: l})
+	var q []TickEvent
+	for l := range lanes {
+		start := len(evs)
+		for i, w := range waves[l*len(inputs) : (l+1)*len(inputs)] {
+			q = appendQuantized(q[:0], w, tick, ts.HorizonTicks)
+			for _, te := range q {
+				evs = append(evs, timedEvent{tick: te.Tick, input: int32(i), lane: int32(l)})
 			}
 		}
-		sort.SliceStable(perLane[l], func(a, b int) bool { return perLane[l][a].tick < perLane[l][b].tick })
+		perLane[l] = evs[start:]
 	}
+	tmp := make([]timedEvent, len(evs))
 	if guard > 0 {
+		// Cluster alignment needs each lane in tick order; a stable pass
+		// keeps same-tick events in input order.
+		for _, le := range perLane {
+			sortByTick(le, tmp[:len(le)])
+		}
 		alignClusters(perLane, guard)
 	}
-	var evs []timedEvent
-	for _, le := range perLane {
-		evs = append(evs, le...)
+	// Order by (tick, input, lane): lanes are already ascending, a stable
+	// counting pass puts them under their input, and a stable radix pass
+	// on the (virtual) tick finishes the order.
+	byInput(tmp, evs, len(inputs))
+	evs, tmp = tmp, evs
+	sortByTick(evs, tmp)
+
+	// One toggle per (tick, input, word) run. Counting the ticks and runs
+	// first lets every tick's toggles be a sub-slice of one exactly sized
+	// array.
+	ticks, runs := 0, 0
+	for k, e := range evs {
+		switch {
+		case k == 0 || e.tick != evs[k-1].tick:
+			ticks++
+			runs++
+		case e.input != evs[k-1].input || e.lane/MaxLanes != evs[k-1].lane/MaxLanes:
+			runs++
+		}
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].tick != evs[b].tick {
-			return evs[a].tick < evs[b].tick
-		}
-		if evs[a].input != evs[b].input {
-			return evs[a].input < evs[b].input
-		}
-		return evs[a].lane < evs[b].lane
-	})
+	if ticks > 0 {
+		ts.Ticks = make([]int64, 0, ticks)
+		ts.Toggles = make([][]InputToggle, 0, ticks)
+	}
+	toggles := make([]InputToggle, 0, runs)
 	for k := 0; k < len(evs); {
-		t := evs[k].tick
-		var group []InputToggle
+		t, start := evs[k].tick, len(toggles)
 		for k < len(evs) && evs[k].tick == t {
-			in := evs[k].input
-			// Lanes are sorted within (tick, input), so each block word's
-			// toggle mask assembles in one contiguous run.
-			for k < len(evs) && evs[k].tick == t && evs[k].input == in {
-				word := int32(evs[k].lane / MaxLanes)
-				var mask uint64
-				for ; k < len(evs) && evs[k].tick == t && evs[k].input == in && int32(evs[k].lane/MaxLanes) == word; k++ {
-					mask |= 1 << uint(evs[k].lane%MaxLanes)
-				}
-				group = append(group, InputToggle{Input: in, Word: word, Lanes: mask})
+			in, word := evs[k].input, evs[k].lane/MaxLanes
+			var mask uint64
+			for ; k < len(evs) && evs[k].tick == t && evs[k].input == in && evs[k].lane/MaxLanes == word; k++ {
+				mask |= 1 << uint(evs[k].lane%MaxLanes)
 			}
+			toggles = append(toggles, InputToggle{Input: in, Word: word, Lanes: mask})
 		}
 		ts.Ticks = append(ts.Ticks, t)
-		ts.Toggles = append(ts.Toggles, group)
+		ts.Toggles = append(ts.Toggles, toggles[start:len(toggles):len(toggles)])
 	}
 	return ts, nil
+}
+
+// sortByTick stably sorts evs by tick in place, one byte of the tick per
+// LSD radix pass, with scratch (as long as evs) as the other buffer.
+// Bytes on which every tick agrees take no pass. Ticks are non-negative,
+// so they order like their uint64 bit patterns.
+func sortByTick(evs, scratch []timedEvent) {
+	if len(evs) < 2 {
+		return
+	}
+	var diff uint64
+	for _, e := range evs {
+		diff |= uint64(e.tick ^ evs[0].tick)
+	}
+	src, dst := evs, scratch
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var pos [256]int
+		for _, e := range src {
+			pos[byte(uint64(e.tick)>>shift)]++
+		}
+		sum := 0
+		for d, n := range pos {
+			pos[d] = sum
+			sum += n
+		}
+		for _, e := range src {
+			d := byte(uint64(e.tick) >> shift)
+			dst[pos[d]] = e
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &evs[0] {
+		copy(evs, src)
+	}
+}
+
+// byInput scatters src into dst (as long as src) grouped by input, in
+// input order, keeping the order of src within each input: one stable
+// counting pass.
+func byInput(dst, src []timedEvent, inputs int) {
+	pos := make([]int, inputs+1)
+	for _, e := range src {
+		pos[e.input+1]++
+	}
+	for i := 1; i < len(pos); i++ {
+		pos[i] += pos[i-1]
+	}
+	for _, e := range src {
+		dst[pos[e.input]] = e
+		pos[e.input]++
+	}
 }
 
 // laneCluster is one maximal activity run of a lane during alignment.

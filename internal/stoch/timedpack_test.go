@@ -1,8 +1,10 @@
 package stoch
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -122,6 +124,29 @@ func TestPackTimedWaveformsErrors(t *testing.T) {
 	}
 	if _, err := PackTimedWaveforms([]string{"a"}, []map[string]*Waveform{w}, 1, 0, 0); err == nil {
 		t.Error("zero tick accepted")
+	}
+	// Before quantization, so with or without alignment: a negative time
+	// used to land on tick 0 under a guard and a NaN on tick MinInt64.
+	for _, tc := range badEventTimes {
+		for _, guard := range []int64{0, 5} {
+			t.Run(fmt.Sprintf("%s/guard=%d", tc.name, guard), func(t *testing.T) {
+				_, err := PackTimedWaveforms([]string{"a", "b"}, badTimeLanes(tc.time), 1e-8, 1e-9, guard)
+				checkBadTimeError(t, err)
+			})
+		}
+	}
+}
+
+func TestTimedStimulusValidateNegativeTick(t *testing.T) {
+	ts := &TimedStimulus{
+		Inputs: []string{"a"}, Lanes: 1, Tick: 1e-9, Horizon: 1e-8, HorizonTicks: 10,
+		Initial: []uint64{0},
+		Ticks:   []int64{-3, 5},
+		Toggles: [][]InputToggle{{{Lanes: 1}}, {{Lanes: 1}}},
+	}
+	err := ts.Validate()
+	if err == nil || !strings.Contains(err.Error(), "negative tick -3") {
+		t.Fatalf("Validate() = %v, want a negative-tick error", err)
 	}
 }
 
@@ -289,6 +314,7 @@ func TestQuantizeWaveformSingleTransition(t *testing.T) {
 			[]TickEvent{{Tick: 10, Value: true}}},
 		{"rounds past horizon dropped", false, Event{Time: 10.6e-9, Value: true}, 10, nil},
 		{"beyond horizon dropped", false, Event{Time: 50e-9, Value: true}, 10, nil},
+		{"beyond int64 ticks dropped", false, Event{Time: 1e300, Value: true}, 10, nil},
 		{"no-op transition vanishes", true, Event{Time: 5e-9, Value: true}, 10, nil},
 		{"zero-tick horizon keeps only tick-zero events", false, Event{Time: 0.3e-9, Value: true}, 0,
 			[]TickEvent{{Tick: 0, Value: true}}},
