@@ -5,15 +5,17 @@ import (
 	"sync"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/logic"
 )
 
-// This file lowers a mapped circuit into a flat, topologically-levelized
-// word-op program for the bit-parallel engine (bitsim.go). There is no
+// This file lowers a mapped circuit into flat word-op programs over dense
+// register indices: the front end both compiled engines share (lowering)
+// and the levelized zero-delay Program built on it (bitsim.go runs it;
+// timed.go builds the timed program on the same front end). There is no
 // map-based net lookup, heap scheduling or per-gate conducting-path
-// flooding at run time — only straight-line code over dense register
-// indices:
+// flooding at run time — only straight-line code over register indices:
 //
 //   - Every net and every transistor-level node gets a register index.
 //     An evaluation over W words (fixed per evaluation by the stimulus,
@@ -75,9 +77,142 @@ type meterPoint struct {
 	valueReg int32
 	stateReg int32
 	kind     meterKind
-	gate     int32   // index into Program.gates; -1 for inputs
+	gate     int32   // index into lowering.gates; -1 for inputs
 	net      string  // net name for inputs/outputs, "" for internal nodes
 	energy   float64 // joules per transition per lane
+}
+
+// lowering is the netlist-to-word-op front end of both compiled engines:
+// the primary inputs, the gates in topological order, the register file
+// size, the op stream, the input registers and the meters. Program and
+// TimedProgram embed it; they differ only in how a gate's output is held
+// and in their per-gate bookkeeping.
+//
+// Meter order is part of each engine's results, because RunEnergy and
+// assembleResult sum energy in meter order. The first len(inputs) meters
+// are the primary inputs, in input order. Then, gate by gate in
+// topological order, the zero-delay program appends the output meter
+// before the internal meters, and the timed program the internal meters
+// before the output meter. Another order changes the last bits of the
+// energies.
+type lowering struct {
+	inputs  []string            // primary inputs, program order
+	gates   []*circuit.Instance // topological order
+	numRegs int
+	ops     []bitOp
+	inReg   []int32 // value register per primary input
+	meters  []meterPoint
+}
+
+// NumOps returns the length of the compiled instruction stream.
+func (lw *lowering) NumOps() int { return len(lw.ops) }
+
+// NumRegs returns the register-file size one evaluation uses.
+func (lw *lowering) NumRegs() int { return lw.numRegs }
+
+// begin validates the capacitance constants and the circuit, takes its
+// topological order and reserves registers 0 and 1 for the constants
+// all-zeros and all-ones. Every primary input then gets a value register
+// and a meter that reads its state from the same register. It returns
+// each lowered net's register, which the gates extend, and the
+// circuit's fanout counts.
+func (lw *lowering) begin(c *circuit.Circuit, cp core.Params) (netReg map[string]int32, fanout map[string]int, err error) {
+	if err := cp.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := c.Validate(); err != nil {
+		return nil, nil, err
+	}
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, nil, err
+	}
+	lw.inputs = append([]string(nil), c.Inputs...)
+	lw.gates = order
+	lw.numRegs = 2
+	netReg = make(map[string]int32, len(c.Inputs)+len(order))
+	for _, in := range lw.inputs {
+		r := lw.alloc()
+		lw.inReg = append(lw.inReg, r)
+		netReg[in] = r
+		lw.meters = append(lw.meters, meterPoint{
+			valueReg: r, stateReg: r, kind: meterInput, gate: -1, net: in,
+		})
+	}
+	return netReg, c.Fanout(), nil
+}
+
+// alloc reserves a fresh register.
+func (lw *lowering) alloc() int32 {
+	r := int32(lw.numRegs)
+	lw.numRegs++
+	return r
+}
+
+// emit appends a word op writing a fresh register and returns it.
+func (lw *lowering) emit(code opCode, a, b int32) int32 {
+	dst := lw.alloc()
+	lw.ops = append(lw.ops, bitOp{code: code, dst: dst, a: a, b: b})
+	return dst
+}
+
+// beginGate checks gate g against the compiler's width limit, builds its
+// transistor graph and points gc at the registers of its pins. gc is
+// reused across gates, so its memo map is cleared, not reallocated.
+func (lw *lowering) beginGate(gc *gateCompiler, g *circuit.Instance, netReg map[string]int32) (*gate.Graph, error) {
+	if len(g.Pins) > maxCompiledInputs {
+		return nil, fmt.Errorf("sim: instance %s: cell %s has %d inputs; the bit-parallel compiler supports at most %d",
+			g.Name, g.Cell.Name, len(g.Pins), maxCompiledInputs)
+	}
+	gr, err := g.Cell.Graph()
+	if err != nil {
+		return nil, fmt.Errorf("sim: instance %s: %w", g.Name, err)
+	}
+	gc.p = lw
+	gc.n = len(g.Pins)
+	gc.vars = gc.vars[:0]
+	for _, pin := range g.Pins {
+		r, ok := netReg[pin]
+		if !ok {
+			return nil, fmt.Errorf("sim: instance %s reads unknown net %q", g.Name, pin)
+		}
+		gc.vars = append(gc.vars, r)
+	}
+	if gc.memo == nil {
+		gc.memo = map[uint64]int32{}
+	}
+	clear(gc.memo)
+	return gr, nil
+}
+
+// lowerInternal emits gate gi's internal nodes and appends their meters.
+// A node is driven to the rail a conducting path reaches and retains its
+// charge otherwise, in a persistent state register:
+// new = H | (state &^ (H|G)).
+func (lw *lowering) lowerInternal(gc *gateCompiler, gi int, gr *gate.Graph, cp core.Params) {
+	halfCV2 := 0.5 * cp.Vdd * cp.Vdd
+	for _, nk := range gr.InternalNodes() {
+		ttH := truthTable(gr.H(nk))
+		ttDriven := ttH | truthTable(gr.G(nk))
+		stateReg := lw.alloc()
+		rNew := gc.compile(ttH)
+		if ttDriven != gc.mask() {
+			rKeep := lw.emit(opAndNot, stateReg, gc.compile(ttDriven))
+			rNew = lw.emit(opOr, rNew, rKeep)
+		}
+		lw.meters = append(lw.meters, meterPoint{
+			valueReg: rNew, stateReg: stateReg, kind: meterInternal, gate: int32(gi),
+			energy: halfCV2 * cp.Cj * float64(gr.Degree(nk)),
+		})
+	}
+}
+
+// outputEnergy is the energy one transition of a gate's output net
+// dissipates in one lane: ½·C·Vdd² over the output node's diffusion
+// capacitance plus the load of its fanout.
+func outputEnergy(cp core.Params, gr *gate.Graph, fanout int) float64 {
+	halfCV2 := 0.5 * cp.Vdd * cp.Vdd
+	return halfCV2 * (cp.Cj*float64(gr.Degree(gate.Y)) + cp.OutputLoad(fanout))
 }
 
 // Program is a circuit compiled for the bit-parallel engine. It is
@@ -85,23 +220,11 @@ type meterPoint struct {
 // files and count slices are pooled per program, so steady-state runs do
 // not allocate).
 type Program struct {
-	circ    *circuit.Circuit
-	inputs  []string // primary inputs, program order
-	gates   []*circuit.Instance
-	numRegs int
-	ops     []bitOp
-	inReg   []int32 // value register per primary input
-	meters  []meterPoint
-	levels  int // logic depth of the levelized op stream, for reports
+	lowering
+	levels int // logic depth of the levelized op stream, for reports
 
 	scratch sync.Pool // *runScratch
 }
-
-// NumOps returns the length of the compiled instruction stream.
-func (p *Program) NumOps() int { return len(p.ops) }
-
-// NumRegs returns the register-file size one evaluation uses.
-func (p *Program) NumRegs() int { return p.numRegs }
 
 // Levels returns the circuit's logic depth (gate levels) — the program is
 // emitted level by level, so ops of one level never read results of the
@@ -112,113 +235,41 @@ func (p *Program) Levels() int { return p.levels }
 // capacitance constants of prm (prm.Mode is ignored: the compiled engine
 // is zero-delay by construction).
 func Compile(c *circuit.Circuit, prm Params) (*Program, error) {
-	if err := prm.Cap.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := c.TopoOrder()
+	p := &Program{}
+	netReg, fanout, err := p.begin(c, prm.Cap)
 	if err != nil {
 		return nil, err
 	}
-	fanout := c.Fanout()
-	halfCV2 := 0.5 * prm.Cap.Vdd * prm.Cap.Vdd
-
-	p := &Program{
-		circ:   c,
-		inputs: append([]string(nil), c.Inputs...),
-		gates:  order,
-	}
-	// Registers 0 and 1 hold the constants all-zeros and all-ones.
-	const (
-		regZero int32 = 0
-		regOne  int32 = 1
-	)
-	p.numRegs = 2
-	alloc := func() int32 {
-		r := int32(p.numRegs)
-		p.numRegs++
-		return r
+	// Each step compares every input with its value one step earlier,
+	// which needs a state register of its own.
+	for i := range p.meters {
+		p.meters[i].stateReg = p.alloc()
 	}
 
-	netReg := make(map[string]int32, len(c.Inputs)+len(order))
-	for _, in := range p.inputs {
-		r := alloc()
-		p.inReg = append(p.inReg, r)
-		netReg[in] = r
-		p.meters = append(p.meters, meterPoint{
-			valueReg: r, stateReg: alloc(), kind: meterInput, gate: -1, net: in,
-		})
-	}
-
-	level := make(map[string]int, len(c.Inputs)+len(order))
-	for gi, g := range order {
-		if len(g.Pins) > maxCompiledInputs {
-			return nil, fmt.Errorf("sim: instance %s: cell %s has %d inputs; the bit-parallel compiler supports at most %d",
-				g.Name, g.Cell.Name, len(g.Pins), maxCompiledInputs)
-		}
-		gr, err := g.Cell.Graph()
+	level := make(map[string]int, len(netReg)+len(p.gates))
+	var gc gateCompiler
+	for gi, g := range p.gates {
+		gr, err := p.beginGate(&gc, g, netReg)
 		if err != nil {
-			return nil, fmt.Errorf("sim: instance %s: %w", g.Name, err)
+			return nil, err
 		}
 		gl := 0
 		for _, pin := range g.Pins {
-			if level[pin] > gl {
-				gl = level[pin]
-			}
+			gl = max(gl, level[pin])
 		}
 		level[g.Out] = gl + 1
-		if gl+1 > p.levels {
-			p.levels = gl + 1
-		}
-
-		gc := &gateCompiler{
-			p:    p,
-			n:    len(g.Pins),
-			vars: make([]int32, len(g.Pins)),
-			memo: map[uint64]int32{},
-		}
-		for i, pin := range g.Pins {
-			gc.vars[i] = netReg[pin]
-		}
+		p.levels = max(p.levels, gl+1)
 
 		// Output node: a complementary gate always drives y, so y = H_y.
 		ry := gc.compile(truthTable(gr.OutputFunc()))
 		netReg[g.Out] = ry
 		p.meters = append(p.meters, meterPoint{
-			valueReg: ry, stateReg: alloc(), kind: meterOutput, gate: int32(gi), net: g.Out,
-			energy: halfCV2 * (prm.Cap.Cj*float64(gr.Degree(gate.Y)) + prm.Cap.OutputLoad(fanout[g.Out])),
+			valueReg: ry, stateReg: p.alloc(), kind: meterOutput, gate: int32(gi), net: g.Out,
+			energy: outputEnergy(prm.Cap, gr, fanout[g.Out]),
 		})
-
-		// Internal nodes: driven to the rail a conducting path reaches,
-		// retaining charge otherwise.
-		for _, nk := range gr.InternalNodes() {
-			ttH := truthTable(gr.H(nk))
-			ttG := truthTable(gr.G(nk))
-			ttDriven := ttH | ttG
-			stateReg := alloc()
-			rNew := gc.compile(ttH)
-			if ttDriven != gc.mask() {
-				rDriven := gc.compile(ttDriven)
-				rKeep := p.emit(opAndNot, stateReg, rDriven)
-				rNew = p.emit(opOr, rNew, rKeep)
-			}
-			p.meters = append(p.meters, meterPoint{
-				valueReg: rNew, stateReg: stateReg, kind: meterInternal, gate: int32(gi),
-				energy: halfCV2 * prm.Cap.Cj * float64(gr.Degree(nk)),
-			})
-		}
+		p.lowerInternal(&gc, gi, gr, prm.Cap)
 	}
 	return p, nil
-}
-
-// emit appends a word op writing a fresh register and returns it.
-func (p *Program) emit(code opCode, a, b int32) int32 {
-	dst := int32(p.numRegs)
-	p.numRegs++
-	p.ops = append(p.ops, bitOp{code: code, dst: dst, a: a, b: b})
-	return dst
 }
 
 // truthTable extracts an n≤6-variable function as one word: bit m is the
@@ -234,19 +285,12 @@ func truthTable(f logic.Func) uint64 {
 	return tt
 }
 
-// wordEmitter appends a word op writing a fresh register and returns it —
-// implemented by both Program (zero-delay) and TimedProgram (timed.go) so
-// one gate compiler serves both lowerings.
-type wordEmitter interface {
-	emit(code opCode, a, b int32) int32
-}
-
 // gateCompiler lowers truth tables over one gate's input registers into
 // word ops, sharing subfunctions across the gate's H and G functions
 // through the memo (keyed by truth table — all functions of one gate
 // range over the same variables).
 type gateCompiler struct {
-	p    wordEmitter
+	p    *lowering
 	n    int     // gate input count
 	vars []int32 // register per gate input
 	memo map[uint64]int32

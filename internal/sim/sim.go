@@ -9,7 +9,10 @@
 // The circuit is compiled once into a flat word-op program over dense
 // register indices and evaluated on packed Monte Carlo vectors, 64 lanes
 // per machine word and up to 512 per register block. Two backends share
-// that lowering:
+// that lowering — one front end (compile.go's lowering) validates the
+// circuit, allocates the constant and input registers, lowers every
+// gate's transistor graph to word ops, and meters each node with its
+// ½·C·Vdd² energy:
 //
 //   - The levelized engine (compile.go, bitsim.go): zero delay. All input
 //     events sharing a timestamp apply together, then the circuit settles
@@ -19,6 +22,11 @@
 //     wheel with instant-atomic delta cycles. Reconvergent paths generate
 //     the useless transitions (glitches) whose power the paper's
 //     introduction highlights.
+//
+// The engines differ in meter order, and energies sum in meter order, so
+// the order is part of each engine's results: after the primary inputs,
+// the levelized program meters each gate's output before its internal
+// nodes, and the timed program its internal nodes before its output.
 //
 // CompileFor picks the backend for a delay mode, and RunVectors measures
 // any Monte Carlo vector budget on it in register blocks of a chosen lane

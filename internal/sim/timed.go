@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/circuit"
-	"repro/internal/gate"
 	"repro/internal/stoch"
 )
 
@@ -77,20 +76,13 @@ type timedGate struct {
 // It is immutable after CompileTimed and safe for concurrent Run calls
 // (run state is pooled per program).
 type TimedProgram struct {
-	circ    *circuit.Circuit
-	inputs  []string
-	gates   []*circuit.Instance
+	lowering
 	tick    float64 // seconds per tick
-	numRegs int
-	ops     []bitOp
 	opStart []int32 // per gate: ops[opStart[g]:opStart[g+1]]
 
-	inReg     []int32   // persistent value register per primary input
-	inMeter   []int32   // meter index per primary input
 	inReaders [][]int32 // gate indices reading each primary input
 
 	tg          []timedGate
-	meters      []meterPoint // metadata for assemble; internal meters carry regs
 	maxDelay    int64
 	settleTicks int64 // critical path in ticks: the settle window after an input edge
 
@@ -100,12 +92,6 @@ type TimedProgram struct {
 // Tick returns the resolved tick duration in seconds. Stimulus packed for
 // this program must use the same tick.
 func (tp *TimedProgram) Tick() float64 { return tp.tick }
-
-// NumOps returns the length of the compiled instruction stream.
-func (tp *TimedProgram) NumOps() int { return len(tp.ops) }
-
-// NumRegs returns the register-file size one evaluation uses.
-func (tp *TimedProgram) NumRegs() int { return tp.numRegs }
 
 // MaxDelayTicks returns the largest quantized gate delay — the timing
 // wheel's span.
@@ -125,14 +111,6 @@ func (tp *TimedProgram) PackTimed(laneWaves []map[string]*stoch.Waveform, horizo
 	return stoch.PackTimedWaveforms(tp.inputs, laneWaves, horizon, tp.tick, tp.settleTicks)
 }
 
-// emit implements wordEmitter.
-func (tp *TimedProgram) emit(code opCode, a, b int32) int32 {
-	dst := int32(tp.numRegs)
-	tp.numRegs++
-	tp.ops = append(tp.ops, bitOp{code: code, dst: dst, a: a, b: b})
-	return dst
-}
-
 // CompileTimed lowers the circuit into a timed bit-parallel program. prm
 // must describe a unit- or Elmore-delay setup; the tick grid resolves per
 // Params.Tick (0 = auto) exactly as TickPlan resolves it, so the engine
@@ -144,163 +122,76 @@ func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 	if prm.Mode == ZeroDelay {
 		return nil, fmt.Errorf("sim: CompileTimed needs a timed delay mode; use Compile for zero delay")
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := c.TopoOrder()
+	tp := &TimedProgram{}
+	netReg, fanout, err := tp.begin(c, prm.Cap)
 	if err != nil {
 		return nil, err
 	}
-	fanout := c.Fanout()
-	delays, err := gateDelaySeconds(order, fanout, prm)
+	delays, err := gateDelaySeconds(tp.gates, fanout, prm)
 	if err != nil {
 		return nil, err
 	}
-	tick, err := resolveTick(prm, delays)
-	if err != nil {
+	if tp.tick, err = resolveTick(prm, delays); err != nil {
 		return nil, err
-	}
-	halfCV2 := 0.5 * prm.Cap.Vdd * prm.Cap.Vdd
-
-	tp := &TimedProgram{
-		circ:   c,
-		inputs: append([]string(nil), c.Inputs...),
-		gates:  order,
-		tick:   tick,
-	}
-	// Registers 0 and 1 hold the constants all-zeros and all-ones.
-	tp.numRegs = 2
-	alloc := func() int32 {
-		r := int32(tp.numRegs)
-		tp.numRegs++
-		return r
 	}
 
-	netReg := make(map[string]int32, len(c.Inputs)+len(order))
-	gateIdx := make(map[string]int32, len(order)) // output net → gate index
-	for _, in := range tp.inputs {
-		r := alloc()
-		tp.inReg = append(tp.inReg, r)
-		netReg[in] = r
-		tp.inMeter = append(tp.inMeter, int32(len(tp.meters)))
-		tp.meters = append(tp.meters, meterPoint{
-			valueReg: r, stateReg: r, kind: meterInput, gate: -1, net: in,
-		})
-	}
+	// readers maps every net to the list of gates re-evaluated when its
+	// value changes; arrive holds its latest arrival in ticks after an
+	// input edge.
 	tp.inReaders = make([][]int32, len(tp.inputs))
-
-	for gi, g := range order {
-		if len(g.Pins) > maxCompiledInputs {
-			return nil, fmt.Errorf("sim: instance %s: cell %s has %d inputs; the bit-parallel compiler supports at most %d",
-				g.Name, g.Cell.Name, len(g.Pins), maxCompiledInputs)
-		}
-		gr, err := g.Cell.Graph()
+	tp.tg = make([]timedGate, len(tp.gates))
+	readers := make(map[string]*[]int32, len(tp.inputs)+len(tp.gates))
+	for i, in := range tp.inputs {
+		readers[in] = &tp.inReaders[i]
+	}
+	arrive := make(map[string]int64, len(tp.inputs)+len(tp.gates))
+	var gc gateCompiler
+	for gi, g := range tp.gates {
+		gr, err := tp.beginGate(&gc, g, netReg)
 		if err != nil {
-			return nil, fmt.Errorf("sim: instance %s: %w", g.Name, err)
+			return nil, err
 		}
-		gc := &gateCompiler{
-			p:    tp,
-			n:    len(g.Pins),
-			vars: make([]int32, len(g.Pins)),
-			memo: map[uint64]int32{},
-		}
-		for i, pin := range g.Pins {
-			r, ok := netReg[pin]
-			if !ok {
-				return nil, fmt.Errorf("sim: instance %s reads unknown net %q", g.Name, pin)
-			}
-			gc.vars[i] = r
-		}
+		tg := &tp.tg[gi]
+		tg.delay = quantizeDelay(delays[gi], tp.tick)
+		tp.maxDelay = max(tp.maxDelay, tg.delay)
 
-		tg := timedGate{
-			delay:    quantizeDelay(delays[gi], tick),
-			intStart: int32(len(tp.meters)),
+		// A gate reading a net on several pins appears once in its
+		// reader list: dirty marking is an idempotent OR, so duplicates
+		// would only cost redundant bitmap stores in the hot fire path.
+		// They land consecutively, so checking the tail is enough.
+		var worst int64
+		for _, pin := range g.Pins {
+			if rs := readers[pin]; len(*rs) == 0 || (*rs)[len(*rs)-1] != int32(gi) {
+				*rs = append(*rs, int32(gi))
+			}
+			worst = max(worst, arrive[pin])
 		}
-		if tg.delay > tp.maxDelay {
-			tp.maxDelay = tg.delay
-		}
+		// The settle window is the critical path in ticks: every wave an
+		// input edge launches dies within it, the guard cluster-aligned
+		// packing relies on.
+		arrive[g.Out] = worst + tg.delay
+		tp.settleTicks = max(tp.settleTicks, worst+tg.delay)
 
 		tp.opStart = append(tp.opStart, int32(len(tp.ops)))
-		// Internal nodes: driven to the rail a conducting path reaches,
-		// retaining charge otherwise (state register is persistent).
-		for _, nk := range gr.InternalNodes() {
-			ttH := truthTable(gr.H(nk))
-			ttG := truthTable(gr.G(nk))
-			ttDriven := ttH | ttG
-			stateReg := alloc()
-			rNew := gc.compile(ttH)
-			if ttDriven != gc.mask() {
-				rDriven := gc.compile(ttDriven)
-				rKeep := tp.emit(opAndNot, stateReg, rDriven)
-				rNew = tp.emit(opOr, rNew, rKeep)
-			}
-			tp.meters = append(tp.meters, meterPoint{
-				valueReg: rNew, stateReg: stateReg, kind: meterInternal, gate: int32(gi),
-				energy: halfCV2 * prm.Cap.Cj * float64(gr.Degree(nk)),
-			})
-		}
+		tg.intStart = int32(len(tp.meters))
+		tp.lowerInternal(&gc, gi, gr, prm.Cap)
 		tg.intEnd = int32(len(tp.meters))
 
 		// Output: the combinational value y = H_y, a persistent copy of
 		// the last computed y, and the persistent net value the fan-out
 		// actually reads (it lags y by the gate delay).
 		tg.yReg = gc.compile(truthTable(gr.OutputFunc()))
-		tg.prevY = alloc()
-		tg.out = alloc()
+		tg.prevY = tp.alloc()
+		tg.out = tp.alloc()
 		netReg[g.Out] = tg.out
-		gateIdx[g.Out] = int32(gi)
+		readers[g.Out] = &tg.readers
 		tg.outMeter = int32(len(tp.meters))
 		tp.meters = append(tp.meters, meterPoint{
 			valueReg: tg.prevY, stateReg: tg.out, kind: meterOutput, gate: int32(gi), net: g.Out,
-			energy: halfCV2 * (prm.Cap.Cj*float64(gr.Degree(gate.Y)) + prm.Cap.OutputLoad(fanout[g.Out])),
+			energy: outputEnergy(prm.Cap, gr, fanout[g.Out]),
 		})
-		tp.tg = append(tp.tg, tg)
 	}
 	tp.opStart = append(tp.opStart, int32(len(tp.ops)))
-
-	// Reader lists: which gates re-evaluate when a net's value changes.
-	inputIdx := make(map[string]int, len(tp.inputs))
-	for i, in := range tp.inputs {
-		inputIdx[in] = i
-	}
-	for gi, g := range order {
-		for _, pin := range g.Pins {
-			// A gate reading a net on several pins appears once: dirty
-			// marking is an idempotent OR, so duplicate entries would only
-			// cost redundant bitmap stores in the hot fire path.
-			// Duplicates from one gate's pin loop land consecutively, so
-			// checking the tail is enough.
-			if di, ok := gateIdx[pin]; ok {
-				rs := tp.tg[di].readers
-				if n := len(rs); n == 0 || rs[n-1] != int32(gi) {
-					tp.tg[di].readers = append(rs, int32(gi))
-				}
-			} else if ii, ok := inputIdx[pin]; ok {
-				rs := tp.inReaders[ii]
-				if n := len(rs); n == 0 || rs[n-1] != int32(gi) {
-					tp.inReaders[ii] = append(rs, int32(gi))
-				}
-			}
-		}
-	}
-	// Critical path in ticks: longest-path DP over the quantized delays.
-	// Every wave an input edge launches dies within this window, which is
-	// the guard cluster-aligned packing relies on.
-	arr := make(map[string]int64, len(c.Inputs)+len(order))
-	for gi, g := range order {
-		var worst int64
-		for _, pin := range g.Pins {
-			if a := arr[pin]; a > worst {
-				worst = a
-			}
-		}
-		a := worst + tp.tg[gi].delay
-		arr[g.Out] = a
-		if a > tp.settleTicks {
-			tp.settleTicks = a
-		}
-	}
-
 	return tp, nil
 }
 
@@ -546,9 +437,10 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 					}
 				}
 				regs[int(tog.Word)*R+int(tp.inReg[i])] ^= m
-				counts[tp.inMeter[i]] += int64(bits.OnesCount64(m))
+				// Input i's meter is meter i (lowering.begin).
+				counts[i] += int64(bits.OnesCount64(m))
 				if perLane {
-					lm.add(tp.inMeter[i], int(tog.Word), m, t)
+					lm.add(int32(i), int(tog.Word), m, t)
 				}
 				for _, r := range tp.inReaders[i] {
 					marked[r>>6] |= 1 << (uint(r) & 63)
