@@ -10,28 +10,33 @@ import (
 func TestPropertyPivotSearchCompleteOnRandomGates(t *testing.T) {
 	// [5]'s completeness theorem, checked empirically: the pivot search
 	// discovers exactly the combinatorial configuration set for random
-	// read-once gates.
+	// read-once gates, visiting each configuration once, and the set's
+	// size is the product of the two networks' closed-form ordering
+	// counts.
 	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(4)
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(5)
 		pd := sp.RandomExpr(rng, n)
 		g, err := New("rnd", pd.Inputs(), pd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.CountConfigs() > 60 {
-			continue
+		count := sp.CountOrderings(g.PD) * sp.CountOrderings(g.PU)
+		if count > 200 {
+			continue // keep the test fast
 		}
 		want := map[string]bool{}
 		for _, c := range g.AllConfigs() {
 			want[c.ConfigKey()] = true
 		}
+		found := g.FindAllConfigs(nil)
 		got := map[string]bool{}
-		for _, c := range g.FindAllConfigs(nil) {
+		for _, c := range found {
 			got[c.ConfigKey()] = true
 		}
-		if len(got) != len(want) {
-			t.Fatalf("gate %v: pivot %d vs combinatorial %d", g, len(got), len(want))
+		if len(found) != count || len(got) != count || len(want) != count {
+			t.Fatalf("gate %v: pivot search %d (%d distinct), combinatorial %d, count %d",
+				g, len(found), len(got), len(want), count)
 		}
 		for k := range want {
 			if !got[k] {

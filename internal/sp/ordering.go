@@ -278,57 +278,3 @@ func pivot(e *Expr, rem int) (*Expr, int) {
 	}
 	return &Expr{Kind: e.Kind, Children: children}, rem
 }
-
-// ExploreStep records one step of the exhaustive exploration for tracing
-// (Fig. 5 of the paper shows such a trace for the motivation gate).
-type ExploreStep struct {
-	PivotNode int    // internal node pivoted on
-	Config    string // ConfigKey reached
-	New       bool   // true if the configuration had not been visited yet
-}
-
-// FindAllReorderings runs the paper's recursive exhaustive exploration
-// (Fig. 4): starting from e, repeatedly pivot on every internal node,
-// pruning configurations already visited. It returns the visited
-// configurations in discovery order and, if trace is non-nil, appends one
-// ExploreStep per pivot application.
-//
-// The combinatorial enumerator Orderings is the specification; tests
-// assert both produce the same configuration set ([5] proves completeness
-// of the pivot search).
-func FindAllReorderings(e *Expr, trace *[]ExploreStep) []*Expr {
-	f := e.Flatten()
-	visited := map[string]*Expr{}
-	order := []*Expr{}
-	add := func(x *Expr) bool {
-		k := x.ConfigKey()
-		if _, ok := visited[k]; ok {
-			return false
-		}
-		visited[k] = x
-		order = append(order, x)
-		return true
-	}
-	add(f)
-	p := f.NumInternalNodes()
-	var search func(cur *Expr, node int)
-	search = func(cur *Expr, node int) {
-		next := Pivot(cur, node)
-		isNew := add(next)
-		if trace != nil {
-			*trace = append(*trace, ExploreStep{PivotNode: node, Config: next.ConfigKey(), New: isNew})
-		}
-		if !isNew {
-			return
-		}
-		for i := 0; i < p; i++ {
-			if i != node {
-				search(next, i)
-			}
-		}
-	}
-	for i := 0; i < p; i++ {
-		search(f, i)
-	}
-	return order
-}

@@ -134,54 +134,6 @@ func TestPivotOutOfRangePanics(t *testing.T) {
 	Pivot(MustParse("s(a,b)"), 1)
 }
 
-func TestFindAllReorderingsEqualsOrderings(t *testing.T) {
-	srcs := []string{
-		"s(a,b)", "s(a,b,c)", "s(a,b,c,d)",
-		"s(p(a1,a2),b)", "p(s(a1,a2),b)",
-		"p(s(a1,a2),s(b1,b2),c)", "s(p(a1,a2),p(b1,b2),c)",
-		"p(s(a1,a2,a3),b)",
-	}
-	for _, src := range srcs {
-		e := MustParse(src)
-		want := map[string]bool{}
-		for _, v := range Orderings(e) {
-			want[v.ConfigKey()] = true
-		}
-		got := map[string]bool{}
-		for _, v := range FindAllReorderings(e, nil) {
-			got[v.ConfigKey()] = true
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s: pivot search found %d configs, combinatorial %d", src, len(got), len(want))
-			continue
-		}
-		for k := range want {
-			if !got[k] {
-				t.Errorf("%s: pivot search missed %s", src, k)
-			}
-		}
-	}
-}
-
-func TestFindAllReorderingsFig5Trace(t *testing.T) {
-	// The motivation gate's pull-down network has 1 internal node; together
-	// with the pull-up's 1 internal node the full gate has 4 configs
-	// (Fig. 5 shows the full-gate trace; here the PDN alone yields 2).
-	e := MustParse("s(p(a1,a2),b)")
-	var trace []ExploreStep
-	configs := FindAllReorderings(e, &trace)
-	if len(configs) != 2 {
-		t.Fatalf("PDN of motivation gate: %d configs, want 2", len(configs))
-	}
-	if len(trace) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	// First step pivots node 0 and discovers the swapped config.
-	if !trace[0].New || trace[0].PivotNode != 0 {
-		t.Errorf("unexpected first trace step: %+v", trace[0])
-	}
-}
-
 func TestAutomorphismsSymmetricPair(t *testing.T) {
 	e := MustParse("s(p(a1,a2),b)")
 	autos := Automorphisms(e)
@@ -247,15 +199,6 @@ func BenchmarkOrderingsAOI222(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if got := Orderings(e); len(got) != 8 {
-			b.Fatalf("got %d", len(got))
-		}
-	}
-}
-
-func BenchmarkFindAllReorderingsChain4(b *testing.B) {
-	e := MustParse("s(a,b,c,d)")
-	for i := 0; i < b.N; i++ {
-		if got := FindAllReorderings(e, nil); len(got) != 24 {
 			b.Fatalf("got %d", len(got))
 		}
 	}

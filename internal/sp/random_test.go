@@ -20,8 +20,9 @@ func TestRandomExprValid(t *testing.T) {
 }
 
 func TestRandomExprPropertyOrderingCount(t *testing.T) {
-	// Property: for any network, Orderings and FindAllReorderings agree
-	// with CountOrderings.
+	// Property: for any network, Orderings agrees with CountOrderings.
+	// The pivot search's side of the property runs on whole gates, in
+	// internal/gate's TestPropertyPivotSearchCompleteOnRandomGates.
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(5)
@@ -32,9 +33,6 @@ func TestRandomExprPropertyOrderingCount(t *testing.T) {
 		}
 		if got := len(Orderings(e)); got != want {
 			t.Fatalf("%v: Orderings %d, count %d", e, got, want)
-		}
-		if got := len(FindAllReorderings(e, nil)); got != want {
-			t.Fatalf("%v: pivot search %d, count %d", e, got, want)
 		}
 	}
 }
