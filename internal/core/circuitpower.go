@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/circuit"
 	"repro/internal/stoch"
 )
@@ -50,23 +48,4 @@ func NetStatistics(c *circuit.Circuit, pi map[string]stoch.Signal) (map[string]s
 	return c.Propagate(pi, func(g *circuit.Instance, in []stoch.Signal) (stoch.Signal, error) {
 		return OutputStats(g.Cell, in)
 	})
-}
-
-// ComparePower evaluates two circuits (typically best- and worst-reordered
-// versions of the same netlist) under identical input statistics and
-// returns the relative reduction (worst-best)/worst — the M column of
-// Table 3.
-func ComparePower(best, worst *circuit.Circuit, pi map[string]stoch.Signal, prm Params) (reduction float64, err error) {
-	ab, err := AnalyzeCircuit(best, pi, prm)
-	if err != nil {
-		return 0, fmt.Errorf("core: best circuit: %w", err)
-	}
-	aw, err := AnalyzeCircuit(worst, pi, prm)
-	if err != nil {
-		return 0, fmt.Errorf("core: worst circuit: %w", err)
-	}
-	if aw.Power == 0 {
-		return 0, nil
-	}
-	return (aw.Power - ab.Power) / aw.Power, nil
 }

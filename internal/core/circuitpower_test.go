@@ -100,49 +100,6 @@ func TestAnalyzeCircuitDensityAttenuation(t *testing.T) {
 	}
 }
 
-func TestComparePowerIdenticalCircuits(t *testing.T) {
-	c := invChain(2)
-	pi := map[string]stoch.Signal{"n0": {P: 0.5, D: 1e5}}
-	red, err := ComparePower(c, c.Clone(), pi, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(red) > 1e-12 {
-		t.Errorf("identical circuits show %.3g reduction", red)
-	}
-}
-
-func TestComparePowerOrdering(t *testing.T) {
-	// Best-vs-worst per-gate configurations of a single OAI21 gate circuit.
-	g := gate.MustNew("oai21", []string{"a1", "a2", "b"}, sp.MustParse("s(p(a1,a2),b)"))
-	prm := DefaultParams()
-	in := []stoch.Signal{{P: 0.5, D: 1e4}, {P: 0.5, D: 1e5}, {P: 0.5, D: 1e6}}
-	best, err := BestConfig(g, in, prm.OutputLoad(1), prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst, err := WorstConfig(g, in, prm.OutputLoad(1), prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(cfg *gate.Gate) *circuit.Circuit {
-		return &circuit.Circuit{
-			Name:    "one",
-			Inputs:  []string{"a1", "a2", "b"},
-			Outputs: []string{"y"},
-			Gates:   []*circuit.Instance{{Name: "u1", Cell: cfg, Pins: []string{"a1", "a2", "b"}, Out: "y"}},
-		}
-	}
-	pi := map[string]stoch.Signal{"a1": in[0], "a2": in[1], "b": in[2]}
-	red, err := ComparePower(mk(best.Gate), mk(worst.Gate), pi, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red <= 0 {
-		t.Errorf("reduction = %g, want positive", red)
-	}
-}
-
 func TestAnalyzeCircuitErrors(t *testing.T) {
 	c := invChain(1)
 	if _, err := AnalyzeCircuit(c, map[string]stoch.Signal{}, DefaultParams()); err == nil {

@@ -291,11 +291,11 @@ func (inc *Incremental) initialAnalysis(workers int, onGate func(*Incremental, i
 	return nil
 }
 
-// evalInit is the construction-time gate evaluation: like evalGate but
-// with caller-owned scratch (safe for wavefront workers), no delta
-// bookkeeping (totals are folded afterwards) and no frontier dirtying
-// (the initial pass covers every gate already).
-func (inc *Incremental) evalInit(i int, inBuf *[]stoch.Signal, probBuf *[]float64) error {
+// evalModel gathers gate i's pin statistics into the caller's scratch,
+// resolves its template and evaluates the gate model. Besides the
+// scratch it writes only inc.tmpl[i], so construction workers may run it
+// on distinct gates concurrently.
+func (inc *Incremental) evalModel(i int, inBuf *[]stoch.Signal, probBuf *[]float64) (ConfigPower, error) {
 	g := inc.order[i]
 	ids := inc.pins[i]
 	if cap(*inBuf) < len(ids) {
@@ -306,17 +306,31 @@ func (inc *Incremental) evalInit(i int, inBuf *[]stoch.Signal, probBuf *[]float6
 	probs := (*probBuf)[:len(ids)]
 	for k, id := range ids {
 		if !inc.known[id] {
-			return fmt.Errorf("core: instance %s reads unannotated net %q", g.Name, inc.netName[id])
+			return ConfigPower{}, fmt.Errorf("core: instance %s reads unannotated net %q", g.Name, inc.netName[id])
 		}
 		in[k] = inc.stats[id]
 		probs[k] = in[k].P
 	}
-	tmpl, err := templates.get(g.Cell)
-	if err != nil {
-		return fmt.Errorf("core: instance %s: %w", g.Name, err)
+	tmpl := inc.tmpl[i]
+	if tmpl == nil {
+		var err error
+		if tmpl, err = templates.get(g.Cell); err != nil {
+			return ConfigPower{}, fmt.Errorf("core: instance %s: %w", g.Name, err)
+		}
+		inc.tmpl[i] = tmpl
 	}
-	inc.tmpl[i] = tmpl
-	a := evalTemplate(tmpl, in, probs, inc.load[i], inc.prm)
+	return evalTemplate(tmpl, in, probs, inc.load[i], inc.prm), nil
+}
+
+// evalInit is the construction-time gate evaluation: like evalGate but
+// with caller-owned scratch (safe for wavefront workers), no delta
+// bookkeeping (totals are folded afterwards) and no frontier dirtying
+// (the initial pass covers every gate already).
+func (inc *Incremental) evalInit(i int, inBuf *[]stoch.Signal, probBuf *[]float64) error {
+	a, err := inc.evalModel(i, inBuf, probBuf)
+	if err != nil {
+		return err
+	}
 	inc.gates[i] = gateState{power: a.Power, intern: a.InternalPower, outp: a.OutputPower}
 	out := inc.outID[i]
 	inc.stats[out] = a.Out
@@ -330,30 +344,10 @@ func (inc *Incremental) evalInit(i int, inBuf *[]stoch.Signal, probBuf *[]float6
 // buffers and the summary template evaluator: no allocation on the hot
 // path.
 func (inc *Incremental) evalGate(i int) error {
-	g := inc.order[i]
-	ids := inc.pins[i]
-	if cap(inc.inBuf) < len(ids) {
-		inc.inBuf = make([]stoch.Signal, len(ids))
-		inc.probBuf = make([]float64, len(ids))
+	a, err := inc.evalModel(i, &inc.inBuf, &inc.probBuf)
+	if err != nil {
+		return err
 	}
-	in := inc.inBuf[:len(ids)]
-	probs := inc.probBuf[:len(ids)]
-	for k, id := range ids {
-		if !inc.known[id] {
-			return fmt.Errorf("core: instance %s reads unannotated net %q", g.Name, inc.netName[id])
-		}
-		in[k] = inc.stats[id]
-		probs[k] = in[k].P
-	}
-	tmpl := inc.tmpl[i]
-	if tmpl == nil {
-		var err error
-		if tmpl, err = templates.get(g.Cell); err != nil {
-			return fmt.Errorf("core: instance %s: %w", g.Name, err)
-		}
-		inc.tmpl[i] = tmpl
-	}
-	a := evalTemplate(tmpl, in, probs, inc.load[i], inc.prm)
 	inc.recomputed++
 	old := inc.gates[i]
 	inc.power += a.Power - old.power
