@@ -339,9 +339,9 @@ func (gc *gateCompiler) compile(tt uint64) int32 {
 	tt &= gc.mask()
 	switch tt {
 	case 0:
-		return 0 // regZero
+		return 0 // the all-zeros register
 	case gc.mask():
-		return 1 // regOne
+		return 1 // the all-ones register
 	}
 	if r, ok := gc.memo[tt]; ok {
 		return r
