@@ -37,8 +37,9 @@ type (
 	// PowerParams holds the electrical constants of the power model.
 	PowerParams = core.Params
 	// OptimizeOptions configures the reordering optimizer, including the
-	// Workers field bounding its parallel candidate-search phase (0 =
-	// GOMAXPROCS; results are bit-identical for any worker count).
+	// Workers field bounding its construction pool, which also runs the
+	// pure power modes' candidate search (0 = GOMAXPROCS; results are
+	// bit-identical for any worker count).
 	OptimizeOptions = reorder.Options
 	// OptimizeReport summarizes an optimization run.
 	OptimizeReport = reorder.Report
@@ -201,10 +202,12 @@ func EstimatePower(c *Circuit, pi map[string]Signal) (*CircuitAnalysis, error) {
 }
 
 // Optimize runs the paper's optimization algorithm (Fig. 3) and returns
-// the reordered circuit with a before/after power report. In the pure
-// power modes the per-gate candidate search fans out over opt.Workers
-// goroutines (two-phase: read-only parallel search, serial commit) with
-// bit-identical reports under any worker count.
+// the reordered circuit with a before/after power report. Every mode
+// runs one traversal: the engine's construction, then a serial commit in
+// topological order. In the pure power modes the per-gate candidate
+// search rides the construction on opt.Workers goroutines; the
+// delay-aware modes choose during the commit. Reports are bit-identical
+// under any worker count.
 func Optimize(c *Circuit, pi map[string]Signal, opt OptimizeOptions) (*OptimizeReport, error) {
 	return reorder.Optimize(c, pi, opt)
 }

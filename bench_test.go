@@ -651,10 +651,10 @@ func BenchmarkLaneWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelOptimizer measures the PR-3 tentpole: the two-phase
-// candidate-search engine on the largest embedded benchmark, serial
-// versus N workers. Each iteration is a whole Optimize call (clone,
-// incremental construction, parallel search, serial commit); the
+// BenchmarkParallelOptimizer measures the optimizer's wavefront
+// candidate search on the largest embedded benchmark, serial versus N
+// workers. Each iteration is a whole Optimize call (clone, incremental
+// construction with the search riding it, serial commit); the
 // parallel phase dominates because every gate evaluates its full
 // configuration orbit while the serial parts evaluate each gate once.
 // The configuration-orbit and template caches are warmed by a discarded

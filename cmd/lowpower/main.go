@@ -23,6 +23,7 @@ import (
 	"repro/internal/library"
 	"repro/internal/netlist"
 	"repro/internal/reorder"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -60,17 +61,8 @@ func run(in, out, statsFile, scenario string, seed int64, mode, objective string
 	}
 	opt := reorder.DefaultOptions()
 	opt.Workers = workers
-	switch mode {
-	case "full":
-		opt.Mode = reorder.Full
-	case "input-only":
-		opt.Mode = reorder.InputOnly
-	case "delay-rule":
-		opt.Mode = reorder.DelayRule
-	case "delay-neutral":
-		opt.Mode = reorder.DelayNeutral
-	default:
-		return fmt.Errorf("unknown -mode %q", mode)
+	if opt.Mode, err = sweep.ParseMode(mode); err != nil {
+		return fmt.Errorf("-mode: %w", err)
 	}
 	switch objective {
 	case "min":

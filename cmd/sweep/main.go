@@ -99,16 +99,11 @@ func run() error {
 	if *cycles > 0 {
 		opt.Expt.CyclesB = *cycles
 	}
-	switch *delayMode {
-	case "unit":
-		opt.Expt.Sim.Mode = sim.UnitDelay
-	case "elmore":
-		opt.Expt.Sim.Mode = sim.ElmoreDelay
-	case "zero":
-		opt.Expt.Sim.Mode = sim.ZeroDelay
-	default:
-		return fmt.Errorf("unknown -delay %q (want unit, elmore or zero)", *delayMode)
+	mode, err := sim.ParseDelayMode(*delayMode)
+	if err != nil {
+		return fmt.Errorf("-delay: %w", err)
 	}
+	opt.Expt.Sim.Mode = mode
 	if *tick < 0 {
 		return fmt.Errorf("-tick %g is negative", *tick)
 	}

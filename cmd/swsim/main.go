@@ -61,15 +61,8 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode 
 		return err
 	}
 	prm := sim.DefaultParams()
-	switch delayMode {
-	case "unit":
-		prm.Mode = sim.UnitDelay
-	case "elmore":
-		prm.Mode = sim.ElmoreDelay
-	case "zero":
-		prm.Mode = sim.ZeroDelay
-	default:
-		return fmt.Errorf("unknown -delay %q", delayMode)
+	if prm.Mode, err = sim.ParseDelayMode(delayMode); err != nil {
+		return fmt.Errorf("-delay: %w", err)
 	}
 	if tick < 0 {
 		return fmt.Errorf("-tick %g is negative", tick)

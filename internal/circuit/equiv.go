@@ -46,32 +46,15 @@ func NetFunctions(c *Circuit) (map[string]logic.Func, error) {
 
 // compose evaluates cell(f_1, …, f_k) over the n-variable PI space.
 func compose(cell logic.Func, pins []logic.Func, n int) logic.Func {
-	out := logic.Const(n, false)
-	size := uint(1) << n
-	for m := uint(0); m < size; m++ {
+	return logic.FromTruth(n, func(m uint) bool {
 		var pinBits uint
 		for i, f := range pins {
 			if f.Eval(m) {
 				pinBits |= 1 << i
 			}
 		}
-		if cell.Eval(pinBits) {
-			out = out.Or(mintermOf(m, n))
-		}
-	}
-	return out
-}
-
-func mintermOf(m uint, n int) logic.Func {
-	t := logic.Const(n, true)
-	for i := 0; i < n; i++ {
-		v := logic.Var(i, n)
-		if m>>i&1 == 0 {
-			v = v.Not()
-		}
-		t = t.And(v)
-	}
-	return t
+		return cell.Eval(pinBits)
+	})
 }
 
 // Equivalent formally compares two circuits output by output, composing

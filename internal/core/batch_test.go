@@ -93,10 +93,11 @@ func TestAnalyzeConfigsErrors(t *testing.T) {
 	if _, err := AnalyzeConfigs(g, bad, 1e-15, DefaultParams()); err == nil {
 		t.Error("invalid signal accepted")
 	}
-	if _, err := AnalyzeConfigList(g.AllConfigs(), in[:1], 1e-15, DefaultParams()); err == nil {
+	var a ConfigAnalyzer
+	if _, err := a.AnalyzeConfigList(g.AllConfigs(), in[:1], 1e-15, DefaultParams()); err == nil {
 		t.Error("AnalyzeConfigList accepted wrong input count")
 	}
-	if _, err := AnalyzeConfigList(nil, nil, 1e-15, DefaultParams()); err != nil {
+	if _, err := a.AnalyzeConfigList(nil, nil, 1e-15, DefaultParams()); err != nil {
 		t.Errorf("empty candidate list should evaluate to empty, got %v", err)
 	}
 }
@@ -124,7 +125,7 @@ func TestIncrementalParallelConstructionEquivalent(t *testing.T) {
 		}
 		want := serial.Analysis()
 		for _, workers := range []int{2, 4, 8} {
-			par, err := NewIncrementalParallel(c, pi, prm, workers)
+			par, err := NewIncrementalParallelFunc(c, pi, prm, workers, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}

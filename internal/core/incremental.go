@@ -92,28 +92,24 @@ func (h *posHeap) Pop() interface{} {
 // must not be structurally modified (nets, pins, instances) while the
 // engine is live; configurations must change only through SetConfig.
 func NewIncremental(c *circuit.Circuit, pi map[string]stoch.Signal, prm Params) (*Incremental, error) {
-	return NewIncrementalParallel(c, pi, prm, 1)
+	return NewIncrementalParallelFunc(c, pi, prm, 1, nil)
 }
 
-// NewIncrementalParallel is NewIncremental with the initial full analysis
-// fanned over a wavefront worker pool: gates become ready as their last
-// driver finishes, so independent cones evaluate concurrently. Gate
-// evaluations write disjoint state and the totals are summed serially in
-// topological order afterwards, so the resulting engine state is
-// bit-identical to the serial construction for any worker count.
-// workers ≤ 1 runs serially; 0 is treated as 1 (use runtime.GOMAXPROCS
-// at the call site to saturate the machine).
-func NewIncrementalParallel(c *circuit.Circuit, pi map[string]stoch.Signal, prm Params, workers int) (*Incremental, error) {
-	return NewIncrementalParallelFunc(c, pi, prm, workers, nil)
-}
-
-// NewIncrementalParallelFunc is NewIncrementalParallel with a per-gate
-// hook riding the construction wavefront: onGate(inc, i) runs once per
-// gate, after the gate at position i has been evaluated and its output
-// statistics settled, on the evaluating worker goroutine (inline, in
-// topological order, when workers ≤ 1). The optimizer fuses its read-only
-// candidate search into the wavefront through it, overlapping the search
-// with the initial analysis instead of serializing behind it.
+// NewIncrementalParallelFunc is NewIncremental with the initial full
+// analysis fanned over a wavefront worker pool and a per-gate hook riding
+// that wavefront. Gates become ready as their last driver finishes, so
+// independent cones evaluate concurrently. Gate evaluations write
+// disjoint state and the totals are summed serially in topological order
+// afterwards, so the resulting engine state is bit-identical to the
+// serial construction for any worker count. workers ≤ 1 runs serially
+// (use runtime.GOMAXPROCS at the call site to saturate the machine).
+//
+// onGate(inc, i), if non-nil, runs once per gate, after the gate at
+// position i has been evaluated and its output statistics settled, on the
+// evaluating worker goroutine (inline, in topological order, when
+// workers ≤ 1). The optimizer fuses its read-only candidate search into
+// the wavefront through it, overlapping the search with the initial
+// analysis instead of serializing behind it.
 //
 // onGate must confine itself to reading engine state at positions whose
 // statistics are settled — position i's pins and loads qualify — and must
@@ -445,9 +441,9 @@ func (inc *Incremental) SetConfigAt(i int, cfg *gate.Gate) error {
 // caller already performed against the engine's *current* statistics and
 // load — the optimizer's commit fast path, which books the precomputed
 // power delta instead of re-evaluating the gate model. cp must be a
-// result of AnalyzeConfigs or AnalyzeConfigList over the state exposed by
-// InputsAt(i) and LoadAt(i); the engine verifies the pin binding and that
-// the configuration propagates the current output statistics (the
+// result of a ConfigAnalyzer (or AnalyzeConfigs) over the state exposed
+// by InputsAt(i) and LoadAt(i); the engine verifies the pin binding and
+// that the configuration propagates the current output statistics (the
 // reordering invariant), falling back to a full cone re-evaluation when
 // the latter does not hold. Unlike SetConfig it does not re-derive the
 // shape equivalence: the caller vouches that cp.Config is a configuration

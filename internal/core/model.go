@@ -251,13 +251,6 @@ func AnalyzeConfigs(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params
 	return a.AnalyzeConfigs(g, in, loadCap, prm)
 }
 
-// AnalyzeConfigList is the allocation-per-call convenience form of
-// ConfigAnalyzer.AnalyzeConfigList; the returned slice is the caller's own.
-func AnalyzeConfigList(cfgs []*gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]ConfigPower, error) {
-	var a ConfigAnalyzer
-	return a.AnalyzeConfigList(cfgs, in, loadCap, prm)
-}
-
 // OutputStats computes only the output-node statistics (Najm's transition
 // density and the Parker–McCluskey probability) without the per-node power
 // evaluation — the cheap propagation step used on nets whose driving gate

@@ -165,41 +165,78 @@ type Result struct {
 	Critical []string           // instance names on one critical path, input to output
 }
 
+// Arrival returns the output arrival time of configuration cfg given its
+// per-pin input arrivals: the latest over pins of (pin arrival +
+// pin-to-output delay) — the rule the forward pass behind CircuitDelay
+// and Slacks applies at every gate.
+func Arrival(cfg *gate.Gate, arrivals []float64, loadCap float64, prm Params) (float64, error) {
+	if len(arrivals) != len(cfg.Inputs) {
+		return 0, fmt.Errorf("delay: gate %s has %d inputs, got %d arrivals", cfg.Name, len(cfg.Inputs), len(arrivals))
+	}
+	d, err := PinDelays(cfg, loadCap, prm)
+	if err != nil {
+		return 0, err
+	}
+	return latest(arrivals, d), nil
+}
+
+// latest is the max over pins of (arrival + pin delay).
+func latest(arrivals, pinDelays []float64) float64 {
+	worst := math.Inf(-1)
+	for i, t := range arrivals {
+		if t+pinDelays[i] > worst {
+			worst = t + pinDelays[i]
+		}
+	}
+	return worst
+}
+
+// forwardPass propagates arrivals through the circuit in topological
+// order: primary inputs arrive at t=0 and every gate output at the
+// latest of its pins. It returns the order, each position's pin delays
+// and the per-net arrivals.
+func forwardPass(c *circuit.Circuit, prm Params) ([]*circuit.Instance, [][]float64, map[string]float64, error) {
+	if err := prm.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	fanout := c.Fanout()
+	arr := make(map[string]float64, len(c.Inputs)+len(order))
+	for _, in := range c.Inputs {
+		arr[in] = 0
+	}
+	delays := make([][]float64, len(order))
+	var pinArr []float64
+	for k, g := range order {
+		d, err := PinDelays(g.Cell, prm.Cap.OutputLoad(fanout[g.Out]), prm)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("delay: instance %s: %w", g.Name, err)
+		}
+		pinArr = pinArr[:0]
+		for _, p := range g.Pins {
+			t, ok := arr[p]
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("delay: instance %s reads unknown net %q", g.Name, p)
+			}
+			pinArr = append(pinArr, t)
+		}
+		delays[k] = d
+		arr[g.Out] = latest(pinArr, d)
+	}
+	return order, delays, arr, nil
+}
+
 // CircuitDelay runs longest-path static timing analysis: primary inputs
 // arrive at t=0, every gate output arrives at max over pins of
 // (pin arrival + pin-to-output delay), the circuit delay is the latest
 // primary output.
 func CircuitDelay(c *circuit.Circuit, prm Params) (*Result, error) {
-	if err := prm.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := c.TopoOrder()
+	order, delays, arr, err := forwardPass(c, prm)
 	if err != nil {
 		return nil, err
-	}
-	fanout := c.Fanout()
-	arr := map[string]float64{}
-	from := map[string]*circuit.Instance{} // net → gate on its critical path
-	for _, in := range c.Inputs {
-		arr[in] = 0
-	}
-	for _, g := range order {
-		d, err := PinDelays(g.Cell, prm.Cap.OutputLoad(fanout[g.Out]), prm)
-		if err != nil {
-			return nil, fmt.Errorf("delay: instance %s: %w", g.Name, err)
-		}
-		worst := math.Inf(-1)
-		for i, p := range g.Pins {
-			t, ok := arr[p]
-			if !ok {
-				return nil, fmt.Errorf("delay: instance %s reads unknown net %q", g.Name, p)
-			}
-			if t+d[i] > worst {
-				worst = t + d[i]
-			}
-		}
-		arr[g.Out] = worst
-		from[g.Out] = g
 	}
 	res := &Result{Arrival: arr}
 	worstNet := ""
@@ -209,26 +246,23 @@ func CircuitDelay(c *circuit.Circuit, prm Params) (*Result, error) {
 			worstNet = o
 		}
 	}
-	// Trace one critical path backwards.
-	for net := worstNet; net != ""; {
-		g := from[net]
-		if g == nil {
-			break
+	// Trace one critical path backwards through the stored pin delays:
+	// each net's driver sits earlier in the order than its reader.
+	net := worstNet
+	for k := len(order) - 1; k >= 0 && net != ""; k-- {
+		g := order[k]
+		if g.Out != net {
+			continue
 		}
 		res.Critical = append([]string{g.Name}, res.Critical...)
-		// Find the pin that set the arrival.
-		d, err := PinDelays(g.Cell, prm.Cap.OutputLoad(fanout[g.Out]), prm)
-		if err != nil {
-			return nil, err
-		}
-		next := ""
+		// Follow the pin that set the arrival.
+		net = ""
 		for i, p := range g.Pins {
-			if math.Abs(arr[p]+d[i]-arr[g.Out]) < 1e-18 {
-				next = p
+			if math.Abs(arr[p]+delays[k][i]-arr[g.Out]) < 1e-18 {
+				net = p
 				break
 			}
 		}
-		net = next
 	}
 	return res, nil
 }
@@ -236,26 +270,17 @@ func CircuitDelay(c *circuit.Circuit, prm Params) (*Result, error) {
 // DelayOptimal returns the configuration of g that minimizes the gate's
 // output arrival time given per-pin input arrivals — the classic
 // "critical transistor near the output" optimization the paper contrasts
-// with its low-power objective.
+// with its low-power objective — together with that arrival.
 func DelayOptimal(g *gate.Gate, arrivals []float64, loadCap float64, prm Params) (*gate.Gate, float64, error) {
-	if len(arrivals) != len(g.Inputs) {
-		return nil, 0, fmt.Errorf("delay: gate %s has %d inputs, got %d arrivals", g.Name, len(g.Inputs), len(arrivals))
-	}
 	var bestCfg *gate.Gate
 	bestArr := math.Inf(1)
 	for _, cfg := range g.AllConfigs() {
-		d, err := PinDelays(cfg, loadCap, prm)
+		a, err := Arrival(cfg, arrivals, loadCap, prm)
 		if err != nil {
 			return nil, 0, err
 		}
-		worst := math.Inf(-1)
-		for i := range arrivals {
-			if arrivals[i]+d[i] > worst {
-				worst = arrivals[i] + d[i]
-			}
-		}
-		if worst < bestArr {
-			bestArr = worst
+		if a < bestArr {
+			bestArr = a
 			bestCfg = cfg
 		}
 	}

@@ -246,3 +246,31 @@ func BenchmarkCircuitDelayChain32(b *testing.B) {
 func nameOf(prefix string, i int) string {
 	return prefix + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
+
+// TestArrivalIsLatestPin pins the arrival rule: the latest over pins of
+// (pin arrival + pin delay), checked by hand on a NAND3 with skewed
+// arrivals, and a pin-count mismatch is an error.
+func TestArrivalIsLatestPin(t *testing.T) {
+	prm := DefaultParams()
+	g := gate.MustNew("nand3", []string{"a", "b", "c"}, sp.MustParse("s(a,b,c)"))
+	load := prm.Cap.OutputLoad(2)
+	d, err := PinDelays(g, load, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr := []float64{3e-10, 0, 1e-10}
+	want := math.Inf(-1)
+	for i := range arr {
+		want = math.Max(want, arr[i]+d[i])
+	}
+	got, err := Arrival(g, arr, load, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Arrival = %g, want %g", got, want)
+	}
+	if _, err := Arrival(g, arr[:2], load, prm); err == nil {
+		t.Error("Arrival accepted two arrivals for three pins")
+	}
+}

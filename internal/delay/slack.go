@@ -1,7 +1,6 @@
 package delay
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/circuit"
@@ -26,33 +25,9 @@ type SlackReport struct {
 // Slacks computes arrival/required/slack for every net of the circuit.
 // All primary outputs are required at the critical-path delay.
 func Slacks(c *circuit.Circuit, prm Params) (*SlackReport, error) {
-	if err := prm.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := c.TopoOrder()
+	order, delays, arr, err := forwardPass(c, prm)
 	if err != nil {
 		return nil, err
-	}
-	fanout := c.Fanout()
-	// Forward pass: arrivals, caching pin delays per instance.
-	arr := map[string]float64{}
-	for _, in := range c.Inputs {
-		arr[in] = 0
-	}
-	pinDelays := map[*circuit.Instance][]float64{}
-	for _, g := range order {
-		d, err := PinDelays(g.Cell, prm.Cap.OutputLoad(fanout[g.Out]), prm)
-		if err != nil {
-			return nil, fmt.Errorf("delay: instance %s: %w", g.Name, err)
-		}
-		pinDelays[g] = d
-		worst := math.Inf(-1)
-		for i, p := range g.Pins {
-			if arr[p]+d[i] > worst {
-				worst = arr[p] + d[i]
-			}
-		}
-		arr[g.Out] = worst
 	}
 	rep := &SlackReport{Arrival: arr, Required: map[string]float64{}, Slack: map[string]float64{}}
 	for _, o := range c.Outputs {
@@ -74,7 +49,7 @@ func Slacks(c *circuit.Circuit, prm Params) (*SlackReport, error) {
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		g := order[i]
-		d := pinDelays[g]
+		d := delays[i]
 		for pi, p := range g.Pins {
 			if t := req[g.Out] - d[pi]; t < req[p] {
 				req[p] = t

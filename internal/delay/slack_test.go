@@ -107,3 +107,24 @@ func TestSlacksMatchCircuitDelay(t *testing.T) {
 		t.Errorf("negative MinSlack %g", rep.MinSlack)
 	}
 }
+
+// TestUnknownNetRejected: a gate reading a net that is neither a primary
+// input nor driven has no arrival. Both analyses share one forward pass,
+// so both reject it instead of reading the arrival as 0.
+func TestUnknownNetRejected(t *testing.T) {
+	nandCell := gate.MustNew("nand2", []string{"a", "b"}, sp.MustParse("s(a,b)"))
+	c := &circuit.Circuit{
+		Name:    "dangling",
+		Inputs:  []string{"x"},
+		Outputs: []string{"z"},
+		Gates: []*circuit.Instance{
+			{Name: "g", Cell: nandCell, Pins: []string{"x", "ghost"}, Out: "z"},
+		},
+	}
+	if _, err := Slacks(c, DefaultParams()); err == nil {
+		t.Error("Slacks accepted a gate reading an unknown net")
+	}
+	if _, err := CircuitDelay(c, DefaultParams()); err == nil {
+		t.Error("CircuitDelay accepted a gate reading an unknown net")
+	}
+}

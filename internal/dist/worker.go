@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
@@ -395,7 +394,7 @@ func (w *worker) reconnect(ctx context.Context, cause error) (bool, error) {
 				return false, ctx.Err()
 			}
 		}
-		d := backoff(w.cfg.RPCBackoff, siteReconnect+"|"+w.cfg.ID, probe)
+		d := faults.Backoff(w.cfg.RPCBackoff, siteReconnect+"|"+w.cfg.ID, probe)
 		if d > maxReconnectBackoff {
 			d = maxReconnectBackoff
 		}
@@ -513,7 +512,7 @@ func (w *worker) post(ctx context.Context, path, site, key string, build func(at
 	var lastErr error
 	for attempt := 1; attempt <= w.cfg.RPCRetries+1; attempt++ {
 		if attempt > 1 {
-			if err := sleepCtx(ctx, backoff(w.cfg.RPCBackoff, site+"|"+key, attempt-1)); err != nil {
+			if err := sleepCtx(ctx, faults.Backoff(w.cfg.RPCBackoff, site+"|"+key, attempt-1)); err != nil {
 				return err
 			}
 		}
@@ -555,7 +554,7 @@ func (w *worker) get(ctx context.Context, path string, out any) error {
 	var lastErr error
 	for attempt := 1; attempt <= w.cfg.RPCRetries+1; attempt++ {
 		if attempt > 1 {
-			if err := sleepCtx(ctx, backoff(w.cfg.RPCBackoff, "get|"+path, attempt-1)); err != nil {
+			if err := sleepCtx(ctx, faults.Backoff(w.cfg.RPCBackoff, "get|"+path, attempt-1)); err != nil {
 				return err
 			}
 		}
@@ -598,19 +597,6 @@ func (w *worker) roundTrip(req *http.Request, out any) error {
 		return nil
 	}
 	return json.Unmarshal(raw, out)
-}
-
-// backoff is exponential with ±50% jitter seeded by the site/key, the
-// same deterministic-schedule idiom as the sweep engine's job retries.
-func backoff(base time.Duration, key string, retry int) time.Duration {
-	if retry > 6 {
-		retry = 6
-	}
-	d := base << retry
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", key, retry)
-	jitter := float64(h.Sum64()%1000)/1000.0 - 0.5 // [-0.5, 0.5)
-	return d + time.Duration(jitter*float64(d))
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

@@ -319,3 +319,16 @@ func Retryable(err error) bool {
 	var r interface{ Retryable() bool }
 	return errors.As(err, &r) && r.Retryable()
 }
+
+// Backoff returns the wait before retry number attempt (0 for the first
+// retry) of the operation named by key: base·2^min(attempt, 6), scaled by
+// a jitter factor in [0.5, 1.5) hashed from key and attempt — the same
+// schedule on every run, decorrelated across keys so retry storms spread
+// out.
+func Backoff(base time.Duration, key string, attempt int) time.Duration {
+	shift := min(max(attempt, 0), 6)
+	h := fnv.New64a()
+	fmt.Fprintf(h, "backoff|%s|%d", key, attempt)
+	jitter := 0.5 + float64(h.Sum64()>>11)/float64(uint64(1)<<53)
+	return time.Duration(float64(base<<shift) * jitter)
+}

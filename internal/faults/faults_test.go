@@ -262,3 +262,27 @@ func TestSpecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBackoff pins the retry schedule's shape: deterministic per (key,
+// attempt), within [0.5, 1.5) of base·2^min(attempt, 6), and jittered
+// differently for different keys.
+func TestBackoff(t *testing.T) {
+	base := 10 * time.Millisecond
+	for attempt := 0; attempt < 10; attempt++ {
+		d := Backoff(base, "job", attempt)
+		if d != Backoff(base, "job", attempt) {
+			t.Fatalf("attempt %d: backoff not deterministic", attempt)
+		}
+		nominal := base << min(attempt, 6)
+		if d < nominal/2 || d >= nominal*3/2 {
+			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, d, nominal/2, nominal*3/2)
+		}
+	}
+	distinct := map[time.Duration]bool{}
+	for _, key := range []string{"a", "b", "c", "d"} {
+		distinct[Backoff(base, key, 1)] = true
+	}
+	if len(distinct) < 2 {
+		t.Error("backoff jitter does not depend on the key")
+	}
+}

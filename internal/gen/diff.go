@@ -571,7 +571,7 @@ func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 				return fail("optimize/"+v.name, fmt.Sprintf("objective decreased: %g → %g", rep.PowerBefore, rep.PowerAfter))
 			}
 		}
-		// The two-phase parallel search must be bit-identical to serial.
+		// The optimizer must be bit-identical at any worker count.
 		opt.Workers = 3
 		par, err := reorder.Optimize(c, pi, opt)
 		if err != nil {

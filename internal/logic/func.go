@@ -99,6 +99,19 @@ func Var(i, n int) Func {
 	return f
 }
 
+// FromTruth returns the n-variable function that is 1 exactly on the
+// minterms m for which truth(m) holds, setting the table bits directly.
+func FromTruth(n int, truth func(m uint) bool) Func {
+	f := Const(n, false)
+	size := uint(1) << n
+	for m := uint(0); m < size; m++ {
+		if truth(m) {
+			f.words[m>>6] |= 1 << (m & 63)
+		}
+	}
+	return f
+}
+
 // NumVars returns the number of variables of f.
 func (f Func) NumVars() int { return f.n }
 
@@ -337,21 +350,15 @@ func (f Func) PermuteVars(perm []int) Func {
 		}
 		seen[p] = true
 	}
-	r := Const(f.n, false)
-	size := uint(1) << f.n
-	for m := uint(0); m < size; m++ {
-		if !f.Eval(m) {
-			continue
+	// Minterm t of the result reads minterm m of f, where bit i of m is
+	// bit perm[i] of t.
+	return FromTruth(f.n, func(t uint) bool {
+		var m uint
+		for i, p := range perm {
+			m |= (t >> p & 1) << i
 		}
-		var t uint
-		for i := 0; i < f.n; i++ {
-			if m>>i&1 == 1 {
-				t |= 1 << perm[i]
-			}
-		}
-		r.words[t>>6] |= 1 << (t & 63)
-	}
-	return r
+		return f.Eval(m)
+	})
 }
 
 // String renders f as its hexadecimal truth table, most significant word

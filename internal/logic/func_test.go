@@ -241,6 +241,25 @@ func TestProbMonotoneInOr(t *testing.T) {
 	}
 }
 
+// TestFromTruth checks the table constructor against Eval on random
+// functions of both table layouts (one word and several words), and its
+// constant corners.
+func TestFromTruth(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 3, 6, 7, 9} {
+		f := randFunc(rng, n)
+		if g := FromTruth(n, f.Eval); !g.Equal(f) {
+			t.Fatalf("n=%d: FromTruth(f.Eval) = %v, want %v", n, g, f)
+		}
+		if !FromTruth(n, func(uint) bool { return true }).Equal(Const(n, true)) {
+			t.Fatalf("n=%d: all-true table is not Const(true)", n)
+		}
+		if !FromTruth(n, func(uint) bool { return false }).Equal(Const(n, false)) {
+			t.Fatalf("n=%d: all-false table is not Const(false)", n)
+		}
+	}
+}
+
 func TestPermuteVars(t *testing.T) {
 	// f(a,b,c) = a·¬b + c, permuted with perm [2,0,1]:
 	// variable 0→2, 1→0, 2→1, so g(a,b,c) = c·¬a + b.

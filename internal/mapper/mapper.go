@@ -287,33 +287,13 @@ func (m *mapping) nandTree(ins []string, out string) string {
 // projectFunc restricts f to the variables listed in sup, producing a
 // function of len(sup) variables (the others are vacuous in f).
 func projectFunc(f logic.Func, sup []int) logic.Func {
-	r := logic.Const(len(sup), false)
-	size := uint(1) << len(sup)
-	out := r
-	for m := uint(0); m < size; m++ {
+	return logic.FromTruth(len(sup), func(m uint) bool {
 		var full uint
 		for i, s := range sup {
-			if m>>i&1 == 1 {
-				full |= 1 << s
-			}
+			full |= (m >> i & 1) << s
 		}
-		if f.Eval(full) {
-			out = out.Or(mintermFunc(m, len(sup)))
-		}
-	}
-	return out
-}
-
-func mintermFunc(m uint, n int) logic.Func {
-	t := logic.Const(n, true)
-	for i := 0; i < n; i++ {
-		v := logic.Var(i, n)
-		if m>>i&1 == 0 {
-			v = v.Not()
-		}
-		t = t.And(v)
-	}
-	return t
+		return f.Eval(full)
+	})
 }
 
 // minimalCover returns a prime-ish cover of f: single-literal expansion of

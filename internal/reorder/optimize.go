@@ -1,0 +1,204 @@
+package reorder
+
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/delay"
+	"repro/internal/gate"
+	"repro/internal/stoch"
+)
+
+// optimize is the one traversal behind Optimize (see the package
+// comment): construct the engine, then commit in topological order
+// through Incremental.SetConfigEvaluated. The pure power modes choose in
+// the construction hook (powerSearch), the delay-aware modes in the
+// commit loop (delayChooser). Candidates are sorted by ConfigKey, ties
+// break to the earliest and the commit order is fixed, so the
+// floating-point power accumulation — and the whole Report — is
+// bit-identical for any worker count.
+func optimize(out *circuit.Circuit, pi map[string]stoch.Signal, opt Options, workers int) (*Report, error) {
+	var hook func(*core.Incremental, int) error
+	var choose func(i int) (core.ConfigPower, bool, error)
+	if opt.Mode == Full || opt.Mode == InputOnly {
+		hook, choose = powerSearch(len(out.Gates), opt)
+	}
+	inc, err := core.NewIncrementalParallelFunc(out, pi, opt.Params, workers, hook)
+	if err != nil {
+		return nil, err
+	}
+	if choose == nil {
+		// A valid circuit's nets are its inputs and one output per gate.
+		dc := &delayChooser{inc: inc, opt: opt, arr: make([]float64, len(out.Inputs)+len(out.Gates))}
+		choose = dc.choose
+	}
+	report := &Report{Circuit: out, PowerBefore: inc.Power()}
+	for i, g := range inc.Order() {
+		cp, moved, err := choose(i)
+		if err != nil {
+			return nil, err
+		}
+		if moved {
+			report.GatesChanged++
+			if err := inc.SetConfigEvaluated(i, cp); err != nil {
+				return nil, fmt.Errorf("reorder: instance %s: %w", g.Name, err)
+			}
+		}
+	}
+	report.PowerAfter = inc.Power()
+	return report, nil
+}
+
+// isMove reports whether cfg differs from the current configuration cur:
+// by pointer when the instance already holds the canonical orbit member,
+// by ConfigKey otherwise.
+func isMove(cfg, cur *gate.Gate) bool {
+	return cfg != cur && cfg.ConfigKey() != cur.ConfigKey()
+}
+
+// pickScratch is the per-goroutine buffer set of the candidate search:
+// the pin-signal slice plus the batch evaluator's own scratch, so the
+// steady-state search allocates nothing per gate.
+type pickScratch struct {
+	in       []stoch.Signal
+	analyzer core.ConfigAnalyzer
+}
+
+// powerSearch returns the pure power modes' construction hook and the
+// commit loop's read of its results. The hook evaluates the mode's whole
+// candidate set through the batched core.ConfigAnalyzer and runs the move
+// test, off the serial path; it reads only settled engine state, so
+// construction workers may run it concurrently.
+func powerSearch(n int, opt Options) (func(*core.Incremental, int) error, func(int) (core.ConfigPower, bool, error)) {
+	chosen := make([]core.ConfigPower, n)
+	changed := make([]bool, n)
+	scratch := sync.Pool{New: func() interface{} { return &pickScratch{} }}
+	pick := func(inc *core.Incremental, i int) error {
+		g := inc.Order()[i]
+		s := scratch.Get().(*pickScratch)
+		defer scratch.Put(s)
+		in, err := inc.InputsAt(i, s.in[:0])
+		s.in = in
+		if err != nil {
+			return fmt.Errorf("reorder: %w", err)
+		}
+		var cands []core.ConfigPower
+		if opt.Mode == InputOnly {
+			cands, err = s.analyzer.AnalyzeConfigList(currentInstance(g.Cell), in, inc.LoadAt(i), opt.Params)
+		} else {
+			cands, err = s.analyzer.AnalyzeConfigs(g.Cell, in, inc.LoadAt(i), opt.Params)
+		}
+		if err != nil {
+			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
+		}
+		best, err := pickByPower(cands, opt.Objective)
+		if err != nil {
+			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
+		}
+		chosen[i] = cands[best]
+		changed[i] = isMove(cands[best].Config, g.Cell)
+		return nil
+	}
+	return pick, func(i int) (core.ConfigPower, bool, error) { return chosen[i], changed[i], nil }
+}
+
+// delayChooser makes the delay-aware modes' choice in the commit loop,
+// where every upstream choice, and so every pin arrival, is known. arr
+// holds the arrival of each net's committed driver by net ID (primary
+// inputs at 0); the other slices and the analyzer are per-gate scratch.
+type delayChooser struct {
+	inc      *core.Incremental
+	opt      Options
+	arr      []float64
+	arrIn    []float64
+	in       []stoch.Signal
+	cfgs     []*gate.Gate
+	cfgArr   []float64 // arrival of each of cfgs
+	analyzer core.ConfigAnalyzer
+}
+
+// choose picks gate i's configuration, records its output arrival and
+// returns its evaluation and whether it is a move. DelayRule takes
+// DelayOptimal's pick and evaluates it only when it moves; DelayNeutral
+// takes the objective-optimal configuration by model power among those
+// arriving no later than the current one.
+func (dc *delayChooser) choose(i int) (core.ConfigPower, bool, error) {
+	inc, opt := dc.inc, dc.opt
+	g := inc.Order()[i]
+	fail := func(err error) (core.ConfigPower, bool, error) {
+		return core.ConfigPower{}, false, fmt.Errorf("reorder: instance %s: %w", g.Name, err)
+	}
+	load := inc.LoadAt(i)
+	// Construction interned every pin and output net: NetID cannot miss.
+	dc.arrIn = dc.arrIn[:0]
+	for _, p := range g.Pins {
+		id, _ := inc.NetID(p)
+		dc.arrIn = append(dc.arrIn, dc.arr[id])
+	}
+	out, _ := inc.NetID(g.Out)
+	dc.cfgs, dc.cfgArr = dc.cfgs[:0], dc.cfgArr[:0]
+	if opt.Mode == DelayRule {
+		cfg, a, err := delay.DelayOptimal(g.Cell, dc.arrIn, load, opt.Delay)
+		if err != nil {
+			return fail(err)
+		}
+		if !isMove(cfg, g.Cell) {
+			dc.arr[out] = a
+			return core.ConfigPower{}, false, nil
+		}
+		dc.cfgs, dc.cfgArr = append(dc.cfgs, cfg), append(dc.cfgArr, a)
+	} else {
+		limit, err := delay.Arrival(g.Cell, dc.arrIn, load, opt.Delay)
+		if err != nil {
+			return fail(err)
+		}
+		for _, cfg := range g.Cell.AllConfigs() {
+			a, err := delay.Arrival(cfg, dc.arrIn, load, opt.Delay)
+			if err != nil {
+				return fail(err)
+			}
+			if a <= limit*(1+1e-12) {
+				dc.cfgs, dc.cfgArr = append(dc.cfgs, cfg), append(dc.cfgArr, a)
+			}
+		}
+	}
+	// Evaluate against the engine's current statistics and load: the
+	// state SetConfigEvaluated books the delta against.
+	in, err := inc.InputsAt(i, dc.in[:0])
+	if err != nil {
+		return fail(err)
+	}
+	dc.in = in
+	cands, err := dc.analyzer.AnalyzeConfigList(dc.cfgs, in, load, opt.Params)
+	if err != nil {
+		return fail(err)
+	}
+	best, err := pickByPower(cands, opt.Objective)
+	if err != nil {
+		return fail(err)
+	}
+	dc.arr[out] = dc.cfgArr[best]
+	return cands[best], isMove(cands[best].Config, g.Cell), nil
+}
+
+// pickByPower selects the objective-optimal candidate's index. Candidates
+// arrive sorted by ConfigKey and ties break to the earliest (strict
+// comparison), pinning the choice regardless of evaluation order.
+func pickByPower(cands []core.ConfigPower, obj Objective) (int, error) {
+	if len(cands) == 0 {
+		return 0, fmt.Errorf("no candidate configurations")
+	}
+	chosen := 0
+	for i := 1; i < len(cands); i++ {
+		better := cands[i].Power < cands[chosen].Power
+		if obj == Maximize {
+			better = cands[i].Power > cands[chosen].Power
+		}
+		if better {
+			chosen = i
+		}
+	}
+	return chosen, nil
+}

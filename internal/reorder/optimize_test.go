@@ -29,11 +29,13 @@ func equivCircuits(t testing.TB) map[string]*circuit.Circuit {
 	return out
 }
 
-// TestOptimizeWorkerEquivalence is the determinism property the two-phase
-// engine promises: for any worker count, Optimize returns a bit-identical
-// Report — same powers (exact float equality, not tolerance), same number
-// of changed gates, same chosen configuration at every instance. Run with
-// -race this also exercises the parallel phase for data races.
+// TestOptimizeWorkerEquivalence is the determinism property the optimizer
+// promises in every mode: for any worker count, Optimize returns a
+// bit-identical Report — same powers (exact float equality, not
+// tolerance), same number of changed gates, same chosen configuration at
+// every instance. The delay-aware modes choose in the serial commit loop,
+// so for them the property pins the wavefront construction underneath.
+// Run with -race this also exercises the parallel phase for data races.
 func TestOptimizeWorkerEquivalence(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for name, c := range equivCircuits(t) {
@@ -42,7 +44,7 @@ func TestOptimizeWorkerEquivalence(t *testing.T) {
 			for i, in := range c.Inputs {
 				pi[in] = stoch.Signal{P: 0.3 + 0.05*float64(i%9), D: 1e5 * float64(1+i%7)}
 			}
-			for _, mode := range []Mode{Full, InputOnly} {
+			for _, mode := range []Mode{Full, InputOnly, DelayRule, DelayNeutral} {
 				for _, objective := range []Objective{Minimize, Maximize} {
 					opt := DefaultOptions()
 					opt.Mode = mode

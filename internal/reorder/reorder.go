@@ -8,26 +8,26 @@
 // second pass is a no-op (asserted by tests and an ablation bench).
 //
 // The traversal runs on top of core.Incremental, the fan-out-cone
-// propagation engine: accepted moves update the circuit's power through
-// Incremental.SetConfig, and because reordering preserves each gate's
-// output statistics the cone collapses to the reordered gate itself.
-// Optimize therefore performs one full circuit analysis (the engine's
-// construction, which yields PowerBefore) plus per-gate local work: one
-// gate-model evaluation per candidate configuration and one more inside
-// the engine per accepted move — no closing whole-circuit re-analysis.
+// propagation engine. Its construction is the one full circuit analysis
+// (it yields PowerBefore); after it, one serial commit loop visits the
+// gates in topological order and books every move through
+// Incremental.SetConfigEvaluated. Because reordering preserves each
+// gate's output statistics, a move's cone collapses to the gate itself
+// and its power delta comes from the candidate evaluation that chose it:
+// one gate-model evaluation per candidate configuration, none per commit
+// and no closing whole-circuit re-analysis.
 //
-// The same monotonic property makes per-gate candidate selection
-// embarrassingly parallel in the pure power modes: every gate's candidate
-// powers depend only on the original net statistics, never on what other
-// gates chose. Optimize exploits this with a two-phase engine (see
-// optimizeParallel): a read-only parallel search over Options.Workers
-// goroutines followed by a serial commit in topological order, with
-// bit-identical reports under any worker count.
+// All four modes share that traversal (see optimize); they differ only in
+// where a gate's configuration is chosen. In the pure power modes every
+// gate's candidate powers depend only on the original net statistics,
+// never on what other gates chose, so the search rides the construction
+// wavefront on Options.Workers goroutines. The delay-aware modes
+// condition on the arrival times of upstream choices and choose inside
+// the commit loop. Reports are bit-identical under any worker count.
 package reorder
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/circuit"
@@ -96,10 +96,10 @@ type Options struct {
 	// Workers bounds the optimizer's worker pool: 0 means GOMAXPROCS,
 	// 1 forces serial execution. Results are bit-identical for any value.
 	// In the pure power modes (Full, InputOnly) the pool runs the whole
-	// candidate search (read-only phase, then a serial commit in
-	// topological order); in the delay-aware modes the per-gate choice
-	// depends on upstream arrival times and stays serial — Workers then
-	// only parallelizes the engine's initial circuit analysis.
+	// candidate search alongside the engine's initial circuit analysis;
+	// in the delay-aware modes the per-gate choice depends on upstream
+	// arrival times and is made in the serial commit loop — Workers then
+	// only parallelizes the initial analysis.
 	Workers int
 }
 
@@ -131,10 +131,10 @@ func (r *Report) Reduction() float64 {
 //
 // In the pure power modes (Full, InputOnly) the per-gate candidate search
 // runs on opt.Workers goroutines against the original statistics — valid
-// because reordering propagates identical output statistics (Sec. 4.2) —
-// followed by a serial commit pass; the result is bit-identical for any
-// worker count. The delay-aware modes run serially: their choice at each
-// gate depends on the arrival times produced by upstream choices.
+// because reordering propagates identical output statistics (Sec. 4.2).
+// The delay-aware modes choose during the serial commit: their choice at
+// each gate depends on the arrival times produced by upstream choices.
+// The result is bit-identical for any worker count.
 func Optimize(c *circuit.Circuit, pi map[string]stoch.Signal, opt Options) (*Report, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
@@ -151,127 +151,11 @@ func Optimize(c *circuit.Circuit, pi map[string]stoch.Signal, opt Options) (*Rep
 	default:
 		return nil, fmt.Errorf("reorder: unknown mode %v", opt.Mode)
 	}
-	out := c.Clone()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	report := &Report{Circuit: out}
-	if opt.Mode == Full || opt.Mode == InputOnly {
-		if err := optimizeParallel(out, pi, opt, workers, report); err != nil {
-			return nil, err
-		}
-		return report, nil
-	}
-	inc, err := core.NewIncrementalParallel(out, pi, opt.Params, workers)
-	if err != nil {
-		return nil, err
-	}
-	report.PowerBefore = inc.Power()
-	if err := optimizeSerial(inc, opt, report); err != nil {
-		return nil, err
-	}
-	report.PowerAfter = inc.Power()
-	return report, nil
-}
-
-// optimizeSerial is the delay-aware traversal: a single pass in
-// topological order that carries the arrival-time map the delay modes
-// condition on. Pin-signal and arrival scratch buffers are hoisted out of
-// the loop; the arrival map exists only here — the pure power modes never
-// build it.
-func optimizeSerial(inc *core.Incremental, opt Options, report *Report) error {
-	arr := make(map[string]float64, len(inc.Order()))
-	for _, in := range inc.Circuit().Inputs {
-		arr[in] = 0
-	}
-	var in []stoch.Signal
-	var arrIn []float64
-	for i, g := range inc.Order() {
-		var err error
-		if in, err = inc.InputsAt(i, in[:0]); err != nil {
-			return fmt.Errorf("reorder: %w", err)
-		}
-		arrIn = arrIn[:0]
-		for _, p := range g.Pins {
-			arrIn = append(arrIn, arr[p])
-		}
-		load := inc.LoadAt(i)
-		chosen, err := chooseConfig(g.Cell, in, arrIn, load, opt)
-		if err != nil {
-			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
-		}
-		if chosen.ConfigKey() != g.Cell.ConfigKey() {
-			report.GatesChanged++
-			// Reordering preserves the gate's boolean function, so the
-			// engine's cone re-evaluation stops at this gate: one model
-			// evaluation per accepted move instead of a circuit re-analysis.
-			if err := inc.SetConfigAt(i, chosen); err != nil {
-				return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
-			}
-		}
-		a, err := gateArrival(g.Cell, arrIn, load, opt.Delay)
-		if err != nil {
-			return err
-		}
-		arr[g.Out] = a
-	}
-	return nil
-}
-
-// gateArrival returns the output arrival time of one gate configuration
-// given its pin arrivals.
-func gateArrival(g *gate.Gate, arrIn []float64, load float64, prm delay.Params) (float64, error) {
-	d, err := delay.PinDelays(g, load, prm)
-	if err != nil {
-		return 0, err
-	}
-	worst := math.Inf(-1)
-	for i := range arrIn {
-		if arrIn[i]+d[i] > worst {
-			worst = arrIn[i] + d[i]
-		}
-	}
-	return worst, nil
-}
-
-// chooseConfig evaluates the delay-aware candidate set for one gate. The
-// pure power modes never reach it — they go through optimizeParallel.
-func chooseConfig(g *gate.Gate, in []stoch.Signal, arrIn []float64, load float64, opt Options) (*gate.Gate, error) {
-	switch opt.Mode {
-	case DelayRule:
-		cfg, _, err := delay.DelayOptimal(g, arrIn, load, opt.Delay)
-		return cfg, err
-	case DelayNeutral:
-		// Keep only configurations at least as fast as the current
-		// one at this gate's position in the circuit, then pick the
-		// objective-optimal survivor by model power.
-		limit, err := gateArrival(g, arrIn, load, opt.Delay)
-		if err != nil {
-			return nil, err
-		}
-		var kept []*gate.Gate
-		for _, cfg := range g.AllConfigs() {
-			a, err := gateArrival(cfg, arrIn, load, opt.Delay)
-			if err != nil {
-				return nil, err
-			}
-			if a <= limit*(1+1e-12) {
-				kept = append(kept, cfg)
-			}
-		}
-		cands, err := core.AnalyzeConfigList(kept, in, load, opt.Params)
-		if err != nil {
-			return nil, err
-		}
-		best, err := pickByPower(cands, opt.Objective)
-		if err != nil {
-			return nil, fmt.Errorf("gate %s has no candidate configurations", g.Name)
-		}
-		return cands[best].Config, nil
-	default:
-		return nil, fmt.Errorf("unknown mode %v", opt.Mode)
-	}
+	return optimize(c.Clone(), pi, opt, workers)
 }
 
 // currentInstance returns the orbit of configurations containing g's

@@ -304,15 +304,22 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// BenchmarkOptimizeAdder2 runs the optimizer once per mode, so the
+// delay-aware commit path is measured next to the wavefront search.
 func BenchmarkOptimizeAdder2(b *testing.B) {
 	c := testCircuit(b, adder2BLIF)
 	pi := rcaStats(c)
-	opt := DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(c, pi, opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []Mode{Full, InputOnly, DelayRule, DelayNeutral} {
+		b.Run(mode.String(), func(b *testing.B) {
+			opt := DefaultOptions()
+			opt.Mode = mode
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Optimize(c, pi, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

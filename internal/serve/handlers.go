@@ -210,18 +210,6 @@ type simulateRequest struct {
 // request may ask for (streamed through register blocks of req.Lanes).
 const maxSimulateVectors = 4096
 
-func parseDelayMode(s string) (sim.DelayMode, error) {
-	switch s {
-	case "zero":
-		return sim.ZeroDelay, nil
-	case "unit":
-		return sim.UnitDelay, nil
-	case "elmore":
-		return sim.ElmoreDelay, nil
-	}
-	return 0, fmt.Errorf("unknown delay mode %q (want zero, unit or elmore)", s)
-}
-
 func (req *simulateRequest) normalizeSimulate() (sim.DelayMode, error) {
 	if err := req.normalize(); err != nil {
 		return 0, err
@@ -236,7 +224,7 @@ func (req *simulateRequest) normalizeSimulate() (sim.DelayMode, error) {
 	if req.Delay == "" {
 		req.Delay = "zero"
 	}
-	mode, err := parseDelayMode(req.Delay)
+	mode, err := sim.ParseDelayMode(req.Delay)
 	if err != nil {
 		return 0, httpapi.Errorf(http.StatusBadRequest, "invalid_request", "%v", err)
 	}

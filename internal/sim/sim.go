@@ -254,6 +254,17 @@ func TickPlan(c *circuit.Circuit, prm Params) (tick float64, delayTicks []int64,
 	return tick, delayTicks, order, nil
 }
 
+// ParseDelayMode resolves a delay-mode name — "zero", "unit" or
+// "elmore" — the inverse of the name a DelayMode prints under.
+func ParseDelayMode(s string) (DelayMode, error) {
+	for _, m := range []DelayMode{ZeroDelay, UnitDelay, ElmoreDelay} {
+		if s == m.name() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown delay mode %q (want zero, unit or elmore)", s)
+}
+
 func (m DelayMode) name() string {
 	switch m {
 	case UnitDelay:

@@ -523,3 +523,18 @@ func TestTickGridBound(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDelayMode pins the parser as the inverse of the mode names and
+// its error text, which servd returns to clients verbatim.
+func TestParseDelayMode(t *testing.T) {
+	for _, m := range []DelayMode{ZeroDelay, UnitDelay, ElmoreDelay} {
+		got, err := ParseDelayMode(m.name())
+		if err != nil || got != m {
+			t.Errorf("ParseDelayMode(%q) = %v, %v; want %v", m.name(), got, err, m)
+		}
+	}
+	_, err := ParseDelayMode("fast")
+	if want := `unknown delay mode "fast" (want zero, unit or elmore)`; err == nil || err.Error() != want {
+		t.Errorf("ParseDelayMode(fast) error = %v, want %q", err, want)
+	}
+}

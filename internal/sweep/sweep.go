@@ -530,23 +530,13 @@ func runJobRetry(ctx context.Context, job Job, key string, cc *CircuitCache, opt
 	}
 }
 
-// sleepBackoff waits base×2^(attempt-1) (capped at 64×base) scaled by a
-// jitter in [0.5, 1.5) seeded from the job key — deterministic schedules
-// under test, decorrelated retry storms in production.
+// sleepBackoff waits faults.Backoff after the given failed attempt
+// (1-based; base 50ms by default), or until ctx is done.
 func sleepBackoff(ctx context.Context, base time.Duration, key string, attempt int) {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	shift := attempt - 1
-	if shift > 6 {
-		shift = 6
-	}
-	d := base << shift
-	h := fnv.New64a()
-	fmt.Fprintf(h, "backoff|%s|%d", key, attempt)
-	jitter := 0.5 + float64(h.Sum64()>>11)/float64(uint64(1)<<53)
-	d = time.Duration(float64(d) * jitter)
-	t := time.NewTimer(d)
+	t := time.NewTimer(faults.Backoff(base, key, attempt-1))
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -71,7 +71,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 
 // TestRunDeterministicAcrossOptimizerWorkers pins the nested-parallelism
 // contract: turning on the per-job optimizer candidate-search pool (the
-// reorder two-phase engine) must not change a single result field
+// reorder construction wavefront) must not change a single result field
 // relative to the default serial per-job optimization.
 func TestRunDeterministicAcrossOptimizerWorkers(t *testing.T) {
 	opt := smallOptions()
