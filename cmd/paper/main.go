@@ -30,6 +30,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/stoch"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -152,9 +153,9 @@ func table3(args []string) error {
 	if *seed != 0 {
 		opt.Seed = *seed
 	}
-	sc := expt.ScenarioA
-	if strings.EqualFold(*scenario, "B") {
-		sc = expt.ScenarioB
+	sc, err := sweep.ParseScenario(*scenario)
+	if err != nil {
+		return err
 	}
 	var names []string
 	if *benches != "" {

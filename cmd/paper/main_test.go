@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -75,5 +76,14 @@ func TestGolden(t *testing.T) {
 				t.Errorf("paper %v output differs from %s\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, got, want)
 			}
 		})
+	}
+}
+
+// TestTable3RejectsUnknownScenario checks that a scenario other than A or
+// B is an error rather than a silent scenario-A run.
+func TestTable3RejectsUnknownScenario(t *testing.T) {
+	err := table3([]string{"-scenario", "x", "-bench", "c17"})
+	if err == nil || !strings.Contains(err.Error(), `unknown scenario "x"`) {
+		t.Fatalf("table3 -scenario x: err = %v, want unknown scenario", err)
 	}
 }

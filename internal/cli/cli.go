@@ -62,13 +62,9 @@ func InputStats(c *circuit.Circuit, statsFile, scenario string, seed int64) (map
 	} else {
 		opt := expt.DefaultOptions()
 		opt.Seed = seed
-		sc := expt.ScenarioA
-		switch strings.ToUpper(scenario) {
-		case "A":
-		case "B":
-			sc = expt.ScenarioB
-		default:
-			return nil, fmt.Errorf("cli: unknown scenario %q (want A or B)", scenario)
+		sc, err := sweep.ParseScenario(scenario)
+		if err != nil {
+			return nil, err
 		}
 		stats = expt.InputStats(c, sc, opt)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/gate"
@@ -27,111 +26,47 @@ type templateNode struct {
 	dh, dg  []logic.Func // boolean differences per input
 }
 
-// templateCache memoizes templates by configuration identity. The cache
-// is safe for concurrent use (the experiment harness analyzes benchmarks
-// in parallel) and unbounded: the library has at most a few hundred
-// distinct configurations in total. Alongside single templates it caches
-// whole orbits — the templates of every configuration of a cell, in
-// AllConfigs order — so the batched candidate search pays one lock and
-// one key construction per gate instead of one per candidate.
-// Pointer-keyed fronts (byPtr*) make the steady state lock- and
-// serialization-free: gates are immutable, so a canonical *Gate resolves
-// its template (or orbit) with one lock-free load and the hot loops —
-// Incremental.evalGate, AnalyzeConfigs — never build a key again. Only
-// canonical enumeration members are registered in the fronts (a bounded
-// set); arbitrary caller-built gates take the string-keyed path and are
-// never pinned here.
-type templateCache struct {
-	byPtr      sync.Map // *gate.Gate → *template
-	byPtrOrbit sync.Map // *gate.Gate → *orbitTemplates
+// templates memoizes each configuration's template and orbitTemplates
+// each cell's templates in AllConfigs order, keyed by the orbit's first
+// member — so the batched candidate search resolves a whole orbit with
+// one lookup. Package gate interns configurations (one *gate.Gate per
+// configuration), so the pointer is the identity: a steady-state lookup
+// is one lock-free map load. Both maps are safe for concurrent use (the
+// experiment harness analyzes benchmarks in parallel) and bounded by the
+// interned configurations (plus any Gate literal a caller builds by hand,
+// which is its own key).
+var templates, orbitTemplates sync.Map // *gate.Gate → *template, []*template
 
-	mu     sync.Mutex
-	m      map[string]*template
-	orbits map[string]*orbitTemplates
-}
-
-// orbitTemplates pairs a cell's enumerated configurations with their
-// templates, parallel slices in AllConfigs order (sorted by ConfigKey).
-type orbitTemplates struct {
-	cfgs []*gate.Gate
-	tmpl []*template
-}
-
-var templates = &templateCache{m: map[string]*template{}, orbits: map[string]*orbitTemplates{}}
-
-// get returns the template for the gate's configuration, building it on
-// first use.
-func (tc *templateCache) get(g *gate.Gate) (*template, error) {
-	if t, ok := tc.byPtr.Load(g); ok {
+// templateOf returns the template for the gate's configuration, building
+// it on first use.
+func templateOf(g *gate.Gate) (*template, error) {
+	if t, ok := templates.Load(g); ok {
 		return t.(*template), nil
-	}
-	key := templateKey(g)
-	tc.mu.Lock()
-	t, ok := tc.m[key]
-	tc.mu.Unlock()
-	if ok {
-		return t, nil
 	}
 	t, err := buildTemplate(g)
 	if err != nil {
 		return nil, err
 	}
-	tc.mu.Lock()
-	if prior, ok := tc.m[key]; ok {
-		t = prior
-	} else {
-		tc.m[key] = t
-	}
-	tc.mu.Unlock()
-	return t, nil
+	prior, _ := templates.LoadOrStore(g, t)
+	return prior.(*template), nil
 }
 
-// getOrbit returns the templates of every configuration of the gate's
-// cell, in AllConfigs order, building and caching them on first use. The
-// result is stored under every member configuration's key, so instances
-// of one cell in different current configurations share a single entry.
-func (tc *templateCache) getOrbit(g *gate.Gate) (*orbitTemplates, error) {
-	if ot, ok := tc.byPtrOrbit.Load(g); ok {
-		return ot.(*orbitTemplates), nil
+// orbitTemplatesOf returns the templates of cfgs, a cell's AllConfigs, in
+// order.
+func orbitTemplatesOf(cfgs []*gate.Gate) ([]*template, error) {
+	if ts, ok := orbitTemplates.Load(cfgs[0]); ok {
+		return ts.([]*template), nil
 	}
-	key := templateKey(g)
-	tc.mu.Lock()
-	ot, ok := tc.orbits[key]
-	tc.mu.Unlock()
-	if ok {
-		return ot, nil
-	}
-	cfgs := g.AllConfigs()
-	ot = &orbitTemplates{cfgs: cfgs, tmpl: make([]*template, len(cfgs))}
+	ts := make([]*template, len(cfgs))
 	for i, cfg := range cfgs {
-		t, err := tc.get(cfg)
+		t, err := templateOf(cfg)
 		if err != nil {
 			return nil, err
 		}
-		ot.tmpl[i] = t
+		ts[i] = t
 	}
-	tc.mu.Lock()
-	if prior, ok := tc.orbits[key]; ok {
-		ot = prior
-	} else {
-		tc.orbits[key] = ot
-		for _, cfg := range cfgs {
-			tc.orbits[templateKey(cfg)] = ot
-		}
-	}
-	tc.mu.Unlock()
-	for i, cfg := range cfgs {
-		tc.byPtrOrbit.Store(cfg, ot)
-		tc.byPtr.Store(cfg, ot.tmpl[i])
-	}
-	return ot, nil
-}
-
-// templateKey identifies a configuration including its pin-order binding:
-// the ConfigKey serializes the networks over pin names, and the input
-// list fixes the variable order the functions are built over.
-func templateKey(g *gate.Gate) string {
-	return fmt.Sprintf("%v|%s", g.Inputs, g.ConfigKey())
+	prior, _ := orbitTemplates.LoadOrStore(cfgs[0], ts)
+	return prior.([]*template), nil
 }
 
 func buildTemplate(g *gate.Gate) (*template, error) {

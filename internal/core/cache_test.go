@@ -35,18 +35,6 @@ func TestTemplateCacheTransparent(t *testing.T) {
 	}
 }
 
-func TestTemplateKeyDistinguishesConfigs(t *testing.T) {
-	g := gate.MustNew("nand2", []string{"a", "b"}, sp.MustParse("s(a,b)"))
-	cfgs := g.AllConfigs()
-	keys := map[string]bool{}
-	for _, cfg := range cfgs {
-		keys[templateKey(cfg)] = true
-	}
-	if len(keys) != len(cfgs) {
-		t.Errorf("%d configs share %d template keys", len(cfgs), len(keys))
-	}
-}
-
 func TestTemplateCacheConcurrent(t *testing.T) {
 	// Hammer the cache from many goroutines on a cold key set; the race
 	// detector (go test -race) validates the locking.

@@ -310,7 +310,7 @@ func (inc *Incremental) evalModel(i int, inBuf *[]stoch.Signal, probBuf *[]float
 	tmpl := inc.tmpl[i]
 	if tmpl == nil {
 		var err error
-		if tmpl, err = templates.get(g.Cell); err != nil {
+		if tmpl, err = templateOf(g.Cell); err != nil {
 			return ConfigPower{}, fmt.Errorf("core: instance %s: %w", g.Name, err)
 		}
 		inc.tmpl[i] = tmpl

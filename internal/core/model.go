@@ -54,7 +54,7 @@ func AnalyzeGate(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) (
 		}
 		probs[i] = s.P
 	}
-	tmpl, err := templates.get(g)
+	tmpl, err := templateOf(g)
 	if err != nil {
 		return nil, err
 	}
@@ -175,14 +175,15 @@ func (a *ConfigAnalyzer) AnalyzeConfigs(g *gate.Gate, in []stoch.Signal, loadCap
 	if err != nil {
 		return nil, err
 	}
-	ot, err := templates.getOrbit(g)
+	cfgs := g.AllConfigs()
+	ts, err := orbitTemplatesOf(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	out := a.results(len(ot.cfgs))
-	for i, tmpl := range ot.tmpl {
+	out := a.results(len(cfgs))
+	for i, tmpl := range ts {
 		out[i] = evalTemplate(tmpl, in, probs, loadCap, prm)
-		out[i].Config = ot.cfgs[i]
+		out[i].Config = cfgs[i]
 	}
 	return out, nil
 }
@@ -201,7 +202,7 @@ func (a *ConfigAnalyzer) AnalyzeConfigList(cfgs []*gate.Gate, in []stoch.Signal,
 		if len(in) != len(cfg.Inputs) {
 			return nil, fmt.Errorf("core: gate %s has %d inputs, got %d signals", cfg.Name, len(cfg.Inputs), len(in))
 		}
-		tmpl, err := templates.get(cfg)
+		tmpl, err := templateOf(cfg)
 		if err != nil {
 			return nil, err
 		}

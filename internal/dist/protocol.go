@@ -162,12 +162,11 @@ type LeaseRequest struct {
 // LeaseResponse grants a lease, reports completion, or asks the worker
 // to poll again (all jobs are leased out but the sweep is not done).
 type LeaseResponse struct {
-	Done     bool      `json:"done,omitempty"`
-	LeaseID  string    `json:"lease_id,omitempty"`
-	TTLMs    int64     `json:"ttl_ms,omitempty"`
-	Jobs     []JobSpec `json:"jobs,omitempty"`
-	RetryMs  int64     `json:"retry_ms,omitempty"`
-	Deadline string    `json:"-"` // unused on the wire; reserved
+	Done    bool      `json:"done,omitempty"`
+	LeaseID string    `json:"lease_id,omitempty"`
+	TTLMs   int64     `json:"ttl_ms,omitempty"`
+	Jobs    []JobSpec `json:"jobs,omitempty"`
+	RetryMs int64     `json:"retry_ms,omitempty"`
 }
 
 // HeartbeatRequest renews a lease.

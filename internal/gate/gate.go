@@ -2,7 +2,6 @@ package gate
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/sp"
@@ -17,10 +16,13 @@ type Gate struct {
 	Inputs []string // pin order; functions are over these variables
 	PD     *sp.Expr // pull-down (NMOS), serialized output → ground
 	PU     *sp.Expr // pull-up (PMOS), serialized power → output
+
+	orbit *orbit // set on interned gates (see intern.go)
 }
 
 // New builds a gate from its pull-down network, deriving the canonical
-// complementary pull-up as the dual.
+// complementary pull-up as the dual. Like every constructor here it
+// returns the interned gate of the configuration.
 func New(name string, inputs []string, pd *sp.Expr) (*Gate, error) {
 	return NewWithPU(name, inputs, pd, pd.Dual())
 }
@@ -28,8 +30,10 @@ func New(name string, inputs []string, pd *sp.Expr) (*Gate, error) {
 // NewWithPU builds a gate with an explicitly ordered pull-up network;
 // the pull-up must be the series-parallel dual of the pull-down up to
 // ordering (checked via the complementarity of the conduction functions).
+// A pull-down or pull-up that differs from a registered configuration
+// only in parallel-branch order yields that configuration.
 func NewWithPU(name string, inputs []string, pd, pu *sp.Expr) (*Gate, error) {
-	g := &Gate{Name: name, Inputs: append([]string(nil), inputs...), PD: pd.Flatten(), PU: pu.Flatten()}
+	g := &Gate{Name: name, Inputs: inputs, PD: pd, PU: pu}
 	gr, err := g.Graph()
 	if err != nil {
 		return nil, err
@@ -37,7 +41,7 @@ func NewWithPU(name string, inputs []string, pd, pu *sp.Expr) (*Gate, error) {
 	if err := gr.CheckComplementary(); err != nil {
 		return nil, fmt.Errorf("gate %s: %w", name, err)
 	}
-	return g, nil
+	return intern(g), nil
 }
 
 // MustNew is New that panics on error, for compile-time cell tables.
@@ -90,24 +94,11 @@ func (g *Gate) CountConfigs() int {
 	return sp.CountOrderings(g.PD) * sp.CountOrderings(g.PU)
 }
 
-// AllConfigs enumerates every distinct configuration, sorted by ConfigKey.
-// The result is memoized per configuration and shared across callers (all
-// instances of a cell in a circuit enumerate the orbit once); treat the
-// returned slice and its gates as read-only.
+// AllConfigs returns every distinct configuration of the gate's cell,
+// interned and sorted by ConfigKey. The slice is shared by every member
+// of the cell; treat it as read-only.
 func (g *Gate) AllConfigs() []*Gate {
-	return orbits.allConfigs(g)
-}
-
-// enumerateConfigs performs the actual enumeration behind AllConfigs.
-func (g *Gate) enumerateConfigs() []*Gate {
-	var out []*Gate
-	for _, pd := range sp.Orderings(g.PD) {
-		for _, pu := range sp.Orderings(g.PU) {
-			out = append(out, &Gate{Name: g.Name, Inputs: g.Inputs, PD: pd, PU: pu})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ConfigKey() < out[j].ConfigKey() })
-	return out
+	return intern(g).orbit.configs
 }
 
 // ExploreStep records one pivot application for tracing (Fig. 5).
@@ -121,7 +112,8 @@ type ExploreStep struct {
 // whole gate: internal nodes of the pull-down network are indexed first,
 // then the pull-up's. Pivoting on a node transposes the two series
 // sub-networks adjacent to it. The visited set is keyed by ConfigKey.
-// Tests assert the result equals AllConfigs ([5] proves completeness).
+// The result holds the interned gates in discovery order; tests assert
+// it is a permutation of AllConfigs ([5] proves completeness).
 func (g *Gate) FindAllConfigs(trace *[]ExploreStep) []*Gate {
 	pdn := g.PD.NumInternalNodes()
 	pun := g.PU.NumInternalNodes()
@@ -157,6 +149,9 @@ func (g *Gate) FindAllConfigs(trace *[]ExploreStep) []*Gate {
 	for i := 0; i < total; i++ {
 		search(start, i)
 	}
+	for i, c := range order {
+		order[i] = intern(c)
+	}
 	return order
 }
 
@@ -171,59 +166,9 @@ type Instance struct {
 // Instances partitions AllConfigs into orbits under the input
 // automorphisms of the gate shape. The number of instances is the bracket
 // count of Table 2 (aoi211[A,B,C] → 3 instances). Like AllConfigs, the
-// result is memoized per configuration; treat it as read-only.
+// result is computed once per cell and shared; treat it as read-only.
 func (g *Gate) Instances() []Instance {
-	return orbits.allInstances(g)
-}
-
-// partitionInstances performs the actual orbit partition behind Instances.
-func (g *Gate) partitionInstances() []Instance {
-	configs := g.AllConfigs()
-	autos := sp.Automorphisms(g.PD) // the PU shape is the dual: same symmetries
-	idx := make(map[string]int, len(configs))
-	for i, c := range configs {
-		idx[c.ConfigKey()] = i
-	}
-	parent := make([]int, len(configs))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i, c := range configs {
-		for _, m := range autos {
-			img := &Gate{Name: c.Name, Inputs: c.Inputs, PD: c.PD.RenameInputs(m), PU: c.PU.RenameInputs(m)}
-			j, ok := idx[img.ConfigKey()]
-			if !ok {
-				panic("gate: automorphism image is not a configuration")
-			}
-			ri, rj := find(i), find(j)
-			if ri != rj {
-				parent[rj] = ri
-			}
-		}
-	}
-	groups := map[int][]*Gate{}
-	for i, c := range configs {
-		r := find(i)
-		groups[r] = append(groups[r], c)
-	}
-	var orbits [][]*Gate
-	for _, grp := range groups {
-		orbits = append(orbits, grp)
-	}
-	sort.Slice(orbits, func(i, j int) bool { return orbits[i][0].ConfigKey() < orbits[j][0].ConfigKey() })
-	out := make([]Instance, len(orbits))
-	for i, grp := range orbits {
-		out[i] = Instance{Label: instanceLabel(i), Configs: grp}
-	}
-	return out
+	return intern(g).orbit.partition()
 }
 
 func instanceLabel(i int) string {
@@ -234,14 +179,16 @@ func instanceLabel(i int) string {
 	return fmt.Sprintf("Z%d", i)
 }
 
-// WithOrdering returns the configuration of this gate with the given
-// ordered networks; the shapes must match.
+// WithOrdering returns the interned configuration of this gate with the
+// given ordered networks; the shapes must match. Every same-shape
+// ordering is a member of the cell's orbit, so it needs no further
+// validation.
 func (g *Gate) WithOrdering(pd, pu *sp.Expr) (*Gate, error) {
 	n := &Gate{Name: g.Name, Inputs: g.Inputs, PD: pd.Flatten(), PU: pu.Flatten()}
 	if n.ShapeKey() != g.ShapeKey() {
 		return nil, fmt.Errorf("gate %s: ordering has different shape %s", g.Name, n.ShapeKey())
 	}
-	return n, nil
+	return intern(n), nil
 }
 
 // String identifies the gate and its configuration.

@@ -5,7 +5,8 @@
 // path functions H_nk (node to vdd) and G_nk (node to vss) by depth-first
 // path enumeration (Figure 2(b)) and enumerates all transistor
 // reorderings of a gate, both combinatorially and with the paper's pivot
-// search (Figure 4).
+// search (Figure 4). Configurations are interned (intern.go): the package
+// hands out one *Gate per configuration.
 package gate
 
 import (

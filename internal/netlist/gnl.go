@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/circuit"
-	"repro/internal/gate"
 	"repro/internal/library"
 	"repro/internal/sp"
 )
@@ -25,7 +24,9 @@ import (
 //	end
 //
 // pd=/pu= are sp-syntax expressions over the cell's pin names; omitting
-// them selects the cell's canonical configuration.
+// them selects the cell's canonical configuration. A given ordering reads
+// as the library's interned configuration, so parallel-branch order is
+// normalized to the library's and WriteGNL prints that.
 
 // ReadGNL parses a GNL stream, resolving cells against lib.
 func ReadGNL(r io.Reader, lib *library.Library) (*circuit.Circuit, error) {
@@ -151,9 +152,6 @@ func parseGNLGate(fields []string, lib *library.Library, lineNo int) (*circuit.I
 			}
 		}
 		if cfg, err = cell.Proto.WithOrdering(pdExpr, puExpr); err != nil {
-			return nil, fmt.Errorf("gnl:%d: gate %s: %w", lineNo, instName, err)
-		}
-		if _, err := gate.NewWithPU(cfg.Name, cfg.Inputs, cfg.PD, cfg.PU); err != nil {
 			return nil, fmt.Errorf("gnl:%d: gate %s: %w", lineNo, instName, err)
 		}
 	}

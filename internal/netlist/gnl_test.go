@@ -1,11 +1,15 @@
 package netlist
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/gate"
 	"repro/internal/library"
+	"repro/internal/stoch"
 )
 
 const smallGNL = `# a two-gate circuit
@@ -182,5 +186,78 @@ func TestReadGNLCommentAndBlankHandling(t *testing.T) {
 	}
 	if len(c.Gates) != 1 || c.Name != "c" {
 		t.Fatalf("parsed wrong circuit: %+v", c)
+	}
+}
+
+// TestGNLInternParallelOrder checks that an ordering differing from the
+// prototype only in parallel-branch order reads back as the prototype
+// itself, and is written in the library's canonical order.
+func TestGNLInternParallelOrder(t *testing.T) {
+	src := "circuit p\ninputs a b\noutputs z\ngate u1 nand2 y=z a=a b=b pu=p(b,a)\nend\n"
+	c, err := ReadGNL(strings.NewReader(src), library.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Gates[0].Cell != library.Default().MustCell("nand2").Proto {
+		t.Errorf("pu=p(b,a) read as %v, not the nand2 prototype", c.Gates[0].Cell)
+	}
+	var buf strings.Builder
+	if err := WriteGNL(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), " pd=s(a,b) pu=p(a,b)\n") {
+		t.Errorf("written as:\n%s", buf.String())
+	}
+}
+
+// TestGNLInternAnalysisIndependentOfNaming checks that a configuration's
+// analysis does not depend on which parallel-branch order named it
+// first: an aoi222 read with permuted pull-down branches is analyzed
+// before the library member, and every analyzed node of both must be the
+// member's own graph node (same path-function probabilities and
+// capacitance sources), with bit-identical powers.
+func TestGNLInternAnalysisIndependentOfNaming(t *testing.T) {
+	src := "circuit p\ninputs a b c d e f\noutputs z\n" +
+		"gate u1 aoi222 y=z a1=a a2=b b1=c b2=d c1=e c2=f pd=p(s(c1,c2),s(a1,a2),s(b1,b2))\nend\n"
+	c, err := ReadGNL(strings.NewReader(src), library.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := c.Gates[0].Cell
+	member := library.Default().MustCell("aoi222").Proto
+	gr, err := member.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := append(gr.InternalNodes(), gate.Y)
+	rng := rand.New(rand.NewSource(7))
+	prm := core.DefaultParams()
+	for v := 0; v < 200; v++ {
+		in := make([]stoch.Signal, 6)
+		probs := make([]float64, 6)
+		for k := range in {
+			in[k] = stoch.Signal{P: rng.Float64(), D: 1e5 * rng.Float64()}
+			probs[k] = in[k].P
+		}
+		first, err := core.AnalyzeGate(named, in, 1e-14, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := core.AnalyzeGate(member, in, 1e-14, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Power != second.Power {
+			t.Fatalf("vector %d: power %v via the GNL name, %v via the library member", v, first.Power, second.Power)
+		}
+		for k, n := range nodes {
+			for _, a := range []*core.GateAnalysis{first, second} {
+				na := a.Nodes[k]
+				if na.Name != gr.NodeName(n) || na.Sources != gr.Degree(n) ||
+					na.PH != gr.H(n).Prob(probs) || na.PG != gr.G(n).Prob(probs) {
+					t.Fatalf("vector %d: analyzed node %d (%s) is not member graph node %s", v, k, na.Name, gr.NodeName(n))
+				}
+			}
+		}
 	}
 }

@@ -51,13 +51,6 @@ func optimize(out *circuit.Circuit, pi map[string]stoch.Signal, opt Options, wor
 	return report, nil
 }
 
-// isMove reports whether cfg differs from the current configuration cur:
-// by pointer when the instance already holds the canonical orbit member,
-// by ConfigKey otherwise.
-func isMove(cfg, cur *gate.Gate) bool {
-	return cfg != cur && cfg.ConfigKey() != cur.ConfigKey()
-}
-
 // pickScratch is the per-goroutine buffer set of the candidate search:
 // the pin-signal slice plus the batch evaluator's own scratch, so the
 // steady-state search allocates nothing per gate.
@@ -98,7 +91,7 @@ func powerSearch(n int, opt Options) (func(*core.Incremental, int) error, func(i
 			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
 		}
 		chosen[i] = cands[best]
-		changed[i] = isMove(cands[best].Config, g.Cell)
+		changed[i] = cands[best].Config != g.Cell
 		return nil
 	}
 	return pick, func(i int) (core.ConfigPower, bool, error) { return chosen[i], changed[i], nil }
@@ -116,6 +109,7 @@ type delayChooser struct {
 	in       []stoch.Signal
 	cfgs     []*gate.Gate
 	cfgArr   []float64 // arrival of each of cfgs
+	allArr   []float64 // arrival of each of the cell's AllConfigs
 	analyzer core.ConfigAnalyzer
 }
 
@@ -138,29 +132,37 @@ func (dc *delayChooser) choose(i int) (core.ConfigPower, bool, error) {
 		dc.arrIn = append(dc.arrIn, dc.arr[id])
 	}
 	out, _ := inc.NetID(g.Out)
-	dc.cfgs, dc.cfgArr = dc.cfgs[:0], dc.cfgArr[:0]
+	dc.cfgs, dc.cfgArr, dc.allArr = dc.cfgs[:0], dc.cfgArr[:0], dc.allArr[:0]
 	if opt.Mode == DelayRule {
 		cfg, a, err := delay.DelayOptimal(g.Cell, dc.arrIn, load, opt.Delay)
 		if err != nil {
 			return fail(err)
 		}
-		if !isMove(cfg, g.Cell) {
+		if cfg == g.Cell {
 			dc.arr[out] = a
 			return core.ConfigPower{}, false, nil
 		}
 		dc.cfgs, dc.cfgArr = append(dc.cfgs, cfg), append(dc.cfgArr, a)
 	} else {
-		limit, err := delay.Arrival(g.Cell, dc.arrIn, load, opt.Delay)
-		if err != nil {
-			return fail(err)
-		}
-		for _, cfg := range g.Cell.AllConfigs() {
+		// Each candidate's arrival once; the limit is the current one's.
+		all, cur := g.Cell.AllConfigs(), -1
+		for k, cfg := range all {
 			a, err := delay.Arrival(cfg, dc.arrIn, load, opt.Delay)
 			if err != nil {
 				return fail(err)
 			}
+			if cfg == g.Cell {
+				cur = k
+			}
+			dc.allArr = append(dc.allArr, a)
+		}
+		if cur < 0 {
+			return fail(fmt.Errorf("configuration %v is not interned by package gate", g.Cell))
+		}
+		limit := dc.allArr[cur]
+		for k, a := range dc.allArr {
 			if a <= limit*(1+1e-12) {
-				dc.cfgs, dc.cfgArr = append(dc.cfgs, cfg), append(dc.cfgArr, a)
+				dc.cfgs, dc.cfgArr = append(dc.cfgs, all[k]), append(dc.cfgArr, a)
 			}
 		}
 	}
@@ -180,7 +182,7 @@ func (dc *delayChooser) choose(i int) (core.ConfigPower, bool, error) {
 		return fail(err)
 	}
 	dc.arr[out] = dc.cfgArr[best]
-	return cands[best], isMove(cands[best].Config, g.Cell), nil
+	return cands[best], cands[best].Config != g.Cell, nil
 }
 
 // pickByPower selects the objective-optimal candidate's index. Candidates

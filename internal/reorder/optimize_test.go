@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -140,9 +141,9 @@ func TestCurrentInstanceCoversLibrary(t *testing.T) {
 }
 
 // TestCurrentInstancePanicsOnForeignConfig covers the lookup's panic path:
-// a hand-built gate whose networks are not flattened has a ConfigKey that
-// no enumeration (which flattens first) ever produces, so its orbit lookup
-// must fail loudly rather than silently optimize over the wrong set.
+// a hand-built gate is not the interned gate of its configuration, so its
+// orbit lookup must fail loudly rather than silently optimize over the
+// wrong set.
 func TestCurrentInstancePanicsOnForeignConfig(t *testing.T) {
 	bad := &gate.Gate{
 		Name:   "bad",
@@ -156,6 +157,23 @@ func TestCurrentInstancePanicsOnForeignConfig(t *testing.T) {
 		}
 	}()
 	currentInstance(bad)
+}
+
+// TestDelayNeutralRejectsUninternedGate: the delay-neutral limit is the
+// current configuration's arrival, found by pointer among AllConfigs; a
+// hand-built gate has none, which is an error rather than a zero limit.
+func TestDelayNeutralRejectsUninternedGate(t *testing.T) {
+	literal := &gate.Gate{Name: "nand2", Inputs: []string{"a", "b"}, PD: sp.MustParse("s(a,b)"), PU: sp.MustParse("p(a,b)")}
+	c := &circuit.Circuit{
+		Name: "lit", Inputs: []string{"x", "y"}, Outputs: []string{"z"},
+		Gates: []*circuit.Instance{{Name: "g1", Cell: literal, Pins: []string{"x", "y"}, Out: "z"}},
+	}
+	pi := map[string]stoch.Signal{"x": {P: 0.5, D: 1e5}, "y": {P: 0.5, D: 2e5}}
+	opt := DefaultOptions()
+	opt.Mode = DelayNeutral
+	if _, err := Optimize(c, pi, opt); err == nil || !strings.Contains(err.Error(), "not interned") {
+		t.Fatalf("err = %v, want a not-interned error", err)
+	}
 }
 
 // TestBestAndWorstMultiOutput runs the Table 3 pair on a multi-output

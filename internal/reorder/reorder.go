@@ -162,27 +162,16 @@ func Optimize(c *circuit.Circuit, pi map[string]stoch.Signal, opt Options) (*Rep
 // current configuration — what rewiring symmetric inputs can reach without
 // changing the physical layout.
 func currentInstance(g *gate.Gate) []*gate.Gate {
-	insts := g.Instances()
-	// Fast path: after the first committed move the instance holds the
-	// canonical orbit member, found by pointer without key building.
-	for _, inst := range insts {
+	for _, inst := range g.Instances() {
 		for _, cfg := range inst.Configs {
 			if cfg == g {
 				return inst.Configs
 			}
 		}
 	}
-	key := g.ConfigKey()
-	for _, inst := range insts {
-		for _, cfg := range inst.Configs {
-			if cfg.ConfigKey() == key {
-				return inst.Configs
-			}
-		}
-	}
-	// The current configuration is always in some orbit; reaching here
-	// would mean Instances() lost it.
-	panic(fmt.Sprintf("reorder: configuration %s missing from its own instance partition", key))
+	// Every interned configuration is in its own partition; reaching here
+	// means g was not built by package gate.
+	panic(fmt.Sprintf("reorder: configuration %v missing from its own instance partition", g))
 }
 
 // BestAndWorst runs the optimizer in both directions — the pair of

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mcnc"
 	"repro/internal/netlist"
 	"repro/internal/stoch"
+	"repro/internal/sweep"
 )
 
 // circuitRequest is the part of every request that names a circuit and
@@ -60,14 +61,14 @@ func (cr *circuitRequest) normalize() error {
 		}
 		return nil
 	}
-	switch cr.Scenario {
-	case "", "A", "a":
-		cr.Scenario = "A"
-	case "B", "b":
-		cr.Scenario = "B"
-	default:
-		return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "unknown scenario %q (want A or B)", cr.Scenario)
+	if cr.Scenario == "" {
+		cr.Scenario = "A" // the cache key spells the default out
 	}
+	sc, err := sweep.ParseScenario(cr.Scenario)
+	if err != nil {
+		return httpapi.Errorf(http.StatusBadRequest, "invalid_request", "%v", err)
+	}
+	cr.Scenario = sc.String()
 	return nil
 }
 

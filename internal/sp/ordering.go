@@ -175,66 +175,6 @@ func permuteInts(xs []int, visit func([]int)) {
 	rec(len(xs))
 }
 
-// Instances partitions the configurations of e into orbits under the
-// automorphism group: two configurations belong to the same instance when
-// one can be obtained from the other purely by rewiring symmetric inputs.
-// A Sea-of-Gates library needs one physical cell layout per instance
-// (paper Sec. 5.1: oai21[A] realizes configurations (A) and (B), oai21[B]
-// realizes (C) and (D)). The orbits are returned sorted by their smallest
-// member's ConfigKey; each orbit is itself sorted.
-func Instances(e *Expr) [][]*Expr {
-	configs := Orderings(e)
-	autos := Automorphisms(e)
-	keyToIdx := make(map[string]int, len(configs))
-	for i, c := range configs {
-		keyToIdx[c.ConfigKey()] = i
-	}
-	// Union-find over configuration indices.
-	parent := make([]int, len(configs))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	for i, c := range configs {
-		for _, m := range autos {
-			j, ok := keyToIdx[c.RenameInputs(m).ConfigKey()]
-			if !ok {
-				// An automorphism must map configurations to
-				// configurations; reaching here is a bug.
-				panic("sp: automorphism image is not a configuration")
-			}
-			union(i, j)
-		}
-	}
-	groups := map[int][]*Expr{}
-	for i, c := range configs {
-		r := find(i)
-		groups[r] = append(groups[r], c)
-	}
-	var orbits [][]*Expr
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i].ConfigKey() < g[j].ConfigKey() })
-		orbits = append(orbits, g)
-	}
-	sort.Slice(orbits, func(i, j int) bool {
-		return orbits[i][0].ConfigKey() < orbits[j][0].ConfigKey()
-	})
-	return orbits
-}
-
 // Pivot returns a new expression in which the two series sub-networks
 // adjacent to the given internal node are transposed — the paper's
 // PIVOTING_ON_INTERNAL_NODE (Fig. 4). Internal nodes are numbered 0..p-1

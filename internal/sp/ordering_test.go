@@ -163,28 +163,6 @@ func TestAutomorphismsAOI22(t *testing.T) {
 	}
 }
 
-func TestInstancesOAI21(t *testing.T) {
-	// Paper Sec. 5.1: oai21 has two instances of two configurations each.
-	// For the PDN alone (2 configs, symmetric pair a1/a2), both configs
-	// survive as separate instances? No: the two PDN configs differ by the
-	// series order of (pair, b), which no input swap can undo → 2 orbits.
-	e := MustParse("s(p(a1,a2),b)")
-	orbits := Instances(e)
-	if len(orbits) != 2 {
-		t.Fatalf("PDN orbits = %d, want 2", len(orbits))
-	}
-	// The PUN s(a1,a2)∥b — as an expression p(s(a1,a2),b) — has 2 configs
-	// related by the a1↔a2 swap → 1 orbit.
-	pu := MustParse("p(s(a1,a2),b)")
-	orbits = Instances(pu)
-	if len(orbits) != 1 {
-		t.Fatalf("PUN orbits = %d, want 1", len(orbits))
-	}
-	if len(orbits[0]) != 2 {
-		t.Fatalf("PUN orbit size = %d, want 2", len(orbits[0]))
-	}
-}
-
 func TestFactorial(t *testing.T) {
 	want := []int{1, 1, 2, 6, 24, 120}
 	for k, w := range want {
