@@ -94,23 +94,24 @@ func TestAnalyzeConfigsErrors(t *testing.T) {
 		t.Error("invalid signal accepted")
 	}
 	var a ConfigAnalyzer
-	if _, err := a.AnalyzeConfigList(g.AllConfigs(), in[:1], 1e-15, DefaultParams()); err == nil {
-		t.Error("AnalyzeConfigList accepted wrong input count")
+	if _, err := a.Analyze(g.AllConfigs(), in[:1], 1e-15, DefaultParams()); err == nil {
+		t.Error("Analyze accepted wrong input count")
 	}
-	if _, err := a.AnalyzeConfigList(nil, nil, 1e-15, DefaultParams()); err != nil {
+	if _, err := a.Analyze(nil, nil, 1e-15, DefaultParams()); err != nil {
 		t.Errorf("empty candidate list should evaluate to empty, got %v", err)
 	}
 }
 
 // TestIncrementalParallelConstructionEquivalent pins the wavefront
-// constructor's contract: for every embedded benchmark and several worker
-// counts, the constructed engine state must be bit-identical to the
-// serial construction (exact float equality on every total, every
-// per-gate power, every net statistic).
+// constructor to the reference: for every embedded benchmark, every
+// Table 3 circuit and several worker counts, the constructed engine state
+// must equal AnalyzeCircuit's exactly (every total, every per-gate power,
+// every net statistic). Both fold the per-gate results in the same
+// topological order, so no tolerance is needed.
 func TestIncrementalParallelConstructionEquivalent(t *testing.T) {
 	lib := library.Default()
 	prm := DefaultParams()
-	for _, name := range mcnc.EmbeddedNames() {
+	for _, name := range append(mcnc.EmbeddedNames(), mcnc.Names()...) {
 		c, err := mcnc.Load(name, lib)
 		if err != nil {
 			t.Fatal(err)
@@ -119,31 +120,34 @@ func TestIncrementalParallelConstructionEquivalent(t *testing.T) {
 		for i, in := range c.Inputs {
 			pi[in] = stoch.Signal{P: 0.2 + 0.07*float64(i%10), D: 1e5 * float64(1+i%5)}
 		}
-		serial, err := NewIncremental(c, pi, prm)
+		want, err := AnalyzeCircuit(c, pi, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := serial.Analysis()
-		for _, workers := range []int{2, 4, 8} {
-			par, err := NewIncrementalParallelFunc(c, pi, prm, workers, nil)
+		for _, workers := range []int{1, 2, 4, 8} {
+			inc, err := NewIncrementalParallelFunc(c, pi, prm, workers, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			if par.Power() != serial.Power() || par.InternalPower() != serial.InternalPower() ||
-				par.OutputPower() != serial.OutputPower() {
-				t.Fatalf("%s workers=%d: totals (%g, %g, %g) != serial (%g, %g, %g)",
-					name, workers, par.Power(), par.InternalPower(), par.OutputPower(),
-					serial.Power(), serial.InternalPower(), serial.OutputPower())
+			if inc.Power() != want.Power || inc.InternalPower() != want.InternalPower ||
+				inc.OutputPower() != want.OutputPower {
+				t.Fatalf("%s workers=%d: totals (%g, %g, %g) != reference (%g, %g, %g)",
+					name, workers, inc.Power(), inc.InternalPower(), inc.OutputPower(),
+					want.Power, want.InternalPower, want.OutputPower)
 			}
-			got := par.Analysis()
+			got := inc.Analysis()
+			if len(got.PerGate) != len(want.PerGate) || len(got.NetStats) != len(want.NetStats) {
+				t.Fatalf("%s workers=%d: %d gates, %d nets; reference has %d, %d", name, workers,
+					len(got.PerGate), len(got.NetStats), len(want.PerGate), len(want.NetStats))
+			}
 			for g, p := range want.PerGate {
-				if got.PerGate[g] != p {
-					t.Fatalf("%s workers=%d: gate %s power %g != serial %g", name, workers, g, got.PerGate[g], p)
+				if q, ok := got.PerGate[g]; !ok || q != p {
+					t.Fatalf("%s workers=%d: gate %s power %g != reference %g", name, workers, g, q, p)
 				}
 			}
 			for net, s := range want.NetStats {
-				if got.NetStats[net] != s {
-					t.Fatalf("%s workers=%d: net %s stats %v != serial %v", name, workers, net, got.NetStats[net], s)
+				if q, ok := got.NetStats[net]; !ok || q != s {
+					t.Fatalf("%s workers=%d: net %s stats %v != reference %v", name, workers, net, q, s)
 				}
 			}
 		}
@@ -218,7 +222,7 @@ func TestIncrementalParallelHook(t *testing.T) {
 
 // TestSetConfigEvaluatedMatchesSetConfig pins the commit fast path: the
 // engine state after SetConfigEvaluated with an AnalyzeConfigs result
-// must be bit-identical to SetConfigAt re-evaluating the model.
+// must be bit-identical to SetConfig re-evaluating the model.
 func TestSetConfigEvaluatedMatchesSetConfig(t *testing.T) {
 	lib := library.Default()
 	c, err := mcnc.Load("rca4", lib)
@@ -258,7 +262,7 @@ func TestSetConfigEvaluatedMatchesSetConfig(t *testing.T) {
 		if err := a.SetConfigEvaluated(i, cp); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SetConfigAt(i, cp.Config); err != nil {
+		if err := b.SetConfig(g.Name, cp.Config); err != nil {
 			t.Fatal(err)
 		}
 		if a.Power() != b.Power() || a.InternalPower() != b.InternalPower() || a.OutputPower() != b.OutputPower() {
@@ -388,27 +392,19 @@ func TestIncrementalIDFastPaths(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// SetConfigAt must behave exactly like SetConfig on the same position.
-	var target int
-	for i, g := range order {
-		if len(g.Cell.AllConfigs()) >= 2 {
-			target = i
-			break
-		}
+// TestPick pins the selection rule: strict comparison in both
+// directions, so ties go to the earliest candidate.
+func TestPick(t *testing.T) {
+	cands := []ConfigPower{{Power: 2}, {Power: 1}, {Power: 3}, {Power: 1}, {Power: 3}}
+	if k, err := Pick(cands, false); err != nil || k != 1 {
+		t.Errorf("Pick(min) = %d, %v; want 1", k, err)
 	}
-	cfgs := order[target].Cell.AllConfigs()
-	if err := inc.SetConfigAt(target, cfgs[1]); err != nil {
-		t.Fatal(err)
+	if k, err := Pick(cands, true); err != nil || k != 2 {
+		t.Errorf("Pick(max) = %d, %v; want 2", k, err)
 	}
-	if order[target].Cell.ConfigKey() != cfgs[1].ConfigKey() {
-		t.Error("SetConfigAt did not apply the configuration")
-	}
-	checkAgainstFull(t, inc, pi, DefaultParams(), "after SetConfigAt")
-	if err := inc.SetConfigAt(-1, cfgs[0]); err == nil {
-		t.Error("SetConfigAt accepted a negative position")
-	}
-	if err := inc.SetConfigAt(len(order), cfgs[0]); err == nil {
-		t.Error("SetConfigAt accepted an out-of-range position")
+	if _, err := Pick(nil, false); err == nil {
+		t.Error("Pick accepted an empty candidate list")
 	}
 }

@@ -26,16 +26,14 @@ type templateNode struct {
 	dh, dg  []logic.Func // boolean differences per input
 }
 
-// templates memoizes each configuration's template and orbitTemplates
-// each cell's templates in AllConfigs order, keyed by the orbit's first
-// member — so the batched candidate search resolves a whole orbit with
-// one lookup. Package gate interns configurations (one *gate.Gate per
-// configuration), so the pointer is the identity: a steady-state lookup
-// is one lock-free map load. Both maps are safe for concurrent use (the
-// experiment harness analyzes benchmarks in parallel) and bounded by the
-// interned configurations (plus any Gate literal a caller builds by hand,
-// which is its own key).
-var templates, orbitTemplates sync.Map // *gate.Gate → *template, []*template
+// templates memoizes each configuration's template. Package gate
+// interns configurations (one *gate.Gate per configuration), so the
+// pointer is the identity: a steady-state lookup is one lock-free map
+// load. The map is safe for concurrent use (the experiment harness
+// analyzes benchmarks in parallel) and bounded by the interned
+// configurations (plus any Gate literal a caller builds by hand, which is
+// its own key).
+var templates sync.Map // *gate.Gate → *template
 
 // templateOf returns the template for the gate's configuration, building
 // it on first use.
@@ -49,24 +47,6 @@ func templateOf(g *gate.Gate) (*template, error) {
 	}
 	prior, _ := templates.LoadOrStore(g, t)
 	return prior.(*template), nil
-}
-
-// orbitTemplatesOf returns the templates of cfgs, a cell's AllConfigs, in
-// order.
-func orbitTemplatesOf(cfgs []*gate.Gate) ([]*template, error) {
-	if ts, ok := orbitTemplates.Load(cfgs[0]); ok {
-		return ts.([]*template), nil
-	}
-	ts := make([]*template, len(cfgs))
-	for i, cfg := range cfgs {
-		t, err := templateOf(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ts[i] = t
-	}
-	prior, _ := orbitTemplates.LoadOrStore(cfgs[0], ts)
-	return prior.([]*template), nil
 }
 
 func buildTemplate(g *gate.Gate) (*template, error) {

@@ -24,8 +24,10 @@ import (
 // Internally every net name is interned to a dense integer ID at
 // construction and every gate's pin bindings are pre-resolved to those
 // IDs, so the hot propagation loop indexes flat slices instead of hashing
-// strings. The string-keyed API (NetSignal, SetConfig, …) survives as a
-// thin shim over the ID-based fast paths (NetSignalID, SetConfigAt, …).
+// strings. The string-keyed readers (NetSignal, Load) survive as thin
+// shims over the ID-based fast paths (NetSignalID, LoadAt, InputsAt).
+// Every gate-model evaluation goes through a ConfigAnalyzer, the same
+// summary evaluator the optimizer's candidate search uses.
 //
 // The engine is what makes the optimizer's inner loop cheap — one gate-model
 // evaluation per accepted move instead of a whole-circuit re-analysis — and
@@ -54,7 +56,6 @@ type Incremental struct {
 	stats []stoch.Signal // current statistics per net ID
 	known []bool         // per net ID: stats have been assigned
 	gates []gateState    // per-position power bookkeeping
-	tmpl  []*template    // per-position template, resolved lazily, reset on config change
 	power float64        // running total, watts
 	inter float64        // running internal-node total
 	outp  float64        // running output-node total
@@ -62,8 +63,7 @@ type Incremental struct {
 	frontier   posHeap
 	inFrontier []bool
 
-	inBuf   []stoch.Signal // scratch pin signals for evalGate
-	probBuf []float64      // scratch pin probabilities for evalGate
+	an ConfigAnalyzer // evalGate's evaluator and scratch
 
 	recomputed int // gate-model evaluations since construction (diagnostics)
 }
@@ -100,23 +100,22 @@ func NewIncremental(c *circuit.Circuit, pi map[string]stoch.Signal, prm Params) 
 // that wavefront. Gates become ready as their last driver finishes, so
 // independent cones evaluate concurrently. Gate evaluations write
 // disjoint state and the totals are summed serially in topological order
-// afterwards, so the resulting engine state is bit-identical to the
-// serial construction for any worker count. workers ≤ 1 runs serially
+// afterwards, so the resulting engine state is bit-identical for any
+// worker count. workers ≤ 1 runs the same wavefront on one goroutine
 // (use runtime.GOMAXPROCS at the call site to saturate the machine).
 //
 // onGate(inc, i), if non-nil, runs once per gate, after the gate at
 // position i has been evaluated and its output statistics settled, on the
-// evaluating worker goroutine (inline, in topological order, when
-// workers ≤ 1). The optimizer fuses its read-only candidate search into
-// the wavefront through it, overlapping the search with the initial
-// analysis instead of serializing behind it.
+// evaluating worker goroutine. The optimizer fuses its read-only
+// candidate search into the wavefront through it, overlapping the search
+// with the initial analysis instead of serializing behind it.
 //
 // onGate must confine itself to reading engine state at positions whose
 // statistics are settled — position i's pins and loads qualify — and must
 // be safe to call concurrently for different positions. A non-nil error
 // from the hook fails construction; when several gates fail (hook or
 // evaluation), the error of the lowest position is returned, matching
-// what a serial pass would hit first.
+// what a pass in topological order would hit first.
 func NewIncrementalParallelFunc(c *circuit.Circuit, pi map[string]stoch.Signal, prm Params, workers int, onGate func(*Incremental, int) error) (*Incremental, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -136,7 +135,6 @@ func NewIncrementalParallelFunc(c *circuit.Circuit, pi map[string]stoch.Signal, 
 		pins:       make([][]int32, len(order)),
 		outID:      make([]int32, len(order)),
 		gates:      make([]gateState, len(order)),
-		tmpl:       make([]*template, len(order)),
 		inFrontier: make([]bool, len(order)),
 	}
 	intern := func(net string) int32 {
@@ -187,96 +185,80 @@ func NewIncrementalParallelFunc(c *circuit.Circuit, pi map[string]stoch.Signal, 
 	return inc, nil
 }
 
-// initialAnalysis evaluates every gate once — serially in topological
-// order, or on a wavefront pool — then folds the per-gate results into
-// the running totals in position order (the same floating-point addition
-// sequence either way). onGate, if non-nil, runs per gate right after its
-// evaluation.
+// initialAnalysis evaluates every gate once on a wavefront pool of
+// workers goroutines (at least one), then folds the per-gate results into
+// the running totals in position order — the same floating-point
+// addition sequence for any worker count. onGate, if non-nil, runs per
+// gate right after its evaluation.
 func (inc *Incremental) initialAnalysis(workers int, onGate func(*Incremental, int) error) error {
 	n := len(inc.order)
-	if workers > n {
-		workers = n
+	workers = max(1, min(workers, n))
+	// Wavefront schedule: pending[i] counts i's gate-driven pins; a gate
+	// enters the ready queue when its last driver completes. Each
+	// evaluation writes only its own gates[i] slot and its own output
+	// net's stats — disjoint across concurrent gates because every net
+	// has exactly one driver.
+	pending := make([]int32, n)
+	driven := make([]bool, len(inc.netName))
+	for i := 0; i < n; i++ {
+		driven[inc.outID[i]] = true
 	}
-	if workers <= 1 {
-		var inBuf []stoch.Signal
-		var probBuf []float64
-		for i := 0; i < n; i++ {
-			if err := inc.evalInit(i, &inBuf, &probBuf); err != nil {
-				return err
-			}
-			if onGate != nil {
-				if err := onGate(inc, i); err != nil {
-					return err
-				}
+	for i := 0; i < n; i++ {
+		for _, id := range inc.pins[i] {
+			if driven[id] {
+				pending[i]++
 			}
 		}
-	} else {
-		// Wavefront schedule: pending[i] counts i's gate-driven pins;
-		// a gate enters the ready queue when its last driver completes.
-		// Each evaluation writes only its own gates[i] slot and its own
-		// output net's stats — disjoint across concurrent gates because
-		// every net has exactly one driver.
-		pending := make([]int32, n)
-		driven := make([]bool, len(inc.netName))
-		for i := 0; i < n; i++ {
-			driven[inc.outID[i]] = true
+	}
+	ready := make(chan int, n)
+	for i := 0; i < n; i++ {
+		if pending[i] == 0 {
+			ready <- i
 		}
-		for i := 0; i < n; i++ {
-			for _, id := range inc.pins[i] {
-				if driven[id] {
-					pending[i]++
-				}
-			}
-		}
-		ready := make(chan int, n)
-		for i := 0; i < n; i++ {
-			if pending[i] == 0 {
-				ready <- i
-			}
-		}
-		errs := make([]error, n)
-		var hookErrs []error
-		if onGate != nil {
-			hookErrs = make([]error, n)
-		}
-		remaining := int32(n)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var inBuf []stoch.Signal
-				var probBuf []float64
-				for i := range ready {
-					errs[i] = inc.evalInit(i, &inBuf, &probBuf)
-					// Unblock downstream gates before running the hook:
-					// the search work rides behind the propagation front.
-					for _, r := range inc.reader[inc.outID[i]] {
-						if atomic.AddInt32(&pending[r], -1) == 0 {
-							ready <- int(r)
-						}
-					}
-					if errs[i] == nil && onGate != nil {
-						hookErrs[i] = onGate(inc, i)
-					}
-					if atomic.AddInt32(&remaining, -1) == 0 {
-						close(ready)
+	}
+	if n == 0 {
+		// No gate will finish last and close the queue.
+		close(ready)
+	}
+	// Keep the lowest-position failure: a gate's evaluability depends
+	// only on its own pins, never on scheduling.
+	var mu sync.Mutex
+	failAt, failErr := n, error(nil)
+	remaining := int32(n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var a ConfigAnalyzer
+			for i := range ready {
+				err := inc.evalInit(i, &a)
+				// Unblock downstream gates before running the hook:
+				// the search work rides behind the propagation front.
+				for _, r := range inc.reader[inc.outID[i]] {
+					if atomic.AddInt32(&pending[r], -1) == 0 {
+						ready <- int(r)
 					}
 				}
-			}()
-		}
-		wg.Wait()
-		// Report the lowest-position failure: identical to the error the
-		// serial pass would hit first (a gate's evaluability depends only
-		// on its own pins, never on scheduling).
-		for i := range errs {
-			if errs[i] != nil {
-				return errs[i]
+				if err == nil && onGate != nil {
+					err = onGate(inc, i)
+				}
+				if err != nil {
+					mu.Lock()
+					if i < failAt {
+						failAt, failErr = i, err
+					}
+					mu.Unlock()
+				}
+				if atomic.AddInt32(&remaining, -1) == 0 {
+					close(ready)
+				}
 			}
-			if hookErrs != nil && hookErrs[i] != nil {
-				return hookErrs[i]
-			}
-		}
+		}()
+	}
+	wg.Wait()
+	if failErr != nil {
+		return failErr
 	}
 	for i := range inc.gates {
 		inc.power += inc.gates[i].power
@@ -287,60 +269,50 @@ func (inc *Incremental) initialAnalysis(workers int, onGate func(*Incremental, i
 	return nil
 }
 
-// evalModel gathers gate i's pin statistics into the caller's scratch,
-// resolves its template and evaluates the gate model. Besides the
-// scratch it writes only inc.tmpl[i], so construction workers may run it
-// on distinct gates concurrently.
-func (inc *Incremental) evalModel(i int, inBuf *[]stoch.Signal, probBuf *[]float64) (ConfigPower, error) {
+// evalModel evaluates the gate model at position i against the current
+// statistics: it gathers the pin signals into a's scratch, validates
+// them and evaluates the gate's configuration. It writes only a, so
+// construction workers may run it on distinct gates concurrently.
+func (inc *Incremental) evalModel(i int, a *ConfigAnalyzer) (ConfigPower, error) {
 	g := inc.order[i]
-	ids := inc.pins[i]
-	if cap(*inBuf) < len(ids) {
-		*inBuf = make([]stoch.Signal, len(ids))
-		*probBuf = make([]float64, len(ids))
+	in, err := inc.InputsAt(i, a.in[:0])
+	if err != nil {
+		return ConfigPower{}, err
 	}
-	in := (*inBuf)[:len(ids)]
-	probs := (*probBuf)[:len(ids)]
-	for k, id := range ids {
-		if !inc.known[id] {
-			return ConfigPower{}, fmt.Errorf("core: instance %s reads unannotated net %q", g.Name, inc.netName[id])
-		}
-		in[k] = inc.stats[id]
-		probs[k] = in[k].P
+	a.in = in
+	var cp ConfigPower
+	err = a.prepare(g.Cell, in, inc.load[i], inc.prm)
+	if err == nil {
+		cp, err = evalConfig(g.Cell, in, a.probs[:len(in)], inc.load[i], inc.prm)
 	}
-	tmpl := inc.tmpl[i]
-	if tmpl == nil {
-		var err error
-		if tmpl, err = templateOf(g.Cell); err != nil {
-			return ConfigPower{}, fmt.Errorf("core: instance %s: %w", g.Name, err)
-		}
-		inc.tmpl[i] = tmpl
+	if err != nil {
+		return ConfigPower{}, fmt.Errorf("core: instance %s: %w", g.Name, err)
 	}
-	return evalTemplate(tmpl, in, probs, inc.load[i], inc.prm), nil
+	return cp, nil
 }
 
 // evalInit is the construction-time gate evaluation: like evalGate but
-// with caller-owned scratch (safe for wavefront workers), no delta
-// bookkeeping (totals are folded afterwards) and no frontier dirtying
-// (the initial pass covers every gate already).
-func (inc *Incremental) evalInit(i int, inBuf *[]stoch.Signal, probBuf *[]float64) error {
-	a, err := inc.evalModel(i, inBuf, probBuf)
+// with the worker's own analyzer, no delta bookkeeping (totals are folded
+// afterwards) and no frontier dirtying (the initial pass covers every
+// gate already).
+func (inc *Incremental) evalInit(i int, a *ConfigAnalyzer) error {
+	cp, err := inc.evalModel(i, a)
 	if err != nil {
 		return err
 	}
-	inc.gates[i] = gateState{power: a.Power, intern: a.InternalPower, outp: a.OutputPower}
+	inc.gates[i] = gateState{power: cp.Power, intern: cp.InternalPower, outp: cp.OutputPower}
 	out := inc.outID[i]
-	inc.stats[out] = a.Out
+	inc.stats[out] = cp.Out
 	inc.known[out] = true
 	return nil
 }
 
 // evalGate re-evaluates the gate model at position i against the current
 // statistics, applies the power delta, and dirties the output's readers
-// if the gate's output statistics changed. It reuses the engine's scratch
-// buffers and the summary template evaluator: no allocation on the hot
-// path.
+// if the gate's output statistics changed. It reuses the engine's own
+// analyzer: no allocation on the hot path.
 func (inc *Incremental) evalGate(i int) error {
-	a, err := inc.evalModel(i, &inc.inBuf, &inc.probBuf)
+	a, err := inc.evalModel(i, &inc.an)
 	if err != nil {
 		return err
 	}
@@ -392,12 +364,25 @@ func (inc *Incremental) SetConfig(name string, cfg *gate.Gate) error {
 	if !ok {
 		return fmt.Errorf("core: no instance %q", name)
 	}
-	return inc.SetConfigAt(i, cfg)
+	g := inc.order[i]
+	if err := checkPinBinding(g, cfg); err != nil {
+		return err
+	}
+	if cfg.ShapeKey() != g.Cell.ShapeKey() {
+		return fmt.Errorf("core: instance %s: config %s is not a reordering of cell %s",
+			g.Name, cfg.Name, g.Cell.Name)
+	}
+	g.Cell = cfg
+	if !inc.inFrontier[i] {
+		inc.inFrontier[i] = true
+		heap.Push(&inc.frontier, i)
+	}
+	return inc.propagate()
 }
 
 // checkPinBinding verifies cfg exposes the instance cell's pin list in
 // the cell's order — the part of the reordering contract both commit
-// paths enforce (SetConfigAt additionally re-derives shape equivalence;
+// paths enforce (SetConfig additionally re-derives shape equivalence;
 // SetConfigEvaluated trusts the caller on shape).
 func checkPinBinding(g *circuit.Instance, cfg *gate.Gate) error {
 	if len(cfg.Inputs) != len(g.Cell.Inputs) {
@@ -411,30 +396,6 @@ func checkPinBinding(g *circuit.Instance, cfg *gate.Gate) error {
 		}
 	}
 	return nil
-}
-
-// SetConfigAt is SetConfig addressed by topological position (as exposed
-// by Order) — the optimizer's commit-phase fast path, which skips the
-// name lookup.
-func (inc *Incremental) SetConfigAt(i int, cfg *gate.Gate) error {
-	if i < 0 || i >= len(inc.order) {
-		return fmt.Errorf("core: position %d out of range [0,%d)", i, len(inc.order))
-	}
-	g := inc.order[i]
-	if err := checkPinBinding(g, cfg); err != nil {
-		return err
-	}
-	if cfg.ShapeKey() != g.Cell.ShapeKey() {
-		return fmt.Errorf("core: instance %s: config %s is not a reordering of cell %s",
-			g.Name, cfg.Name, g.Cell.Name)
-	}
-	g.Cell = cfg
-	inc.tmpl[i] = nil
-	if !inc.inFrontier[i] {
-		inc.inFrontier[i] = true
-		heap.Push(&inc.frontier, i)
-	}
-	return inc.propagate()
 }
 
 // SetConfigEvaluated applies a configuration whose model evaluation the
@@ -461,7 +422,6 @@ func (inc *Incremental) SetConfigEvaluated(i int, cp ConfigPower) error {
 		return err
 	}
 	g.Cell = cfg
-	inc.tmpl[i] = nil
 	old := inc.gates[i]
 	inc.power += cp.Power - old.power
 	inc.inter += cp.InternalPower - old.intern
@@ -483,6 +443,8 @@ func (inc *Incremental) SetConfigEvaluated(i int, cp ConfigPower) error {
 // SetInputs replaces the primary-input statistics and re-evaluates only
 // the cones of the inputs that actually changed. pi must cover every
 // primary input (unchanged entries are cheap: they seed no frontier).
+// Every entry is validated before any is applied, so a rejected call
+// leaves the engine untouched.
 func (inc *Incremental) SetInputs(pi map[string]stoch.Signal) error {
 	for _, in := range inc.c.Inputs {
 		s, ok := pi[in]
@@ -492,8 +454,10 @@ func (inc *Incremental) SetInputs(pi map[string]stoch.Signal) error {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("core: input %q: %w", in, err)
 		}
+	}
+	for _, in := range inc.c.Inputs {
 		id := inc.netID[in]
-		if inc.stats[id] != s {
+		if s := pi[in]; inc.stats[id] != s {
 			inc.stats[id] = s
 			inc.dirtyReaders(int32(id))
 		}

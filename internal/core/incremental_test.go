@@ -236,3 +236,54 @@ func TestIncrementalRejectsBadConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalSetInputsRejectedLeavesStateUntouched checks that
+// SetInputs validates the whole map before applying any entry: a call
+// rejected for a late entry must not have changed an earlier input.
+func TestIncrementalSetInputsRejectedLeavesStateUntouched(t *testing.T) {
+	lib := library.Default()
+	c, err := mcnc.Load("rca8", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := DefaultParams()
+	pi := randomInputs(c, rand.New(rand.NewSource(3)))
+	inc, err := NewIncremental(c, pi, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := c.Inputs[0], c.Inputs[len(c.Inputs)-1]
+	bad := make(map[string]stoch.Signal, len(pi))
+	for in, s := range pi {
+		bad[in] = s
+	}
+	bad[first] = stoch.Signal{P: 0.9, D: pi[first].D}
+	bad[last] = stoch.Signal{P: 2, D: 1}
+	if err := inc.SetInputs(bad); err == nil {
+		t.Fatal("SetInputs accepted an invalid signal")
+	}
+	delete(bad, last)
+	if err := inc.SetInputs(bad); err == nil {
+		t.Fatal("SetInputs accepted a map missing an input")
+	}
+	if got, _ := inc.NetSignal(first); got != pi[first] {
+		t.Fatalf("rejected SetInputs changed input %s to %v (was %v)", first, got, pi[first])
+	}
+	checkAgainstFull(t, inc, pi, prm, "after rejected SetInputs")
+}
+
+// TestIncrementalEmptyCircuit checks that construction terminates and
+// reports zero power on a circuit without gates, at any worker count.
+func TestIncrementalEmptyCircuit(t *testing.T) {
+	c := &circuit.Circuit{Name: "wire", Inputs: []string{"a"}, Outputs: []string{"a"}}
+	pi := map[string]stoch.Signal{"a": {P: 0.5, D: 1e5}}
+	for _, workers := range []int{1, 4} {
+		inc, err := NewIncrementalParallelFunc(c, pi, DefaultParams(), workers, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if inc.Power() != 0 || inc.Recomputed() != 0 {
+			t.Fatalf("workers=%d: power %g after %d evaluations, want 0 and 0", workers, inc.Power(), inc.Recomputed())
+		}
+	}
+}

@@ -150,91 +150,89 @@ func evalTemplate(t *template, in []stoch.Signal, probs []float64, loadCap float
 	return cp
 }
 
-// ConfigAnalyzer amortizes the batch evaluator's scratch (the probability
-// vector and the result slice) across many calls — one analyzer per
-// worker goroutine in the optimizer's hot loop, so a whole optimization
-// allocates nothing per gate. Results returned by its methods are valid
-// until the next call; copy the ConfigPower values to retain them. The
-// zero value is ready to use; it is not safe for concurrent use.
+// evalConfig evaluates one configuration through its cached template:
+// the summary evaluation every caller in the package shares. probs must
+// hold in[i].P per pin, as prepared by ConfigAnalyzer.prepare.
+func evalConfig(cfg *gate.Gate, in []stoch.Signal, probs []float64, loadCap float64, prm Params) (ConfigPower, error) {
+	tmpl, err := templateOf(cfg)
+	if err != nil {
+		return ConfigPower{}, err
+	}
+	cp := evalTemplate(tmpl, in, probs, loadCap, prm)
+	cp.Config = cfg
+	return cp, nil
+}
+
+// ConfigAnalyzer amortizes the summary evaluator's scratch (the pin
+// signals, the probability vector and the result slice) across many
+// calls — one analyzer per worker goroutine in the optimizer's hot loop
+// and in the incremental engine, so steady-state evaluation allocates
+// nothing per gate. Results returned by Analyze are valid until the next
+// call; copy the ConfigPower values to retain them. The zero value is
+// ready to use; it is not safe for concurrent use.
 type ConfigAnalyzer struct {
+	in    []stoch.Signal
 	probs []float64
 	out   []ConfigPower
 }
 
-// AnalyzeConfigs evaluates every configuration of the gate's cell against
-// one input-signal/load vector in a single pass: parameters and signals
-// are validated once, the probability vector is computed once, and the
-// whole orbit's templates come from one cached lookup. Results are in
-// AllConfigs order (sorted by ConfigKey), so selection over them is
-// deterministic. This is the optimizer's batched inner loop.
-func (a *ConfigAnalyzer) AnalyzeConfigs(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]ConfigPower, error) {
-	if len(in) != len(g.Inputs) {
-		return nil, fmt.Errorf("core: gate %s has %d inputs, got %d signals", g.Name, len(g.Inputs), len(in))
-	}
-	probs, err := a.prepare(g, in, loadCap, prm)
-	if err != nil {
-		return nil, err
-	}
-	cfgs := g.AllConfigs()
-	ts, err := orbitTemplatesOf(cfgs)
-	if err != nil {
-		return nil, err
-	}
+// Analyze evaluates every configuration in cfgs against one input-
+// signal/load vector in a single pass: parameters and signals are
+// validated once and the probability vector is computed once. Results
+// keep the order of cfgs — a cell's AllConfigs (sorted by ConfigKey), one
+// layout instance, or the delay-feasible survivors of the delay-neutral
+// mode — so selection over them is deterministic.
+func (a *ConfigAnalyzer) Analyze(cfgs []*gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]ConfigPower, error) {
 	out := a.results(len(cfgs))
-	for i, tmpl := range ts {
-		out[i] = evalTemplate(tmpl, in, probs, loadCap, prm)
-		out[i].Config = cfgs[i]
+	if len(cfgs) == 0 {
+		return out, nil
 	}
-	return out, nil
-}
-
-// AnalyzeConfigList is AnalyzeConfigs restricted to an explicit candidate
-// slice — e.g. one layout orbit for the input-reordering subset mode, or
-// the delay-feasible survivors of the delay-neutral mode. Results keep
-// the input order.
-func (a *ConfigAnalyzer) AnalyzeConfigList(cfgs []*gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]ConfigPower, error) {
-	probs, err := a.prepare(nil, in, loadCap, prm)
-	if err != nil {
+	if err := a.prepare(cfgs[0], in, loadCap, prm); err != nil {
 		return nil, err
 	}
-	out := a.results(len(cfgs))
 	for i, cfg := range cfgs {
-		if len(in) != len(cfg.Inputs) {
-			return nil, fmt.Errorf("core: gate %s has %d inputs, got %d signals", cfg.Name, len(cfg.Inputs), len(in))
+		err := checkArity(cfg, in)
+		if err == nil {
+			out[i], err = evalConfig(cfg, in, a.probs[:len(in)], loadCap, prm)
 		}
-		tmpl, err := templateOf(cfg)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = evalTemplate(tmpl, in, probs, loadCap, prm)
-		out[i].Config = cfg
 	}
 	return out, nil
 }
 
-// prepare validates the shared evaluation inputs and fills the analyzer's
-// probability scratch. g is optional and only names error messages.
-func (a *ConfigAnalyzer) prepare(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]float64, error) {
+// checkArity verifies one signal per pin of g.
+func checkArity(g *gate.Gate, in []stoch.Signal) error {
+	if len(in) != len(g.Inputs) {
+		return fmt.Errorf("core: gate %s has %d inputs, got %d signals", g.Name, len(g.Inputs), len(in))
+	}
+	return nil
+}
+
+// prepare validates the evaluation inputs against configuration g (whose
+// pin list every configuration of the cell shares) and fills the
+// analyzer's probability scratch.
+func (a *ConfigAnalyzer) prepare(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) error {
 	if err := prm.Validate(); err != nil {
-		return nil, err
+		return err
+	}
+	if err := checkArity(g, in); err != nil {
+		return err
 	}
 	if loadCap < 0 {
-		return nil, fmt.Errorf("core: negative load capacitance %v", loadCap)
+		return fmt.Errorf("core: negative load capacitance %v", loadCap)
 	}
 	if cap(a.probs) < len(in) {
 		a.probs = make([]float64, len(in))
 	}
-	probs := a.probs[:len(in)]
 	for i, s := range in {
 		if err := s.Validate(); err != nil {
-			if g != nil {
-				return nil, fmt.Errorf("core: gate %s input %s: %w", g.Name, g.Inputs[i], err)
-			}
-			return nil, fmt.Errorf("core: input %d: %w", i, err)
+			return fmt.Errorf("core: gate %s input %s: %w", g.Name, g.Inputs[i], err)
 		}
-		probs[i] = s.P
+		a.probs[i] = s.P
 	}
-	return probs, nil
+	return nil
 }
 
 // results returns the analyzer's result scratch resized to n.
@@ -245,11 +243,29 @@ func (a *ConfigAnalyzer) results(n int) []ConfigPower {
 	return a.out[:n]
 }
 
-// AnalyzeConfigs is the allocation-per-call convenience form of
-// ConfigAnalyzer.AnalyzeConfigs; the returned slice is the caller's own.
+// AnalyzeConfigs evaluates every configuration of the gate's cell, in
+// AllConfigs order, on a fresh analyzer; the returned slice is the
+// caller's own.
 func AnalyzeConfigs(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) ([]ConfigPower, error) {
 	var a ConfigAnalyzer
-	return a.AnalyzeConfigs(g, in, loadCap, prm)
+	return a.Analyze(g.AllConfigs(), in, loadCap, prm)
+}
+
+// Pick returns the index of the minimum-power candidate, or of the
+// maximum-power one when maximize is set. The comparison is strict, so
+// ties go to the earliest candidate: over AllConfigs order the choice is
+// pinned whatever order the candidates were evaluated in.
+func Pick(cands []ConfigPower, maximize bool) (int, error) {
+	if len(cands) == 0 {
+		return 0, fmt.Errorf("core: no candidate configurations")
+	}
+	k := 0
+	for i := 1; i < len(cands); i++ {
+		if maximize && cands[i].Power > cands[k].Power || !maximize && cands[i].Power < cands[k].Power {
+			k = i
+		}
+	}
+	return k, nil
 }
 
 // OutputStats computes only the output-node statistics (Najm's transition
@@ -283,29 +299,26 @@ func OutputStats(g *gate.Gate, in []stoch.Signal) (stoch.Signal, error) {
 // analysis. The input statistics are bound to the gate's pins by position:
 // reorderings permute transistors, not the pin-to-net binding.
 func BestConfig(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) (*GateAnalysis, error) {
-	return extremeConfig(g, in, loadCap, prm, func(cand, best float64) bool { return cand < best })
+	return extremeConfig(g, in, loadCap, prm, false)
 }
 
 // WorstConfig is BestConfig's counterpart used to measure the best-versus-
 // worst reduction reported in Table 3.
 func WorstConfig(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) (*GateAnalysis, error) {
-	return extremeConfig(g, in, loadCap, prm, func(cand, best float64) bool { return cand > best })
+	return extremeConfig(g, in, loadCap, prm, true)
 }
 
-func extremeConfig(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params,
-	better func(cand, best float64) bool) (*GateAnalysis, error) {
-	var chosen *GateAnalysis
-	for _, cfg := range g.AllConfigs() {
-		a, err := AnalyzeGate(cfg, in, loadCap, prm)
-		if err != nil {
-			return nil, err
-		}
-		if chosen == nil || better(a.Power, chosen.Power) {
-			chosen = a
-		}
+// extremeConfig picks over the batch evaluation, whose powers equal
+// AnalyzeGate's bit for bit, and runs the full analysis on the winner
+// only.
+func extremeConfig(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params, maximize bool) (*GateAnalysis, error) {
+	cands, err := AnalyzeConfigs(g, in, loadCap, prm)
+	if err != nil {
+		return nil, err
 	}
-	if chosen == nil {
-		return nil, fmt.Errorf("core: gate %s has no configurations", g.Name)
+	k, err := Pick(cands, maximize)
+	if err != nil {
+		return nil, err
 	}
-	return chosen, nil
+	return AnalyzeGate(cands[k].Config, in, loadCap, prm)
 }

@@ -1,12 +1,16 @@
 package netlist_test
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gate"
 	"repro/internal/library"
+	"repro/internal/mcnc"
 	"repro/internal/netlist"
 )
 
@@ -113,4 +117,82 @@ end
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzReadGNL feeds arbitrary bytes to the GNL reader. An accepted
+// circuit must be valid, every instance's configuration must be the
+// interned member of its own orbit, and writing the circuit back must
+// read as the same configuration pointers.
+func FuzzReadGNL(f *testing.F) {
+	lib := library.Default()
+	for _, name := range mcnc.EmbeddedNames() {
+		c, err := mcnc.Load(name, lib)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := netlist.WriteGNL(&buf, c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	// Parallel branches listed out of the library's order.
+	f.Add(`circuit perm
+inputs a1 a2 b1 b2 c1 c2
+outputs z
+gate u1 aoi222 y=z a1=a1 a2=a2 b1=b1 b2=b2 c1=c1 c2=c2 pd=p(s(c1,c2),s(a1,a2),s(b1,b2))
+end
+`)
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := netlist.ReadGNL(strings.NewReader(src), lib)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted circuit fails Validate: %v", err)
+		}
+		cells := make(map[string]*gate.Gate, len(c.Gates))
+		for _, g := range c.Gates {
+			if !slices.Contains(g.Cell.AllConfigs(), g.Cell) {
+				t.Fatalf("instance %s: configuration %v is not in its own AllConfigs", g.Name, g.Cell)
+			}
+			cells[g.Name] = g.Cell
+		}
+		var buf bytes.Buffer
+		if err := netlist.WriteGNL(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		back, err := netlist.ReadGNL(&buf, lib)
+		if err != nil {
+			t.Fatalf("written circuit does not read back: %v\n%s", err, buf.String())
+		}
+		if len(back.Gates) != len(c.Gates) {
+			t.Fatalf("read back %d gates, wrote %d", len(back.Gates), len(c.Gates))
+		}
+		for _, g := range back.Gates {
+			if cells[g.Name] != g.Cell {
+				t.Fatalf("instance %s reads back as %v, was %v", g.Name, g.Cell, cells[g.Name])
+			}
+		}
+	})
+}
+
+// FuzzParseBLIF feeds arbitrary bytes to the BLIF parser: it must return
+// a network or an error, never panic.
+func FuzzParseBLIF(f *testing.F) {
+	for _, name := range mcnc.EmbeddedNames() {
+		src, _ := mcnc.EmbeddedSource(name)
+		nw, err := netlist.ParseBLIF(strings.NewReader(src))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := netlist.WriteBLIF(&buf, nw); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = netlist.ParseBLIF(strings.NewReader(src))
+	})
 }

@@ -16,7 +16,7 @@ import (
 // through Incremental.SetConfigEvaluated. The pure power modes choose in
 // the construction hook (powerSearch), the delay-aware modes in the
 // commit loop (delayChooser). Candidates are sorted by ConfigKey, ties
-// break to the earliest and the commit order is fixed, so the
+// break to the earliest (core.Pick) and the commit order is fixed, so the
 // floating-point power accumulation — and the whole Report — is
 // bit-identical for any worker count.
 func optimize(out *circuit.Circuit, pi map[string]stoch.Signal, opt Options, workers int) (*Report, error) {
@@ -77,16 +77,15 @@ func powerSearch(n int, opt Options) (func(*core.Incremental, int) error, func(i
 		if err != nil {
 			return fmt.Errorf("reorder: %w", err)
 		}
-		var cands []core.ConfigPower
+		cfgs := g.Cell.AllConfigs()
 		if opt.Mode == InputOnly {
-			cands, err = s.analyzer.AnalyzeConfigList(currentInstance(g.Cell), in, inc.LoadAt(i), opt.Params)
-		} else {
-			cands, err = s.analyzer.AnalyzeConfigs(g.Cell, in, inc.LoadAt(i), opt.Params)
+			cfgs = currentInstance(g.Cell)
 		}
+		cands, err := s.analyzer.Analyze(cfgs, in, inc.LoadAt(i), opt.Params)
 		if err != nil {
 			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
 		}
-		best, err := pickByPower(cands, opt.Objective)
+		best, err := core.Pick(cands, opt.Objective == Maximize)
 		if err != nil {
 			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
 		}
@@ -173,34 +172,14 @@ func (dc *delayChooser) choose(i int) (core.ConfigPower, bool, error) {
 		return fail(err)
 	}
 	dc.in = in
-	cands, err := dc.analyzer.AnalyzeConfigList(dc.cfgs, in, load, opt.Params)
+	cands, err := dc.analyzer.Analyze(dc.cfgs, in, load, opt.Params)
 	if err != nil {
 		return fail(err)
 	}
-	best, err := pickByPower(cands, opt.Objective)
+	best, err := core.Pick(cands, opt.Objective == Maximize)
 	if err != nil {
 		return fail(err)
 	}
 	dc.arr[out] = dc.cfgArr[best]
 	return cands[best], cands[best].Config != g.Cell, nil
-}
-
-// pickByPower selects the objective-optimal candidate's index. Candidates
-// arrive sorted by ConfigKey and ties break to the earliest (strict
-// comparison), pinning the choice regardless of evaluation order.
-func pickByPower(cands []core.ConfigPower, obj Objective) (int, error) {
-	if len(cands) == 0 {
-		return 0, fmt.Errorf("no candidate configurations")
-	}
-	chosen := 0
-	for i := 1; i < len(cands); i++ {
-		better := cands[i].Power < cands[chosen].Power
-		if obj == Maximize {
-			better = cands[i].Power > cands[chosen].Power
-		}
-		if better {
-			chosen = i
-		}
-	}
-	return chosen, nil
 }
