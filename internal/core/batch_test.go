@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -12,43 +14,93 @@ import (
 
 // TestAnalyzeConfigsMatchesAnalyzeGate pins the batched path to the
 // reference evaluator bit for bit: for every configuration of every
-// library cell, the summary numbers of AnalyzeConfigs must equal
-// AnalyzeGate's exactly (the two share arithmetic operation for
-// operation), and the candidate order must be AllConfigs order.
+// library cell, under several signal vectors (the probability endpoints
+// 0 and 1 among them), the summary numbers of AnalyzeConfigs must equal
+// AnalyzeGate's exactly (the minterm table reproduces Prob's products and
+// sums, and the two share the rest operation for operation), and the
+// candidate order must be AllConfigs order.
 func TestAnalyzeConfigsMatchesAnalyzeGate(t *testing.T) {
 	prm := DefaultParams()
+	rng := rand.New(rand.NewSource(7))
 	for _, cell := range library.Default().Cells() {
 		g := cell.Proto
-		in := make([]stoch.Signal, len(g.Inputs))
-		for i := range in {
-			in[i] = stoch.Signal{P: 0.15 + 0.1*float64(i), D: 1e5 * float64(i+1)}
-		}
-		load := prm.OutputLoad(2)
-		batch, err := AnalyzeConfigs(g, in, load, prm)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		cfgs := g.AllConfigs()
-		if len(batch) != len(cfgs) {
-			t.Fatalf("%s: %d batch results for %d configs", g.Name, len(batch), len(cfgs))
-		}
-		for i, cp := range batch {
-			if cp.Config.ConfigKey() != cfgs[i].ConfigKey() {
-				t.Fatalf("%s: batch result %d is %s, AllConfigs has %s",
-					g.Name, i, cp.Config.ConfigKey(), cfgs[i].ConfigKey())
+		vectors := make([][]stoch.Signal, 5)
+		for v := range vectors {
+			in := make([]stoch.Signal, len(g.Inputs))
+			for i := range in {
+				switch v {
+				case 0:
+					in[i] = stoch.Signal{P: 0.15 + 0.1*float64(i), D: 1e5 * float64(i+1)}
+				case 1:
+					in[i] = stoch.Signal{P: 0, D: 2e5}
+				case 2:
+					in[i] = stoch.Signal{P: 1, D: 3e5 * float64(i+1)}
+				case 3:
+					in[i] = stoch.Signal{P: float64(i % 2), D: 1e5}
+				default:
+					in[i] = stoch.Signal{P: rng.Float64(), D: 1e6 * rng.Float64()}
+				}
 			}
-			ref, err := AnalyzeGate(cfgs[i], in, load, prm)
+			vectors[v] = in
+		}
+		// A random vector with both endpoints among its pins.
+		if len(g.Inputs) >= 3 {
+			vectors[4][0].P, vectors[4][len(g.Inputs)-1].P = 1, 0
+		}
+		for v, in := range vectors {
+			load := prm.OutputLoad(v % 3)
+			batch, err := AnalyzeConfigs(g, in, load, prm)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s vector %d: %v", g.Name, v, err)
 			}
-			if cp.Power != ref.Power || cp.InternalPower != ref.InternalPower ||
-				cp.OutputPower != ref.OutputPower || cp.Out != ref.Out {
-				t.Errorf("%s config %s: batch (%g, %g, %g, %v) != reference (%g, %g, %g, %v)",
-					g.Name, cfgs[i].ConfigKey(),
-					cp.Power, cp.InternalPower, cp.OutputPower, cp.Out,
-					ref.Power, ref.InternalPower, ref.OutputPower, ref.Out)
+			cfgs := g.AllConfigs()
+			if len(batch) != len(cfgs) {
+				t.Fatalf("%s: %d batch results for %d configs", g.Name, len(batch), len(cfgs))
+			}
+			for i, cp := range batch {
+				if cp.Config.ConfigKey() != cfgs[i].ConfigKey() {
+					t.Fatalf("%s: batch result %d is %s, AllConfigs has %s",
+						g.Name, i, cp.Config.ConfigKey(), cfgs[i].ConfigKey())
+				}
+				ref, err := AnalyzeGate(cfgs[i], in, load, prm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cp.Power != ref.Power || cp.InternalPower != ref.InternalPower ||
+					cp.OutputPower != ref.OutputPower || cp.Out != ref.Out {
+					t.Errorf("%s vector %d config %s: batch (%g, %g, %g, %v) != reference (%g, %g, %g, %v)",
+						g.Name, v, cfgs[i].ConfigKey(),
+						cp.Power, cp.InternalPower, cp.OutputPower, cp.Out,
+						ref.Power, ref.InternalPower, ref.OutputPower, ref.Out)
+				}
 			}
 		}
+	}
+}
+
+// TestConfigAnalyzerZeroAllocs guards the steady state: once the
+// templates and the analyzer's scratch are warm, evaluating aoi222's
+// whole orbit allocates nothing, so the minterm table cannot regress into
+// a per-call allocation.
+func TestConfigAnalyzerZeroAllocs(t *testing.T) {
+	prm := DefaultParams()
+	g := library.Default().MustCell("aoi222").Proto
+	cfgs := g.AllConfigs()
+	in := make([]stoch.Signal, len(g.Inputs))
+	for i := range in {
+		in[i] = stoch.Signal{P: 0.1 + 0.13*float64(i), D: 1e5}
+	}
+	var a ConfigAnalyzer
+	if _, err := a.Analyze(cfgs, in, prm.OutputLoad(2), prm); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := a.Analyze(cfgs, in, prm.OutputLoad(2), prm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm ConfigAnalyzer.Analyze over %d configurations: %v allocations per call, want 0", len(cfgs), allocs)
 	}
 }
 
@@ -86,8 +138,10 @@ func TestAnalyzeConfigsErrors(t *testing.T) {
 	if _, err := AnalyzeConfigs(g, in[:1], 1e-15, DefaultParams()); err == nil {
 		t.Error("wrong input count accepted")
 	}
-	if _, err := AnalyzeConfigs(g, in, -1, DefaultParams()); err == nil {
-		t.Error("negative load accepted")
+	for _, load := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := AnalyzeConfigs(g, in, load, DefaultParams()); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
 	}
 	bad := []stoch.Signal{{P: 2, D: 1}, {P: 0.5, D: 1}}
 	if _, err := AnalyzeConfigs(g, bad, 1e-15, DefaultParams()); err == nil {

@@ -283,7 +283,7 @@ func (inc *Incremental) evalModel(i int, a *ConfigAnalyzer) (ConfigPower, error)
 	var cp ConfigPower
 	err = a.prepare(g.Cell, in, inc.load[i], inc.prm)
 	if err == nil {
-		cp, err = evalConfig(g.Cell, in, a.probs[:len(in)], inc.load[i], inc.prm)
+		cp, err = evalConfig(g.Cell, in, a.table, inc.load[i], inc.prm)
 	}
 	if err != nil {
 		return ConfigPower{}, fmt.Errorf("core: instance %s: %w", g.Name, err)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/gate"
+	"repro/internal/logic"
 	"repro/internal/stoch"
 )
 
@@ -44,8 +46,8 @@ func AnalyzeGate(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) (
 	if len(in) != len(g.Inputs) {
 		return nil, fmt.Errorf("core: gate %s has %d inputs, got %d signals", g.Name, len(g.Inputs), len(in))
 	}
-	if loadCap < 0 {
-		return nil, fmt.Errorf("core: negative load capacitance %v", loadCap)
+	if err := checkLoad(loadCap); err != nil {
+		return nil, err
 	}
 	probs := make([]float64, len(in))
 	for i, s := range in {
@@ -115,23 +117,24 @@ type ConfigPower struct {
 // evalTemplate evaluates the power model for one configuration template
 // without allocating: the summary-only counterpart of AnalyzeGate's node
 // loop, arithmetic kept operation-for-operation identical so both paths
-// produce bit-equal results. probs must hold in[i].P per pin; the caller
-// computes it once and shares it across candidates.
-func evalTemplate(t *template, in []stoch.Signal, probs []float64, loadCap float64, prm Params) ConfigPower {
+// produce bit-equal results. table must be the logic.MintermTable of the
+// pins' probabilities, so each ProbTable equals AnalyzeGate's Prob; the
+// caller builds it once and shares it across candidates.
+func evalTemplate(t *template, in []stoch.Signal, table []float64, loadCap float64, prm Params) ConfigPower {
 	halfCV2 := 0.5 * prm.Vdd * prm.Vdd
 	var cp ConfigPower
 	for i := range t.nodes {
 		tn := &t.nodes[i]
-		ph := tn.h.Prob(probs)
-		pg := tn.g.Prob(probs)
+		ph := tn.h.ProbTable(table)
+		pg := tn.g.ProbTable(table)
 		var p float64
 		if ph+pg > 0 {
 			p = ph / (ph + pg)
 		}
 		var total float64
 		for k := range in {
-			dh := tn.dh[k].Prob(probs)
-			dg := tn.dg[k].Prob(probs)
+			dh := tn.dh[k].ProbTable(table)
+			dg := tn.dg[k].ProbTable(table)
 			total += in[k].D * ((1-p)*dh + p*dg)
 		}
 		c := prm.Cj * float64(tn.sources)
@@ -151,34 +154,35 @@ func evalTemplate(t *template, in []stoch.Signal, probs []float64, loadCap float
 }
 
 // evalConfig evaluates one configuration through its cached template:
-// the summary evaluation every caller in the package shares. probs must
-// hold in[i].P per pin, as prepared by ConfigAnalyzer.prepare.
-func evalConfig(cfg *gate.Gate, in []stoch.Signal, probs []float64, loadCap float64, prm Params) (ConfigPower, error) {
+// the summary evaluation every caller in the package shares. table must
+// be the pins' minterm table, as prepared by ConfigAnalyzer.prepare.
+func evalConfig(cfg *gate.Gate, in []stoch.Signal, table []float64, loadCap float64, prm Params) (ConfigPower, error) {
 	tmpl, err := templateOf(cfg)
 	if err != nil {
 		return ConfigPower{}, err
 	}
-	cp := evalTemplate(tmpl, in, probs, loadCap, prm)
+	cp := evalTemplate(tmpl, in, table, loadCap, prm)
 	cp.Config = cfg
 	return cp, nil
 }
 
 // ConfigAnalyzer amortizes the summary evaluator's scratch (the pin
-// signals, the probability vector and the result slice) across many
-// calls — one analyzer per worker goroutine in the optimizer's hot loop
-// and in the incremental engine, so steady-state evaluation allocates
-// nothing per gate. Results returned by Analyze are valid until the next
+// signals, the probability vector, its minterm table and the result
+// slice) across many calls — one analyzer per worker goroutine in the
+// optimizer's hot loop and in the incremental engine, so steady-state
+// evaluation allocates nothing per gate. Results returned by Analyze are valid until the next
 // call; copy the ConfigPower values to retain them. The zero value is
 // ready to use; it is not safe for concurrent use.
 type ConfigAnalyzer struct {
 	in    []stoch.Signal
 	probs []float64
+	table []float64 // logic.MintermTable(probs)
 	out   []ConfigPower
 }
 
 // Analyze evaluates every configuration in cfgs against one input-
 // signal/load vector in a single pass: parameters and signals are
-// validated once and the probability vector is computed once. Results
+// validated once and the minterm table is built once. Results
 // keep the order of cfgs — a cell's AllConfigs (sorted by ConfigKey), one
 // layout instance, or the delay-feasible survivors of the delay-neutral
 // mode — so selection over them is deterministic.
@@ -193,13 +197,21 @@ func (a *ConfigAnalyzer) Analyze(cfgs []*gate.Gate, in []stoch.Signal, loadCap f
 	for i, cfg := range cfgs {
 		err := checkArity(cfg, in)
 		if err == nil {
-			out[i], err = evalConfig(cfg, in, a.probs[:len(in)], loadCap, prm)
+			out[i], err = evalConfig(cfg, in, a.table, loadCap, prm)
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// checkLoad rejects an output load that is negative, NaN or infinite.
+func checkLoad(loadCap float64) error {
+	if !(loadCap >= 0) || math.IsInf(loadCap, 1) {
+		return fmt.Errorf("core: load capacitance %v is not finite and non-negative", loadCap)
+	}
+	return nil
 }
 
 // checkArity verifies one signal per pin of g.
@@ -212,7 +224,7 @@ func checkArity(g *gate.Gate, in []stoch.Signal) error {
 
 // prepare validates the evaluation inputs against configuration g (whose
 // pin list every configuration of the cell shares) and fills the
-// analyzer's probability scratch.
+// analyzer's probability vector and minterm table.
 func (a *ConfigAnalyzer) prepare(g *gate.Gate, in []stoch.Signal, loadCap float64, prm Params) error {
 	if err := prm.Validate(); err != nil {
 		return err
@@ -220,18 +232,20 @@ func (a *ConfigAnalyzer) prepare(g *gate.Gate, in []stoch.Signal, loadCap float6
 	if err := checkArity(g, in); err != nil {
 		return err
 	}
-	if loadCap < 0 {
-		return fmt.Errorf("core: negative load capacitance %v", loadCap)
+	if err := checkLoad(loadCap); err != nil {
+		return err
 	}
 	if cap(a.probs) < len(in) {
 		a.probs = make([]float64, len(in))
 	}
+	probs := a.probs[:len(in)]
 	for i, s := range in {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("core: gate %s input %s: %w", g.Name, g.Inputs[i], err)
 		}
-		a.probs[i] = s.P
+		probs[i] = s.P
 	}
+	a.table = logic.MintermTable(a.table, probs)
 	return nil
 }
 

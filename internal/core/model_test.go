@@ -33,6 +33,15 @@ func TestParamsValidate(t *testing.T) {
 		{Vdd: 3.3, Cj: -1e-15},
 		{Vdd: 3.3, Cj: 0},
 		{Vdd: 3.3, Cj: 1e-15, Cg: -1},
+		// Non-finite constants fail every ordered comparison, so each
+		// needs its own rejection.
+		{Vdd: math.NaN(), Cj: 1e-15},
+		{Vdd: math.Inf(1), Cj: 1e-15},
+		{Vdd: 3.3, Cj: math.NaN()},
+		{Vdd: 3.3, Cj: math.Inf(1)},
+		{Vdd: 3.3, Cj: 1e-15, Cg: math.Inf(1)},
+		{Vdd: 3.3, Cj: 1e-15, Cg: math.NaN()},
+		{Vdd: 3.3, Cj: 1e-15, Cw: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -286,8 +295,10 @@ func TestAnalyzeGateErrors(t *testing.T) {
 	if _, err := AnalyzeGate(g, []stoch.Signal{{P: 2, D: 1}, {P: 0.5, D: 1}}, 0, prm); err == nil {
 		t.Error("invalid probability accepted")
 	}
-	if _, err := AnalyzeGate(g, []stoch.Signal{{P: 0.5, D: 1}, {P: 0.5, D: 1}}, -1, prm); err == nil {
-		t.Error("negative load accepted")
+	for _, load := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := AnalyzeGate(g, []stoch.Signal{{P: 0.5, D: 1}, {P: 0.5, D: 1}}, load, prm); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
 	}
 	if _, err := AnalyzeGate(g, []stoch.Signal{{P: 0.5, D: 1}, {P: 0.5, D: 1}}, 0, Params{}); err == nil {
 		t.Error("zero params accepted")

@@ -16,7 +16,10 @@
 // propagates to the gate's fanout.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params holds the electrical constants of the capacitance model. The
 // paper extracts per-node capacitances from Sea-of-Gates cell layouts; the
@@ -46,11 +49,13 @@ func DefaultParams() Params {
 
 // Validate reports whether the parameters are physical.
 func (p Params) Validate() error {
-	if p.Vdd <= 0 {
-		return fmt.Errorf("core: Vdd %v must be positive", p.Vdd)
+	if !(p.Vdd > 0) || math.IsInf(p.Vdd, 1) {
+		return fmt.Errorf("core: Vdd %v must be positive and finite", p.Vdd)
 	}
-	if p.Cj < 0 || p.Cg < 0 || p.Cw < 0 {
-		return fmt.Errorf("core: negative capacitance in %+v", p)
+	for _, c := range [...]float64{p.Cj, p.Cg, p.Cw} {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("core: capacitance not finite and non-negative in %+v", p)
+		}
 	}
 	if p.Cj == 0 {
 		// Internal nodes would be weightless and reordering could not

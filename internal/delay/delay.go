@@ -13,6 +13,7 @@ package delay
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -34,8 +35,8 @@ func DefaultParams() Params {
 
 // Validate reports whether the parameters are physical.
 func (p Params) Validate() error {
-	if p.Rn <= 0 || p.Rp <= 0 {
-		return fmt.Errorf("delay: resistances must be positive, got Rn=%v Rp=%v", p.Rn, p.Rp)
+	if !(p.Rn > 0) || !(p.Rp > 0) || math.IsInf(p.Rn, 1) || math.IsInf(p.Rp, 1) {
+		return fmt.Errorf("delay: resistances must be positive and finite, got Rn=%v Rp=%v", p.Rn, p.Rp)
 	}
 	return p.Cap.Validate()
 }
@@ -45,77 +46,115 @@ func (p Params) Validate() error {
 // (through the pull-down stack) and the rising one (pull-up), assuming all
 // other transistors on the triggered path are already conducting.
 func PinDelays(g *gate.Gate, loadCap float64, prm Params) ([]float64, error) {
-	if err := prm.Validate(); err != nil {
-		return nil, err
-	}
-	if loadCap < 0 {
-		return nil, fmt.Errorf("delay: negative load %v", loadCap)
-	}
-	gr, err := g.Graph()
+	t, err := checkedPaths(g, loadCap, prm)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(g.Inputs))
-	for i, pin := range g.Inputs {
-		fall, err := stackDelay(gr, pin, gate.NMOS, gate.Vss, prm, loadCap)
-		if err != nil {
-			return nil, err
-		}
-		rise, err := stackDelay(gr, pin, gate.PMOS, gate.Vdd, prm, loadCap)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = math.Max(fall, rise)
+	for i := range out {
+		out[i] = t.pinDelay(i, loadCap, prm)
 	}
 	return out, nil
 }
 
-// stackDelay computes the Elmore delay of the output transition triggered
-// by the given pin through the network of the given transistor type:
-// among all simple paths from Y to the rail that use the pin's transistor,
-// it takes the one with the largest delay. Nodes between the pin's
-// transistor and the rail are assumed pre-charged/discharged (their
-// transistors were already on), so only the output node and the internal
-// nodes above the switching transistor contribute capacitance, each times
-// the resistance between that node and the rail along the path.
-func stackDelay(gr *gate.Graph, pin string, tt gate.TransType, rail gate.NodeID, prm Params, loadCap float64) (float64, error) {
-	r := prm.Rn
-	if tt == gate.PMOS {
-		r = prm.Rp
+// checkedPaths validates the evaluation inputs and returns the
+// configuration's path template.
+func checkedPaths(g *gate.Gate, loadCap float64, prm Params) (*pathTemplate, error) {
+	if err := prm.Validate(); err != nil {
+		return nil, err
 	}
-	nodeCap := func(n gate.NodeID) float64 {
-		c := prm.Cap.Cj * float64(gr.Degree(n))
-		if n == gate.Y {
-			c += loadCap
+	if !(loadCap >= 0) || math.IsInf(loadCap, 1) {
+		return nil, fmt.Errorf("delay: load %v is not finite and non-negative", loadCap)
+	}
+	return pathsOf(g)
+}
+
+// pathTerm is one node's share of a rail path's Elmore sum: its
+// capacitance is Cj per transistor terminal (deg), plus the load on the
+// output node, and it discharges through the `below` edges between it and
+// the rail.
+type pathTerm struct {
+	deg   int
+	isY   bool
+	below int
+}
+
+// pinPaths holds one pin's paths from Y to the rail through its own
+// transistor, in DFS order: fall through the NMOS network to Vss, rise
+// through the PMOS network to Vdd. Each path lists the terms of the nodes
+// above the switching transistor; the nodes below it are pre-charged or
+// discharged (their transistors were already on) and contribute nothing.
+type pinPaths struct {
+	fall, rise [][]pathTerm
+}
+
+// pathTemplate is the statistics- and load-independent part of a
+// configuration's delay model: per pin (in Inputs order), its rail paths.
+type pathTemplate struct {
+	pins []pinPaths
+}
+
+// pathTemplates memoizes each configuration's path template. Package gate
+// interns configurations (one *gate.Gate per configuration), so the
+// pointer is the identity, as in core's power-model templates.
+var pathTemplates sync.Map // *gate.Gate → *pathTemplate
+
+// pathsOf returns the path template of the gate's configuration, building
+// it on first use.
+func pathsOf(g *gate.Gate) (*pathTemplate, error) {
+	if t, ok := pathTemplates.Load(g); ok {
+		return t.(*pathTemplate), nil
+	}
+	t, err := buildPaths(g)
+	if err != nil {
+		return nil, err
+	}
+	prior, _ := pathTemplates.LoadOrStore(g, t)
+	return prior.(*pathTemplate), nil
+}
+
+func buildPaths(g *gate.Gate) (*pathTemplate, error) {
+	gr, err := g.Graph()
+	if err != nil {
+		return nil, err
+	}
+	t := &pathTemplate{pins: make([]pinPaths, len(g.Inputs))}
+	for i, pin := range g.Inputs {
+		if t.pins[i].fall, err = railPaths(gr, pin, gate.NMOS, gate.Vss); err != nil {
+			return nil, err
 		}
-		return c
+		if t.pins[i].rise, err = railPaths(gr, pin, gate.PMOS, gate.Vdd); err != nil {
+			return nil, err
+		}
 	}
-	best := -1.0
+	return t, nil
+}
+
+// railPaths enumerates, in DFS order, every simple path from Y to the
+// rail through the network of the given transistor type that uses the
+// pin's transistor, as the terms of the nodes above that transistor.
+func railPaths(gr *gate.Graph, pin string, tt gate.TransType, rail gate.NodeID) ([][]pathTerm, error) {
+	var paths [][]pathTerm
 	visited := make([]bool, gr.NumNodes)
-	// path is the list of nodes from Y downward; edges[i] connects
-	// path[i] to path[i+1].
+	// nodes is the list of nodes from Y downward, with -1 marking the
+	// nodes below the switching transistor.
 	var dfs func(cur gate.NodeID, nodes []gate.NodeID, usedPin bool)
 	dfs = func(cur gate.NodeID, nodes []gate.NodeID, usedPin bool) {
 		if cur == rail {
 			if !usedPin {
 				return
 			}
-			// Elmore sum along the recorded path: resistance from node k
-			// to the rail is r × (#edges below k).
-			total := 0.0
-			k := len(nodes) // number of non-rail nodes on the path
+			// The resistance from node i to the rail is r × (#edges
+			// below i), with k non-rail nodes on the path.
+			var path []pathTerm
+			k := len(nodes)
 			for i, n := range nodes {
 				if n == gate.NodeID(-1) {
-					// Marker: nodes below the switching transistor are
-					// pre-discharged; stop accumulating.
 					break
 				}
-				rBelow := float64(k-i) * r
-				total += nodeCap(n) * rBelow
+				path = append(path, pathTerm{deg: gr.Degree(n), isY: n == gate.Y, below: k - i})
 			}
-			if total > best {
-				best = total
-			}
+			paths = append(paths, path)
 			return
 		}
 		visited[cur] = true
@@ -152,10 +191,38 @@ func stackDelay(gr *gate.Graph, pin string, tt gate.TransType, rail gate.NodeID,
 		visited[cur] = false
 	}
 	dfs(gate.Y, []gate.NodeID{gate.Y}, false)
-	if best < 0 {
-		return 0, fmt.Errorf("delay: pin %s has no %v path from output to rail", pin, tt)
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("delay: pin %s has no %v path from output to rail", pin, tt)
 	}
-	return best, nil
+	return paths, nil
+}
+
+// pinDelay is pin i's delay: the slower of its fall and rise.
+func (t *pathTemplate) pinDelay(i int, loadCap float64, prm Params) float64 {
+	p := &t.pins[i]
+	return math.Max(stackDelay(p.fall, prm.Rn, loadCap, prm), stackDelay(p.rise, prm.Rp, loadCap, prm))
+}
+
+// stackDelay is the Elmore delay of the slowest of the paths through a
+// network of on-resistance r: each path sums, over the nodes above the
+// switching transistor, the node's capacitance times the resistance
+// between it and the rail.
+func stackDelay(paths [][]pathTerm, r, loadCap float64, prm Params) float64 {
+	best := -1.0
+	for _, path := range paths {
+		total := 0.0
+		for _, term := range path {
+			c := prm.Cap.Cj * float64(term.deg)
+			if term.isY {
+				c += loadCap
+			}
+			total += c * (float64(term.below) * r)
+		}
+		if total > best {
+			best = total
+		}
+	}
+	return best
 }
 
 // Result is a static timing analysis of a circuit.
@@ -173,14 +240,21 @@ func Arrival(cfg *gate.Gate, arrivals []float64, loadCap float64, prm Params) (f
 	if len(arrivals) != len(cfg.Inputs) {
 		return 0, fmt.Errorf("delay: gate %s has %d inputs, got %d arrivals", cfg.Name, len(cfg.Inputs), len(arrivals))
 	}
-	d, err := PinDelays(cfg, loadCap, prm)
+	t, err := checkedPaths(cfg, loadCap, prm)
 	if err != nil {
 		return 0, err
 	}
-	return latest(arrivals, d), nil
+	worst := math.Inf(-1)
+	for i, a := range arrivals {
+		if d := a + t.pinDelay(i, loadCap, prm); d > worst {
+			worst = d
+		}
+	}
+	return worst, nil
 }
 
-// latest is the max over pins of (arrival + pin delay).
+// latest is the max over pins of (arrival + pin delay): Arrival's rule
+// over pin delays the forward pass keeps for its critical-path trace.
 func latest(arrivals, pinDelays []float64) float64 {
 	worst := math.Inf(-1)
 	for i, t := range arrivals {

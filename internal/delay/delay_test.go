@@ -1,12 +1,15 @@
 package delay
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/gate"
+	"repro/internal/library"
 	"repro/internal/sp"
 	"repro/internal/stoch"
 )
@@ -175,6 +178,10 @@ func TestDelayParamsValidate(t *testing.T) {
 		{Rn: 0, Rp: 1, Cap: core.DefaultParams()},
 		{Rn: 1, Rp: -1, Cap: core.DefaultParams()},
 		{Rn: 1, Rp: 1, Cap: core.Params{}},
+		{Rn: math.NaN(), Rp: 1, Cap: core.DefaultParams()},
+		{Rn: 1, Rp: math.NaN(), Cap: core.DefaultParams()},
+		{Rn: math.Inf(1), Rp: 1, Cap: core.DefaultParams()},
+		{Rn: 1, Rp: 1, Cap: core.Params{Vdd: 3.3, Cj: math.NaN()}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -188,8 +195,13 @@ func TestDelayParamsValidate(t *testing.T) {
 
 func TestPinDelaysErrors(t *testing.T) {
 	g := gate.MustNew("inv", []string{"a"}, sp.MustParse("a"))
-	if _, err := PinDelays(g, -1, DefaultParams()); err == nil {
-		t.Error("negative load accepted")
+	for _, load := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := PinDelays(g, load, DefaultParams()); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
+		if _, err := Arrival(g, []float64{0}, load, DefaultParams()); err == nil {
+			t.Errorf("Arrival accepted load %v", load)
+		}
 	}
 	if _, err := PinDelays(g, 0, Params{}); err == nil {
 		t.Error("zero params accepted")
@@ -273,4 +285,208 @@ func TestArrivalIsLatestPin(t *testing.T) {
 	if _, err := Arrival(g, arr[:2], load, prm); err == nil {
 		t.Error("Arrival accepted two arrivals for three pins")
 	}
+}
+
+// oracleStackDelay is the naive reference for the path templates: it
+// re-enumerates, by DFS, every simple path from Y to the rail through the
+// network of the given transistor type that uses the pin's transistor and
+// takes the largest Elmore sum, computing each node's capacitance and
+// resistance to the rail as it goes.
+func oracleStackDelay(gr *gate.Graph, pin string, tt gate.TransType, rail gate.NodeID, prm Params, loadCap float64) (float64, error) {
+	r := prm.Rn
+	if tt == gate.PMOS {
+		r = prm.Rp
+	}
+	nodeCap := func(n gate.NodeID) float64 {
+		c := prm.Cap.Cj * float64(gr.Degree(n))
+		if n == gate.Y {
+			c += loadCap
+		}
+		return c
+	}
+	best := -1.0
+	visited := make([]bool, gr.NumNodes)
+	// path is the list of nodes from Y downward; edges[i] connects
+	// path[i] to path[i+1].
+	var dfs func(cur gate.NodeID, nodes []gate.NodeID, usedPin bool)
+	dfs = func(cur gate.NodeID, nodes []gate.NodeID, usedPin bool) {
+		if cur == rail {
+			if !usedPin {
+				return
+			}
+			// Elmore sum along the recorded path: resistance from node k
+			// to the rail is r × (#edges below k).
+			total := 0.0
+			k := len(nodes) // number of non-rail nodes on the path
+			for i, n := range nodes {
+				if n == gate.NodeID(-1) {
+					// Marker: nodes below the switching transistor are
+					// pre-discharged; stop accumulating.
+					break
+				}
+				rBelow := float64(k-i) * r
+				total += nodeCap(n) * rBelow
+			}
+			if total > best {
+				best = total
+			}
+			return
+		}
+		visited[cur] = true
+		for _, e := range gr.Edges {
+			if e.Type != tt {
+				continue
+			}
+			var next gate.NodeID
+			switch {
+			case e.A == cur:
+				next = e.B
+			case e.B == cur:
+				next = e.A
+			default:
+				continue
+			}
+			if next != rail && (next == gate.Vdd || next == gate.Vss) {
+				continue
+			}
+			if next != rail && visited[next] {
+				continue
+			}
+			isPin := e.Input == pin
+			childNodes := nodes
+			if next != rail {
+				marker := next
+				if usedPin || isPin {
+					marker = gate.NodeID(-1)
+				}
+				childNodes = append(append([]gate.NodeID(nil), nodes...), marker)
+			}
+			dfs(next, childNodes, usedPin || isPin)
+		}
+		visited[cur] = false
+	}
+	dfs(gate.Y, []gate.NodeID{gate.Y}, false)
+	if best < 0 {
+		return 0, fmt.Errorf("delay: pin %s has no %v path from output to rail", pin, tt)
+	}
+	return best, nil
+}
+
+// oraclePinDelays is PinDelays computed by oracleStackDelay.
+func oraclePinDelays(g *gate.Gate, loadCap float64, prm Params) ([]float64, error) {
+	gr, err := g.Graph()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(g.Inputs))
+	for i, pin := range g.Inputs {
+		fall, err := oracleStackDelay(gr, pin, gate.NMOS, gate.Vss, prm, loadCap)
+		if err != nil {
+			return nil, err
+		}
+		rise, err := oracleStackDelay(gr, pin, gate.PMOS, gate.Vdd, prm, loadCap)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = math.Max(fall, rise)
+	}
+	return out, nil
+}
+
+// TestPinDelaysMatchOracle pins the memoized path templates to the naive
+// DFS bit for bit: every configuration of every library cell, at no load
+// and at the loads of one and eight fanouts, and Arrival to the latest of
+// the oracle's pin delays.
+func TestPinDelaysMatchOracle(t *testing.T) {
+	prm := DefaultParams()
+	for _, cell := range library.Default().Cells() {
+		for _, cfg := range cell.Proto.AllConfigs() {
+			arr := make([]float64, len(cfg.Inputs))
+			for i := range arr {
+				arr[i] = float64((i*7)%5) * 1e-10
+			}
+			for _, load := range []float64{0, prm.Cap.OutputLoad(1), prm.Cap.OutputLoad(8)} {
+				want, err := oraclePinDelays(cfg, load, prm)
+				if err != nil {
+					t.Fatalf("%s %s: oracle: %v", cell.Name, cfg.ConfigKey(), err)
+				}
+				got, err := PinDelays(cfg, load, prm)
+				if err != nil {
+					t.Fatalf("%s %s: %v", cell.Name, cfg.ConfigKey(), err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s %s load %g pin %s: PinDelays %v, oracle %v",
+							cell.Name, cfg.ConfigKey(), load, cfg.Inputs[i], got[i], want[i])
+					}
+				}
+				a, err := Arrival(cfg, arr, load, prm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := latest(arr, want); a != w {
+					t.Errorf("%s %s load %g: Arrival %v, oracle %v", cell.Name, cfg.ConfigKey(), load, a, w)
+				}
+			}
+		}
+	}
+}
+
+// TestArrivalZeroAllocs guards the delay-aware optimizer's inner loop: a
+// warm Arrival evaluates the memoized template straight into the max and
+// allocates nothing.
+func TestArrivalZeroAllocs(t *testing.T) {
+	prm := DefaultParams()
+	cfgs := library.Default().MustCell("aoi222").Proto.AllConfigs()
+	arr := []float64{1e-10, 0, 3e-10, 2e-10, 0, 1e-10}
+	load := prm.Cap.OutputLoad(3)
+	run := func() {
+		for _, cfg := range cfgs {
+			if _, err := Arrival(cfg, arr, load, prm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("warm Arrival over %d configurations: %v allocations per run, want 0", len(cfgs), allocs)
+	}
+}
+
+// TestPathTemplatesConcurrent builds the templates of a cold orbit from
+// several goroutines at once (run it under -race): every caller must see
+// the oracle's delays, whichever goroutine's template was stored.
+func TestPathTemplatesConcurrent(t *testing.T) {
+	prm := DefaultParams()
+	cfgs := gate.MustNew("delay_concurrent_aoi221", []string{"a1", "a2", "b1", "b2", "c"},
+		sp.MustParse("p(s(a1,a2),s(b1,b2),c)")).AllConfigs()
+	load := prm.Cap.OutputLoad(2)
+	want := make([][]float64, len(cfgs))
+	for k, cfg := range cfgs {
+		d, err := oraclePinDelays(cfg, load, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = d
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, cfg := range cfgs {
+				got, err := PinDelays(cfg, load, prm)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if got[i] != want[k][i] {
+						t.Errorf("%s pin %d: %v, oracle %v", cfg.ConfigKey(), i, got[i], want[k][i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -96,15 +96,19 @@ func New(seed int64, rates map[Kind]float64, maxDelay time.Duration) (*Plan, err
 	if p.maxDelay <= 0 {
 		p.maxDelay = DefaultMaxDelay
 	}
-	sum := 0.0
 	for k, r := range rates {
 		if k <= None || k > TornWrite {
 			return nil, fmt.Errorf("faults: unknown kind %v", k)
 		}
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return nil, fmt.Errorf("faults: rate %g for %v outside [0,1]", r, k)
 		}
 		p.rates[k] = r
+	}
+	// Sum in kind order, not map order, so the same rates are always
+	// judged the same.
+	sum := 0.0
+	for _, r := range p.rates {
 		sum += r
 	}
 	if sum > 1+1e-12 {

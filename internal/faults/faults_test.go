@@ -212,6 +212,8 @@ func TestParseRejections(t *testing.T) {
 		"maxdelay=abc",                  // unparseable duration
 		"maxdelay=0s",                   // zero delay bound is meaningless
 		"error=0.4,error=0.7,panic=0.4", // last-wins duplicate keeps the sum over 1
+		"error=NaN,panic=0.5",           // NaN fails every comparison, so it must be rejected explicitly
+		"torn=nan",                      // ParseFloat reads NaN case-insensitively
 	} {
 		if p, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) accepted: %+v", bad, p)
@@ -285,4 +287,36 @@ func TestBackoff(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Error("backoff jitter does not depend on the key")
 	}
+}
+
+// TestNewRejectsNaNRate: a NaN rate is no probability. Both range checks
+// and the sum check are false for NaN, and Spec would silently drop it.
+func TestNewRejectsNaNRate(t *testing.T) {
+	if p, err := New(1, map[Kind]float64{Error: math.NaN(), Panic: 0.5}, 0); err == nil {
+		t.Fatalf("New accepted a NaN rate: %q", p.Spec())
+	}
+}
+
+// FuzzParse: Parse never panics, and an accepted plan round-trips:
+// re-parsing its Spec gives back a plan with the same Spec.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"", "error=0.2,panic=0.1,delay=0.05,torn=0.1,maxdelay=3ms", "torn=0.5,maxdelay=1h",
+		"delay=1", "error=NaN,panic=0.5", "error=0x1p-2", "error=0,maxdelay=1.5ns", " , error=1e-300 ",
+	} {
+		f.Add(spec, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		p, err := Parse(spec, seed)
+		if err != nil || p == nil {
+			return
+		}
+		q, err := Parse(p.Spec(), seed)
+		if err != nil {
+			t.Fatalf("Parse(%q).Spec() = %q does not re-parse: %v", spec, p.Spec(), err)
+		}
+		if q.Spec() != p.Spec() {
+			t.Fatalf("Spec not a fixed point: %q -> %q", p.Spec(), q.Spec())
+		}
+	})
 }

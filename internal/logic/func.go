@@ -333,6 +333,57 @@ func (f Func) Prob(p []float64) float64 {
 	return total
 }
 
+// MintermTable fills dst with the probability of every minterm of n =
+// len(p) independent variables, P(xi=1) = p[i], and returns it resized
+// to 2ⁿ entries (reallocated only when dst is too small). The table
+// doubles from [1], so entry m is formed as ((1·f₀)·f₁)…·fₙ₋₁ with
+// fi = p[i] or 1−p[i]: Prob's product order, so ProbTable over it
+// reproduces Prob bit for bit.
+func MintermTable(dst []float64, p []float64) []float64 {
+	n := len(p)
+	checkVars(n)
+	for i, pi := range p {
+		if !(pi >= 0 && pi <= 1) {
+			panic(fmt.Sprintf("logic: probability p[%d]=%g out of [0,1]", i, pi))
+		}
+	}
+	size := 1 << n
+	if cap(dst) < size {
+		dst = make([]float64, size)
+	}
+	t := dst[:size]
+	t[0] = 1
+	for i, pi := range p {
+		half := 1 << i
+		q := 1 - pi
+		for m := 0; m < half; m++ {
+			t[m+half] = t[m] * pi
+			t[m] *= q
+		}
+	}
+	return t
+}
+
+// ProbTable returns Prob(p) from p's MintermTable: the sum of the table
+// over f's on-set, in ascending minterm order as Prob sums it.
+func (f Func) ProbTable(table []float64) float64 {
+	if !f.valid() {
+		panic("logic: use of zero Func")
+	}
+	if len(table) != 1<<f.n {
+		panic(fmt.Sprintf("logic: ProbTable needs %d entries, got %d", 1<<f.n, len(table)))
+	}
+	total := 0.0
+	for w, word := range f.words {
+		base := w << 6
+		for word != 0 {
+			total += table[base+bits.TrailingZeros64(word)]
+			word &= word - 1
+		}
+	}
+	return total
+}
+
 // PermuteVars returns g with g(x_{perm[0]}, …, x_{perm[n-1]}) = f(x_0, …).
 // perm must be a permutation of 0..n-1; variable i of f becomes variable
 // perm[i] of the result.

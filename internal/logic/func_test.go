@@ -424,3 +424,54 @@ func TestQuickProbLinearInOneVariable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestProbTableMatchesProb pins the table path to Prob bit for bit: for
+// random functions of 0…10 variables and random probabilities that
+// include the endpoints 0 and 1, summing the minterm table over the
+// on-set gives exactly Prob's value, also when the table reuses a
+// larger buffer.
+func TestProbTableMatchesProb(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var buf []float64
+	for n := 0; n <= 10; n++ {
+		for trial := 0; trial < 20; trial++ {
+			p := make([]float64, n)
+			for i := range p {
+				switch rng.Intn(4) {
+				case 0:
+					p[i] = 0
+				case 1:
+					p[i] = 1
+				default:
+					p[i] = rng.Float64()
+				}
+			}
+			buf = MintermTable(buf, p)
+			if len(buf) != 1<<n {
+				t.Fatalf("n=%d: table has %d entries", n, len(buf))
+			}
+			for _, f := range []Func{randFunc(rng, n), Const(n, true), Const(n, false)} {
+				if got, want := f.ProbTable(buf), f.Prob(p); got != want {
+					t.Fatalf("n=%d f=%v p=%v: ProbTable = %v, Prob = %v", n, f, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMintermTablePanics: the table rejects probabilities outside [0,1],
+// NaN included, and ProbTable a table of the wrong size.
+func TestMintermTablePanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("MintermTable(NaN)", func() { MintermTable(nil, []float64{0.5, math.NaN()}) })
+	mustPanic("MintermTable(1.5)", func() { MintermTable(nil, []float64{1.5}) })
+	mustPanic("ProbTable(short)", func() { Var(0, 2).ProbTable(MintermTable(nil, []float64{0.5})) })
+}
