@@ -240,6 +240,9 @@ func Arrival(cfg *gate.Gate, arrivals []float64, loadCap float64, prm Params) (f
 	if len(arrivals) != len(cfg.Inputs) {
 		return 0, fmt.Errorf("delay: gate %s has %d inputs, got %d arrivals", cfg.Name, len(cfg.Inputs), len(arrivals))
 	}
+	if err := checkArrivals(arrivals); err != nil {
+		return 0, err
+	}
 	t, err := checkedPaths(cfg, loadCap, prm)
 	if err != nil {
 		return 0, err
@@ -253,16 +256,30 @@ func Arrival(cfg *gate.Gate, arrivals []float64, loadCap float64, prm Params) (f
 	return worst, nil
 }
 
+// checkArrivals rejects a non-finite pin arrival: NaN fails every
+// comparison, so the latest-arrival max would silently drop it.
+func checkArrivals(arrivals []float64) error {
+	for i, a := range arrivals {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("delay: arrival %v at pin %d is not finite", a, i)
+		}
+	}
+	return nil
+}
+
 // latest is the max over pins of (arrival + pin delay): Arrival's rule
 // over pin delays the forward pass keeps for its critical-path trace.
-func latest(arrivals, pinDelays []float64) float64 {
+func latest(arrivals, pinDelays []float64) (float64, error) {
+	if err := checkArrivals(arrivals); err != nil {
+		return 0, err
+	}
 	worst := math.Inf(-1)
 	for i, t := range arrivals {
 		if t+pinDelays[i] > worst {
 			worst = t + pinDelays[i]
 		}
 	}
-	return worst
+	return worst, nil
 }
 
 // forwardPass propagates arrivals through the circuit in topological
@@ -298,7 +315,9 @@ func forwardPass(c *circuit.Circuit, prm Params) ([]*circuit.Instance, [][]float
 			pinArr = append(pinArr, t)
 		}
 		delays[k] = d
-		arr[g.Out] = latest(pinArr, d)
+		if arr[g.Out], err = latest(pinArr, d); err != nil {
+			return nil, nil, nil, fmt.Errorf("delay: instance %s: %w", g.Name, err)
+		}
 	}
 	return order, delays, arr, nil
 }

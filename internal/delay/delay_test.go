@@ -287,6 +287,27 @@ func TestArrivalIsLatestPin(t *testing.T) {
 	}
 }
 
+// TestArrivalRejectsNonFinite: a NaN fails every comparison, so a NaN
+// pin arrival used to drop out of the latest-arrival max (all-NaN
+// arrivals gave −Inf and no error). Non-finite arrivals are rejected, by
+// Arrival and by DelayOptimal, which picks through it.
+func TestArrivalRejectsNonFinite(t *testing.T) {
+	prm := DefaultParams()
+	g := gate.MustNew("nand2", []string{"a", "b"}, sp.MustParse("s(a,b)"))
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, arr := range [][]float64{{nan, nan}, {0, nan}, {nan, 1e-10}, {inf, 0}, {0, -inf}} {
+		if a, err := Arrival(g, arr, 0, prm); err == nil {
+			t.Errorf("Arrival(%v) = %v, want an error", arr, a)
+		}
+		if cfg, a, err := DelayOptimal(g, arr, 0, prm); err == nil {
+			t.Errorf("DelayOptimal(%v) = %v, %v, want an error", arr, cfg, a)
+		}
+	}
+	if _, err := latest([]float64{nan}, []float64{1e-10}); err == nil {
+		t.Error("latest accepted a NaN arrival")
+	}
+}
+
 // oracleStackDelay is the naive reference for the path templates: it
 // re-enumerates, by DFS, every simple path from Y to the rail through the
 // network of the given transistor type that uses the pin's transistor and
@@ -424,7 +445,11 @@ func TestPinDelaysMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w := latest(arr, want); a != w {
+				w, err := latest(arr, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a != w {
 					t.Errorf("%s %s load %g: Arrival %v, oracle %v", cell.Name, cfg.ConfigKey(), load, a, w)
 				}
 			}

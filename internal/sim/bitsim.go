@@ -288,8 +288,15 @@ func execOps(ops []bitOp, regs []uint64) {
 			regs[op.dst] = regs[op.a] | regs[op.b]
 		case opAndNot:
 			regs[op.dst] = regs[op.a] &^ regs[op.b]
-		default: // opNot
+		case opNot:
 			regs[op.dst] = ^regs[op.a]
+		case opOrNot:
+			regs[op.dst] = regs[op.a] | ^regs[op.b]
+		case opMux:
+			x := regs[op.a]
+			regs[op.dst] = x&regs[op.b] | regs[op.c]&^x
+		default: // opKeep
+			regs[op.dst] = regs[op.a] | regs[op.b]&^regs[op.c]
 		}
 	}
 }
@@ -302,7 +309,7 @@ func execOpsPlanes4(ops []bitOp, regs []uint64, R int) {
 	p0, p1, p2, p3 := regs[0:R], regs[R:2*R], regs[2*R:3*R], regs[3*R:4*R]
 	for i := range ops {
 		op := &ops[i]
-		a, b, d := int(op.a), int(op.b), int(op.dst)
+		a, b, c, d := int(op.a), int(op.b), int(op.c), int(op.dst)
 		switch op.code {
 		case opAnd:
 			p0[d], p1[d], p2[d], p3[d] = p0[a]&p0[b], p1[a]&p1[b], p2[a]&p2[b], p3[a]&p3[b]
@@ -310,8 +317,17 @@ func execOpsPlanes4(ops []bitOp, regs []uint64, R int) {
 			p0[d], p1[d], p2[d], p3[d] = p0[a]|p0[b], p1[a]|p1[b], p2[a]|p2[b], p3[a]|p3[b]
 		case opAndNot:
 			p0[d], p1[d], p2[d], p3[d] = p0[a]&^p0[b], p1[a]&^p1[b], p2[a]&^p2[b], p3[a]&^p3[b]
-		default: // opNot
+		case opNot:
 			p0[d], p1[d], p2[d], p3[d] = ^p0[a], ^p1[a], ^p2[a], ^p3[a]
+		case opOrNot:
+			p0[d], p1[d], p2[d], p3[d] = p0[a]|^p0[b], p1[a]|^p1[b], p2[a]|^p2[b], p3[a]|^p3[b]
+		case opMux:
+			p0[d] = p0[a]&p0[b] | p0[c]&^p0[a]
+			p1[d] = p1[a]&p1[b] | p1[c]&^p1[a]
+			p2[d] = p2[a]&p2[b] | p2[c]&^p2[a]
+			p3[d] = p3[a]&p3[b] | p3[c]&^p3[a]
+		default: // opKeep
+			p0[d], p1[d], p2[d], p3[d] = p0[a]|p0[b]&^p0[c], p1[a]|p1[b]&^p1[c], p2[a]|p2[b]&^p2[c], p3[a]|p3[b]&^p3[c]
 		}
 	}
 }

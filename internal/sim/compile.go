@@ -31,10 +31,16 @@ import (
 //     the conducting-path functions of Figure 2(b), so the compiled
 //     semantics match conducting-path flooding (the reference oracle's
 //     gate.Graph.NodeStateAt) bit for bit.
-//   - The boolean functions are compiled once, at build time, from their
-//     truth tables into AND/OR/NOT/ANDNOT word ops by memoized Shannon
-//     decomposition; evaluation is a single pass over the op array with
-//     no maps, no interface dispatch and no allocation.
+//   - The boolean functions are compiled once per gate configuration,
+//     from their truth tables, into a template of word ops over local
+//     slots (gateTemplate): AND, OR, ANDNOT, NOT, or-not a|^b, the
+//     multiplexer (a&b)|(c&^a) and keep-charge a|(b&^c), the
+//     internal-node update in one op. Each Shannon step branches on the
+//     variable a cost estimate ranks cheapest, and subfunctions shared
+//     across the gate's H and G functions compile once. The template is
+//     memoized on the interned *gate.Gate; an instance only renames its
+//     slots to registers. Evaluation is a single pass over the op array
+//     with no maps, no interface dispatch and no allocation.
 //
 // Gates in the library have at most six inputs, so every truth table fits
 // one uint64.
@@ -51,13 +57,17 @@ const (
 	opOr                   // dst = a | b
 	opAndNot               // dst = a &^ b
 	opNot                  // dst = ^a
+	opOrNot                // dst = a | ^b
+	opMux                  // dst = (a & b) | (c &^ a): b where a is set, c elsewhere
+	opKeep                 // dst = a | (b &^ c): drive a, else keep b unless c
 )
 
 // bitOp is one instruction: pure word arithmetic over register indices.
+// Two-operand ops ignore c, and opNot ignores b too.
 type bitOp struct {
-	code opCode
-	dst  int32
-	a, b int32
+	code    opCode
+	dst     int32
+	a, b, c int32
 }
 
 // meterKind classifies a metered node.
@@ -149,70 +159,68 @@ func (lw *lowering) alloc() int32 {
 	return r
 }
 
-// emit appends a word op writing a fresh register and returns it.
-func (lw *lowering) emit(code opCode, a, b int32) int32 {
-	dst := lw.alloc()
-	lw.ops = append(lw.ops, bitOp{code: code, dst: dst, a: a, b: b})
-	return dst
+// slotMap places one instance's template slots in the register file:
+// the constants stay in registers 0 and 1, pin i reads register pins[i],
+// and the template's own slots (internal-node states, then temporaries)
+// occupy the block starting at base.
+type slotMap struct {
+	pins [maxCompiledInputs]int32
+	n    int32 // pin count
+	base int32
 }
 
-// beginGate checks gate g against the compiler's width limit, builds its
-// transistor graph and points gc at the registers of its pins. gc is
-// reused across gates, so its memo map is cleared, not reallocated.
-func (lw *lowering) beginGate(gc *gateCompiler, g *circuit.Instance, netReg map[string]int32) (*gate.Graph, error) {
-	if len(g.Pins) > maxCompiledInputs {
-		return nil, fmt.Errorf("sim: instance %s: cell %s has %d inputs; the bit-parallel compiler supports at most %d",
-			g.Name, g.Cell.Name, len(g.Pins), maxCompiledInputs)
+// reg returns the register of template slot s.
+func (m *slotMap) reg(s int32) int32 {
+	switch {
+	case s < 2:
+		return s
+	case s < 2+m.n:
+		return m.pins[s-2]
 	}
-	gr, err := g.Cell.Graph()
+	return m.base + s - 2 - m.n
+}
+
+// lowerGate appends gate g's ops: its configuration's template with the
+// slots renamed to g's pin registers and a fresh register block.
+func (lw *lowering) lowerGate(g *circuit.Instance, netReg map[string]int32) (*gateTemplate, slotMap, error) {
+	var m slotMap
+	t, err := templateOf(g.Cell)
 	if err != nil {
-		return nil, fmt.Errorf("sim: instance %s: %w", g.Name, err)
+		return nil, m, fmt.Errorf("sim: instance %s: %w", g.Name, err)
 	}
-	gc.p = lw
-	gc.n = len(g.Pins)
-	gc.vars = gc.vars[:0]
-	for _, pin := range g.Pins {
+	m.n = int32(len(g.Pins))
+	for i, pin := range g.Pins {
 		r, ok := netReg[pin]
 		if !ok {
-			return nil, fmt.Errorf("sim: instance %s reads unknown net %q", g.Name, pin)
+			return nil, m, fmt.Errorf("sim: instance %s reads unknown net %q", g.Name, pin)
 		}
-		gc.vars = append(gc.vars, r)
+		m.pins[i] = r
 	}
-	if gc.memo == nil {
-		gc.memo = map[uint64]int32{}
+	m.base = int32(lw.numRegs)
+	lw.numRegs += int(t.locals)
+	for _, op := range t.ops {
+		lw.ops = append(lw.ops, bitOp{code: op.code, dst: m.reg(op.dst), a: m.reg(op.a), b: m.reg(op.b), c: m.reg(op.c)})
 	}
-	clear(gc.memo)
-	return gr, nil
+	return t, m, nil
 }
 
-// lowerInternal emits gate gi's internal nodes and appends their meters.
-// A node is driven to the rail a conducting path reaches and retains its
-// charge otherwise, in a persistent state register:
-// new = H | (state &^ (H|G)).
-func (lw *lowering) lowerInternal(gc *gateCompiler, gi int, gr *gate.Graph, cp core.Params) {
+// internalMeters appends the meters of gate gi's internal nodes.
+func (lw *lowering) internalMeters(gi int, t *gateTemplate, m *slotMap, cp core.Params) {
 	halfCV2 := 0.5 * cp.Vdd * cp.Vdd
-	for _, nk := range gr.InternalNodes() {
-		ttH := truthTable(gr.H(nk))
-		ttDriven := ttH | truthTable(gr.G(nk))
-		stateReg := lw.alloc()
-		rNew := gc.compile(ttH)
-		if ttDriven != gc.mask() {
-			rKeep := lw.emit(opAndNot, stateReg, gc.compile(ttDriven))
-			rNew = lw.emit(opOr, rNew, rKeep)
-		}
+	for _, nd := range t.internal {
 		lw.meters = append(lw.meters, meterPoint{
-			valueReg: rNew, stateReg: stateReg, kind: meterInternal, gate: int32(gi),
-			energy: halfCV2 * cp.Cj * float64(gr.Degree(nk)),
+			valueReg: m.reg(nd.value), stateReg: m.reg(nd.state), kind: meterInternal, gate: int32(gi),
+			energy: halfCV2 * cp.Cj * float64(nd.degree),
 		})
 	}
 }
 
 // outputEnergy is the energy one transition of a gate's output net
 // dissipates in one lane: ½·C·Vdd² over the output node's diffusion
-// capacitance plus the load of its fanout.
-func outputEnergy(cp core.Params, gr *gate.Graph, fanout int) float64 {
+// capacitance (degree terminals) plus the load of its fanout.
+func outputEnergy(cp core.Params, degree, fanout int) float64 {
 	halfCV2 := 0.5 * cp.Vdd * cp.Vdd
-	return halfCV2 * (cp.Cj*float64(gr.Degree(gate.Y)) + cp.OutputLoad(fanout))
+	return halfCV2 * (cp.Cj*float64(degree) + cp.OutputLoad(fanout))
 }
 
 // Program is a circuit compiled for the bit-parallel engine. It is
@@ -247,9 +255,8 @@ func Compile(c *circuit.Circuit, prm Params) (*Program, error) {
 	}
 
 	level := make(map[string]int, len(netReg)+len(p.gates))
-	var gc gateCompiler
 	for gi, g := range p.gates {
-		gr, err := p.beginGate(&gc, g, netReg)
+		t, m, err := p.lowerGate(g, netReg)
 		if err != nil {
 			return nil, err
 		}
@@ -261,15 +268,97 @@ func Compile(c *circuit.Circuit, prm Params) (*Program, error) {
 		p.levels = max(p.levels, gl+1)
 
 		// Output node: a complementary gate always drives y, so y = H_y.
-		ry := gc.compile(truthTable(gr.OutputFunc()))
+		ry := m.reg(t.out)
 		netReg[g.Out] = ry
 		p.meters = append(p.meters, meterPoint{
 			valueReg: ry, stateReg: p.alloc(), kind: meterOutput, gate: int32(gi), net: g.Out,
-			energy: outputEnergy(prm.Cap, gr, fanout[g.Out]),
+			energy: outputEnergy(prm.Cap, t.outDeg, fanout[g.Out]),
 		})
-		p.lowerInternal(&gc, gi, gr, prm.Cap)
+		p.internalMeters(gi, t, &m, prm.Cap)
 	}
 	return p, nil
+}
+
+// gateTemplate is the word-op program of one gate configuration over
+// local slots: 0 and 1 hold the constants all-zeros and all-ones, 2 to
+// 1+n the gate's n pins in Inputs order, the next len(internal) slots the
+// internal nodes' state, and the rest the temporaries the ops write.
+// Every instance of the configuration runs the same ops; lowerGate only
+// renames the slots. The settled value of internal node k is
+// H | (state_k &^ (H|G)) — a driven node takes its rail value, an
+// undriven one keeps its charge — and the output is H_y.
+type gateTemplate struct {
+	locals   int32   // state slots plus temporaries: the per-instance block
+	ops      []bitOp // over local slots, dependencies first
+	out      int32   // slot of the output y
+	outDeg   int     // the output node's degree, for its capacitance
+	internal []templateNode
+}
+
+// templateNode is one internal node of a template, in the order of
+// gate.Graph.InternalNodes.
+type templateNode struct {
+	value  int32 // slot of the settled value
+	state  int32 // slot of the value one step earlier
+	degree int   // terminals on the node, for its capacitance
+}
+
+// gateTemplates memoizes each configuration's template. Package gate
+// interns configurations (one *gate.Gate per configuration), so the
+// pointer is the identity, as in core's power-model and delay's path
+// templates.
+var gateTemplates sync.Map // *gate.Gate → *gateTemplate
+
+// templateOf returns the op template of the gate's configuration,
+// building it on first use.
+func templateOf(g *gate.Gate) (*gateTemplate, error) {
+	if t, ok := gateTemplates.Load(g); ok {
+		return t.(*gateTemplate), nil
+	}
+	t, err := buildTemplate(g)
+	if err != nil {
+		return nil, err
+	}
+	prior, _ := gateTemplates.LoadOrStore(g, t)
+	return prior.(*gateTemplate), nil
+}
+
+// buildTemplate compiles the configuration's output and internal-node
+// functions into one template, sharing common subfunctions.
+func buildTemplate(g *gate.Gate) (*gateTemplate, error) {
+	n := len(g.Inputs)
+	if n > maxCompiledInputs {
+		return nil, fmt.Errorf("cell %s has %d inputs; the bit-parallel compiler supports at most %d",
+			g.Name, n, maxCompiledInputs)
+	}
+	gr, err := g.Graph()
+	if err != nil {
+		return nil, err
+	}
+	nodes := gr.InternalNodes()
+	tb := newTemplateBuilder(n, len(nodes))
+	t := &gateTemplate{
+		outDeg:   gr.Degree(gate.Y),
+		internal: make([]templateNode, len(nodes)),
+	}
+	t.out = tb.compile(truthTable(gr.OutputFunc()))
+	for k, nk := range nodes {
+		fh, fg := truthTable(gr.H(nk)), truthTable(gr.G(nk))
+		v := tb.compile(fh)
+		if fh|fg != tb.mask {
+			// H | (s &^ (H|G)) = H | (s &^ G): the third operand may be
+			// either, so take the one that costs fewer ops.
+			x := fg
+			if tb.cost(fh|fg) < tb.cost(fg) {
+				x = fh | fg
+			}
+			v = tb.emit(opKeep, v, tb.state+int32(k), tb.compile(x))
+		}
+		t.internal[k] = templateNode{value: v, state: tb.state + int32(k), degree: gr.Degree(nk)}
+	}
+	t.ops = tb.ops
+	t.locals = tb.next - tb.state
+	return t, nil
 }
 
 // truthTable extracts an n≤6-variable function as one word: bit m is the
@@ -285,101 +374,136 @@ func truthTable(f logic.Func) uint64 {
 	return tt
 }
 
-// gateCompiler lowers truth tables over one gate's input registers into
-// word ops, sharing subfunctions across the gate's H and G functions
-// through the memo (keyed by truth table — all functions of one gate
-// range over the same variables).
-type gateCompiler struct {
-	p    *lowering
-	n    int     // gate input count
-	vars []int32 // register per gate input
-	memo map[uint64]int32
-}
-
-// mask returns the valid truth-table bits for n variables.
-func (gc *gateCompiler) mask() uint64 {
-	if gc.n >= 6 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<(1<<gc.n) - 1
-}
-
-// varTable returns the truth table of variable i.
-func (gc *gateCompiler) varTable(i int) uint64 {
-	var tt uint64
-	for m := uint(0); m < 1<<gc.n; m++ {
-		if m>>i&1 == 1 {
-			tt |= 1 << m
-		}
-	}
-	return tt
+// varTables[i] is the truth table of variable i over six variables; its
+// low 2ⁿ bits are the table over n variables.
+var varTables = [maxCompiledInputs]uint64{
+	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
 }
 
 // cofactors splits tt on variable i: t0 is the function with xi=0, t1
 // with xi=1, both expressed over the full variable set (independent of
-// xi) so they remain valid memo keys.
-func (gc *gateCompiler) cofactors(tt uint64, i int) (t0, t1 uint64) {
-	for m := uint(0); m < 1<<gc.n; m++ {
-		pair := uint64(1)<<m | uint64(1)<<(m^(1<<i))
-		if m>>i&1 == 1 {
-			if tt>>m&1 == 1 {
-				t1 |= pair
-			}
-		} else if tt>>m&1 == 1 {
-			t0 |= pair
-		}
-	}
-	return t0, t1
+// xi), so every subfunction of a gate is keyed by one kind of table.
+func cofactors(tt uint64, i int) (t0, t1 uint64) {
+	v, s := varTables[i], uint(1)<<i
+	t1 = tt & v
+	t0 = tt &^ v
+	return t0 | t0<<s, t1 | t1>>s
 }
 
-// compile returns a register holding tt evaluated on the gate's input
-// registers, emitting ops as needed. Shannon decomposition with
-// memoization: common subfunctions compile once.
-func (gc *gateCompiler) compile(tt uint64) int32 {
-	tt &= gc.mask()
-	switch tt {
-	case 0:
-		return 0 // the all-zeros register
-	case gc.mask():
-		return 1 // the all-ones register
+// templateBuilder lowers the truth tables of one gate configuration into
+// ops over local slots by Shannon decomposition, memoized by truth table
+// (all functions of one gate range over the same variables).
+type templateBuilder struct {
+	n     int
+	mask  uint64 // the valid truth-table bits for n variables
+	state int32  // first state slot; temporaries follow the states
+	next  int32  // next free slot
+	ops   []bitOp
+	memo  map[uint64]int32 // truth table → slot holding it
+	costs map[uint64]int   // cost's memo, valid for one memo state
+}
+
+func newTemplateBuilder(n, internal int) *templateBuilder {
+	tb := &templateBuilder{
+		n:     n,
+		mask:  ^uint64(0) >> (64 - (1 << n)),
+		state: int32(2 + n),
+		next:  int32(2 + n + internal),
+		memo:  map[uint64]int32{},
+		costs: map[uint64]int{},
 	}
-	if r, ok := gc.memo[tt]; ok {
-		return r
+	tb.memo[0], tb.memo[tb.mask] = 0, 1
+	for i := 0; i < n; i++ {
+		tb.memo[varTables[i]&tb.mask] = int32(2 + i)
 	}
-	// Find a variable the function depends on.
-	branch := -1
-	var t0, t1 uint64
-	for i := 0; i < gc.n; i++ {
-		c0, c1 := gc.cofactors(tt, i)
-		if c0 != c1 {
-			branch, t0, t1 = i, c0, c1
-			break
+	return tb
+}
+
+// emit appends an op writing a fresh slot and returns the slot.
+func (tb *templateBuilder) emit(code opCode, a, b, c int32) int32 {
+	dst := tb.next
+	tb.next++
+	tb.ops = append(tb.ops, bitOp{code: code, dst: dst, a: a, b: b, c: c})
+	clear(tb.costs)
+	return dst
+}
+
+// cost estimates the ops compiling tt would emit now: zero for a table
+// some slot already holds, otherwise the cheapest branch's op plus the
+// costs of the cofactors it reads. Cofactors shared between branches
+// count once per branch, so it is an upper bound.
+func (tb *templateBuilder) cost(tt uint64) int {
+	if _, ok := tb.memo[tt]; ok {
+		return 0
+	}
+	if c, ok := tb.costs[tt]; ok {
+		return c
+	}
+	best := -1
+	for i := 0; i < tb.n; i++ {
+		if c, ok := tb.stepCost(tt, i); ok && (best < 0 || c < best) {
+			best = c
+		}
+	}
+	tb.costs[tt] = best
+	return best
+}
+
+// stepCost is cost's estimate when tt branches on variable i; ok is false
+// when tt does not depend on it.
+func (tb *templateBuilder) stepCost(tt uint64, i int) (int, bool) {
+	t0, t1 := cofactors(tt, i)
+	switch {
+	case t0 == t1:
+		return 0, false
+	case t0 == 0: // x & f1
+		return 1 + tb.cost(t1), true
+	case t1 == 0: // f0 &^ x, or ^x
+		return 1 + tb.cost(t0), true
+	case t0 == tb.mask: // f1 | ^x
+		return 1 + tb.cost(t1), true
+	case t1 == tb.mask: // x | f0
+		return 1 + tb.cost(t0), true
+	}
+	return 1 + tb.cost(t1) + tb.cost(t0), true // mux
+}
+
+// compile returns a slot holding tt, emitting ops as needed: a Shannon
+// step on the variable cost ranks cheapest (the lowest index on a tie),
+// with common subfunctions compiled once.
+func (tb *templateBuilder) compile(tt uint64) int32 {
+	if s, ok := tb.memo[tt]; ok {
+		return s
+	}
+	branch, best := -1, 0
+	for i := 0; i < tb.n; i++ {
+		if c, ok := tb.stepCost(tt, i); ok && (branch < 0 || c < best) {
+			branch, best = i, c
 		}
 	}
 	if branch < 0 {
 		// Depends on no variable yet not constant: impossible.
 		panic(fmt.Sprintf("sim: non-constant table %#x with empty support", tt))
 	}
-	xi := gc.vars[branch]
-	var r int32
+	x := int32(2 + branch)
+	t0, t1 := cofactors(tt, branch)
+	var s int32
 	switch {
-	case tt == gc.varTable(branch):
-		r = xi
-	case tt == ^gc.varTable(branch)&gc.mask():
-		r = gc.p.emit(opNot, xi, 0)
-	case t0 == 0: // f = xi & f1
-		r = gc.p.emit(opAnd, xi, gc.compile(t1))
-	case t1 == 0: // f = ~xi & f0
-		r = gc.p.emit(opAndNot, gc.compile(t0), xi)
-	case t0 == gc.mask(): // f = ~xi | f1 = ~(xi &^ f1)
-		r = gc.p.emit(opNot, gc.p.emit(opAndNot, xi, gc.compile(t1)), 0)
-	case t1 == gc.mask(): // f = xi | f0
-		r = gc.p.emit(opOr, xi, gc.compile(t0))
-	default: // f = (xi & f1) | (~xi & f0)
-		hi := gc.p.emit(opAnd, xi, gc.compile(t1))
-		lo := gc.p.emit(opAndNot, gc.compile(t0), xi)
-		r = gc.p.emit(opOr, hi, lo)
+	case t0 == 0:
+		s = tb.emit(opAnd, x, tb.compile(t1), 0)
+	case t1 == 0 && t0 == tb.mask:
+		s = tb.emit(opNot, x, 0, 0)
+	case t1 == 0:
+		s = tb.emit(opAndNot, tb.compile(t0), x, 0)
+	case t0 == tb.mask:
+		s = tb.emit(opOrNot, tb.compile(t1), x, 0)
+	case t1 == tb.mask:
+		s = tb.emit(opOr, x, tb.compile(t0), 0)
+	default:
+		hi := tb.compile(t1)
+		s = tb.emit(opMux, x, hi, tb.compile(t0))
 	}
-	gc.memo[tt] = r
-	return r
+	tb.memo[tt] = s
+	return s
 }

@@ -3,11 +3,13 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/gate"
 	"repro/internal/library"
+	"repro/internal/logic"
 	"repro/internal/mcnc"
 	"repro/internal/sp"
 	"repro/internal/stoch"
@@ -149,6 +151,207 @@ func TestMeasureReductionPackedMotivationGate(t *testing.T) {
 	}
 	if min <= 0 || (max-min)/max < 0.02 {
 		t.Errorf("configuration spread too small: min %g max %g", min, max)
+	}
+}
+
+// TestTemplatesExhaustive runs the op template of every configuration of
+// every library cell on all 2ⁿ input minterms at once: pin i holds
+// variable i's truth table, so lane m of every register is its value on
+// minterm m. The template is instantiated through lowerGate with the pins
+// in reverse register order behind a block of unrelated registers, so
+// the slot renaming is exercised too. The output must equal the gate's
+// function, and internal node k must settle to H | (s &^ (H|G)) with its
+// state s all-zeros and all-ones — exact op semantics, independent of
+// any random stimulus.
+func TestTemplatesExhaustive(t *testing.T) {
+	for _, cell := range library.Default().Cells() {
+		for _, cfg := range cell.Proto.AllConfigs() {
+			checkTemplate(t, cfg)
+		}
+	}
+}
+
+func checkTemplate(t *testing.T, cfg *gate.Gate) {
+	t.Helper()
+	name := cfg.Name + " " + cfg.ConfigKey()
+	gr, err := cfg.Graph()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	n := len(cfg.Inputs)
+	lw := &lowering{numRegs: 5}
+	netReg := map[string]int32{}
+	for i := n - 1; i >= 0; i-- {
+		netReg[cfg.Inputs[i]] = lw.alloc()
+	}
+	inst := &circuit.Instance{Name: "u1", Cell: cfg, Pins: cfg.Inputs, Out: "y"}
+	tmpl, m, err := lw.lowerGate(inst, netReg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if again, err := templateOf(cfg); err != nil || again != tmpl {
+		t.Fatalf("%s: template not memoized (%p, %p, %v)", name, tmpl, again, err)
+	}
+	nodes := gr.InternalNodes()
+	if len(tmpl.internal) != len(nodes) || tmpl.outDeg != gr.Degree(gate.Y) {
+		t.Fatalf("%s: template has %d internal nodes and output degree %d, graph %d and %d",
+			name, len(tmpl.internal), tmpl.outDeg, len(nodes), gr.Degree(gate.Y))
+	}
+	f := gr.OutputFunc()
+	hs, gs := make([]logic.Func, len(nodes)), make([]logic.Func, len(nodes))
+	for k, nk := range nodes {
+		hs[k], gs[k] = gr.H(nk), gr.G(nk)
+	}
+	for _, s := range []uint64{0, ^uint64(0)} {
+		plane := make([]uint64, lw.numRegs)
+		plane[1] = ^uint64(0)
+		for i, pin := range cfg.Inputs {
+			var v uint64
+			for mt := uint(0); mt < 64; mt++ {
+				if mt>>i&1 == 1 {
+					v |= 1 << mt
+				}
+			}
+			plane[netReg[pin]] = v
+		}
+		for k := range nodes {
+			plane[m.reg(tmpl.internal[k].state)] = s
+		}
+		execOps(lw.ops, plane)
+		for mt := uint(0); mt < 1<<n; mt++ {
+			if got := plane[m.reg(tmpl.out)]>>mt&1 == 1; got != f.Eval(mt) {
+				t.Errorf("%s minterm %d: output %v, want %v", name, mt, got, f.Eval(mt))
+			}
+			for k, nk := range nodes {
+				h, g := hs[k].Eval(mt), gs[k].Eval(mt)
+				want := h || (s != 0 && !(h || g))
+				if got := plane[m.reg(tmpl.internal[k].value)]>>mt&1 == 1; got != want {
+					t.Errorf("%s minterm %d state %#x: node %s settles to %v, want %v",
+						name, mt, s, gr.NodeName(nk), got, want)
+				}
+				if d := tmpl.internal[k].degree; d != gr.Degree(nk) {
+					t.Errorf("%s: node %s degree %d, graph %d", name, gr.NodeName(nk), d, gr.Degree(nk))
+				}
+			}
+		}
+	}
+}
+
+// TestTemplatesConcurrent builds the templates of a cold orbit from
+// several goroutines at once (run it under -race): every caller must get
+// the one stored template per configuration, and that template must pass
+// the exhaustive check.
+func TestTemplatesConcurrent(t *testing.T) {
+	cfgs := gate.MustNew("sim_concurrent_aoi221", []string{"a1", "a2", "b1", "b2", "c"},
+		sp.MustParse("p(s(a1,a2),s(b1,b2),c)")).AllConfigs()
+	got := make([][]*gateTemplate, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]*gateTemplate, len(cfgs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, cfg := range cfgs {
+				tmpl, err := templateOf(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][k] = tmpl
+			}
+		}()
+	}
+	wg.Wait()
+	for k, cfg := range cfgs {
+		for w := range got {
+			if got[w][k] != got[0][k] {
+				t.Fatalf("%s: goroutines %d and 0 got different templates", cfg.ConfigKey(), w)
+			}
+		}
+		checkTemplate(t, cfg)
+	}
+}
+
+// TestKernelsAgree runs one op stream holding every opcode, with operands
+// and destinations drawn at random (aliasing included), over random
+// register files: execOps on each plane and execOpsPlanes4 on four planes
+// at once must leave identical planes, and every op must match its
+// definition below.
+func TestKernelsAgree(t *testing.T) {
+	ref := map[opCode]func(a, b, c uint64) uint64{
+		opAnd:    func(a, b, _ uint64) uint64 { return a & b },
+		opOr:     func(a, b, _ uint64) uint64 { return a | b },
+		opAndNot: func(a, b, _ uint64) uint64 { return a &^ b },
+		opNot:    func(a, _, _ uint64) uint64 { return ^a },
+		opOrNot:  func(a, b, _ uint64) uint64 { return a | ^b },
+		opMux:    func(a, b, c uint64) uint64 { return (a & b) | (c &^ a) },
+		opKeep:   func(a, b, c uint64) uint64 { return a | (b &^ c) },
+	}
+	const R = 24
+	rng := rand.New(rand.NewSource(5))
+	var ops []bitOp
+	for i := 0; i < 400; i++ {
+		code := opCode(i % len(ref)) // every opcode, many times over
+		if i >= 2*len(ref) {
+			code = opCode(rng.Intn(len(ref)))
+		}
+		ops = append(ops, bitOp{code: code, dst: int32(2 + rng.Intn(R-2)),
+			a: int32(rng.Intn(R)), b: int32(rng.Intn(R)), c: int32(rng.Intn(R))})
+	}
+	for trial := 0; trial < 20; trial++ {
+		regs := make([]uint64, 4*R)
+		for i := range regs {
+			regs[i] = rng.Uint64()
+		}
+		want := append([]uint64(nil), regs...)
+		for w := 0; w < 4; w++ {
+			plane := want[w*R : w*R+R]
+			for _, op := range ops {
+				plane[op.dst] = ref[op.code](plane[op.a], plane[op.b], plane[op.c])
+			}
+		}
+		single := append([]uint64(nil), regs...)
+		for w := 0; w < 4; w++ {
+			execOps(ops, single[w*R:w*R+R])
+		}
+		execOpsPlanes4(ops, regs, R)
+		for i := range want {
+			if single[i] != want[i] {
+				t.Fatalf("trial %d: execOps register %d of plane %d = %#x, want %#x", trial, i%R, i/R, single[i], want[i])
+			}
+			if regs[i] != want[i] {
+				t.Fatalf("trial %d: execOpsPlanes4 register %d of plane %d = %#x, want %#x", trial, i%R, i/R, regs[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEmbeddedOpCounts pins the summed op count of both engines' programs
+// over the embedded benchmarks. A change to the lowering that emits more
+// ops fails here instead of surfacing as benchmark drift; one that emits
+// fewer updates the pin.
+func TestEmbeddedOpCounts(t *testing.T) {
+	const wantOps = 1896
+	lib := library.Default()
+	var zero, timed int
+	for _, name := range mcnc.EmbeddedNames() {
+		c, err := mcnc.Load(name, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(c, zeroParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tp, err := CompileTimed(c, DefaultParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		zero += p.NumOps()
+		timed += tp.NumOps()
+	}
+	if zero != wantOps || timed != wantOps {
+		t.Errorf("embedded benchmarks compile to %d zero-delay and %d timed ops, want %d each", zero, timed, wantOps)
 	}
 }
 

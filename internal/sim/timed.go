@@ -145,9 +145,9 @@ func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 		readers[in] = &tp.inReaders[i]
 	}
 	arrive := make(map[string]int64, len(tp.inputs)+len(tp.gates))
-	var gc gateCompiler
 	for gi, g := range tp.gates {
-		gr, err := tp.beginGate(&gc, g, netReg)
+		tp.opStart = append(tp.opStart, int32(len(tp.ops)))
+		t, m, err := tp.lowerGate(g, netReg)
 		if err != nil {
 			return nil, err
 		}
@@ -172,15 +172,14 @@ func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 		arrive[g.Out] = worst + tg.delay
 		tp.settleTicks = max(tp.settleTicks, worst+tg.delay)
 
-		tp.opStart = append(tp.opStart, int32(len(tp.ops)))
 		tg.intStart = int32(len(tp.meters))
-		tp.lowerInternal(&gc, gi, gr, prm.Cap)
+		tp.internalMeters(gi, t, &m, prm.Cap)
 		tg.intEnd = int32(len(tp.meters))
 
 		// Output: the combinational value y = H_y, a persistent copy of
 		// the last computed y, and the persistent net value the fan-out
 		// actually reads (it lags y by the gate delay).
-		tg.yReg = gc.compile(truthTable(gr.OutputFunc()))
+		tg.yReg = m.reg(t.out)
 		tg.prevY = tp.alloc()
 		tg.out = tp.alloc()
 		netReg[g.Out] = tg.out
@@ -188,7 +187,7 @@ func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 		tg.outMeter = int32(len(tp.meters))
 		tp.meters = append(tp.meters, meterPoint{
 			valueReg: tg.prevY, stateReg: tg.out, kind: meterOutput, gate: int32(gi), net: g.Out,
-			energy: outputEnergy(prm.Cap, gr, fanout[g.Out]),
+			energy: outputEnergy(prm.Cap, t.outDeg, fanout[g.Out]),
 		})
 	}
 	tp.opStart = append(tp.opStart, int32(len(tp.ops)))
