@@ -440,14 +440,22 @@ func (tb *templateBuilder) cost(tt uint64) int {
 	if c, ok := tb.costs[tt]; ok {
 		return c
 	}
-	best := -1
+	_, c := tb.branch(tt)
+	tb.costs[tt] = c
+	return c
+}
+
+// branch returns the variable a Shannon step on tt should split on, the
+// one with the lowest stepCost (the lowest index on a tie), and that
+// cost; the variable is -1 when tt depends on none.
+func (tb *templateBuilder) branch(tt uint64) (v, cost int) {
+	v = -1
 	for i := 0; i < tb.n; i++ {
-		if c, ok := tb.stepCost(tt, i); ok && (best < 0 || c < best) {
-			best = c
+		if c, ok := tb.stepCost(tt, i); ok && (v < 0 || c < cost) {
+			v, cost = i, c
 		}
 	}
-	tb.costs[tt] = best
-	return best
+	return v, cost
 }
 
 // stepCost is cost's estimate when tt branches on variable i; ok is false
@@ -470,18 +478,13 @@ func (tb *templateBuilder) stepCost(tt uint64, i int) (int, bool) {
 }
 
 // compile returns a slot holding tt, emitting ops as needed: a Shannon
-// step on the variable cost ranks cheapest (the lowest index on a tie),
-// with common subfunctions compiled once.
+// step on the variable branch picks, with common subfunctions compiled
+// once.
 func (tb *templateBuilder) compile(tt uint64) int32 {
 	if s, ok := tb.memo[tt]; ok {
 		return s
 	}
-	branch, best := -1, 0
-	for i := 0; i < tb.n; i++ {
-		if c, ok := tb.stepCost(tt, i); ok && (branch < 0 || c < best) {
-			branch, best = i, c
-		}
-	}
+	branch, _ := tb.branch(tt)
 	if branch < 0 {
 		// Depends on no variable yet not constant: impossible.
 		panic(fmt.Sprintf("sim: non-constant table %#x with empty support", tt))
