@@ -312,14 +312,7 @@ func diffMeasures(a, b measure) string {
 // configured register-block width.
 func checkEngines(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 	pi map[string]stoch.Signal, fail func(string, string) *Discrepancy) *Discrepancy {
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		meanD := (p.DLow + p.DHigh) / 2
-		if meanD <= 0 {
-			meanD = 2e5
-		}
-		horizon = 8 / meanD
-	}
+	horizon := stimulusHorizon(p, opts)
 	waves, err := sim.GenerateWaveforms(c.Inputs, pi, horizon, rngFor(seed, p.Name, "waves"))
 	if err != nil {
 		return fail("engines/stimulus", err.Error())
@@ -351,6 +344,19 @@ func checkEngines(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 		}
 	}
 	return nil
+}
+
+// stimulusHorizon is opts.Horizon, or when zero a horizon sized for
+// roughly eight transitions per input at the profile's mean density.
+func stimulusHorizon(p Profile, opts CheckOptions) float64 {
+	if opts.Horizon > 0 {
+		return opts.Horizon
+	}
+	meanD := (p.DLow + p.DHigh) / 2
+	if meanD <= 0 {
+		meanD = 2e5
+	}
+	return 8 / meanD
 }
 
 // checkWideLanes replicates the shared stimulus into every lane of each
@@ -525,6 +531,7 @@ func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 	if err != nil {
 		return fail("optimize/analyze", err.Error())
 	}
+	var best, worst *circuit.Circuit // the full-mode pair
 	variants := []struct {
 		name string
 		mode reorder.Mode
@@ -549,6 +556,12 @@ func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 		}
 		if !ok {
 			return fail("optimize/"+v.name+"/equiv", "reordering changed the logic function: "+witness)
+		}
+		switch v.name {
+		case "full-min":
+			best = rep.Circuit
+		case "full-max":
+			worst = rep.Circuit
 		}
 		if !relClose(rep.PowerBefore, before.Power, rel) {
 			return fail("optimize/"+v.name, fmt.Sprintf("PowerBefore %g vs full analysis %g", rep.PowerBefore, before.Power))
@@ -583,6 +596,58 @@ func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 					par.GatesChanged, par.PowerBefore, par.PowerAfter,
 					rep.GatesChanged, rep.PowerBefore, rep.PowerAfter))
 		}
+	}
+	return checkPair(best, worst, p, seed, opts, pi, fail)
+}
+
+// checkPair holds the S column's unit-delay measurement of the full-mode
+// best/worst pair, which runs both circuits as one fused program, to the
+// two circuits' own programs: on one packed block, sim.ReductionVectors'
+// ratio must equal the one two CompileTimed + RunEnergy calls give,
+// exactly.
+func checkPair(best, worst *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
+	pi map[string]stoch.Signal, fail func(string, string) *Discrepancy) *Discrepancy {
+	const vectors = 80 // two words, the second partly filled
+	horizon := stimulusHorizon(p, opts)
+	laneWaves, err := sim.GenerateLaneWaveforms(best.Inputs, pi, horizon, vectors, rngFor(seed, p.Name, "pair"))
+	if err != nil {
+		return fail("optimize/pair/stimulus", err.Error())
+	}
+	prm := sim.DefaultParams()
+	pb, err := sim.CompileTimed(best, prm)
+	if err != nil {
+		return fail("optimize/pair/compile", err.Error())
+	}
+	pw, err := sim.CompileTimed(worst, prm)
+	if err != nil {
+		return fail("optimize/pair/compile", err.Error())
+	}
+	stim, err := stoch.PackTimedWaveforms(best.Inputs, laneWaves, horizon, pb.Tick(), max(pb.SettleTicks(), pw.SettleTicks()))
+	if err != nil {
+		return fail("optimize/pair/pack", err.Error())
+	}
+	eb, err := pb.RunEnergy(stim)
+	if err != nil {
+		return fail("optimize/pair/best", err.Error())
+	}
+	ew, err := pw.RunEnergy(stim)
+	if err != nil {
+		return fail("optimize/pair/worst", err.Error())
+	}
+	next := 0
+	red, err := sim.ReductionVectors(best, worst, func() (map[string]*stoch.Waveform, error) {
+		next++
+		return laneWaves[next-1], nil
+	}, vectors, vectors, horizon, prm)
+	if err != nil {
+		return fail("optimize/pair", err.Error())
+	}
+	want := 0.0
+	if ew != 0 {
+		want = (ew - eb) / ew
+	}
+	if red != want {
+		return fail("optimize/pair", fmt.Sprintf("fused reduction %v, two programs (%v - %v)/%v = %v", red, ew, eb, ew, want))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/circuit"
@@ -121,11 +122,9 @@ func (lw *lowering) NumOps() int { return len(lw.ops) }
 func (lw *lowering) NumRegs() int { return lw.numRegs }
 
 // begin validates the capacitance constants and the circuit, takes its
-// topological order and reserves registers 0 and 1 for the constants
-// all-zeros and all-ones. Every primary input then gets a value register
-// and a meter that reads its state from the same register. It returns
-// each lowered net's register, which the gates extend, and the
-// circuit's fanout counts.
+// topological order and starts the lowering on it (start). It returns
+// each lowered net's register, which the gates extend, and the circuit's
+// fanout counts.
 func (lw *lowering) begin(c *circuit.Circuit, cp core.Params) (netReg map[string]int32, fanout map[string]int, err error) {
 	if err := cp.Validate(); err != nil {
 		return nil, nil, err
@@ -137,10 +136,18 @@ func (lw *lowering) begin(c *circuit.Circuit, cp core.Params) (netReg map[string
 	if err != nil {
 		return nil, nil, err
 	}
-	lw.inputs = append([]string(nil), c.Inputs...)
+	return lw.start(c.Inputs, order), c.Fanout(), nil
+}
+
+// start reserves registers 0 and 1 for the constants all-zeros and
+// all-ones and takes the gates in the given topological order. Every
+// primary input then gets a value register and a meter that reads its
+// state from the same register. It returns each lowered net's register.
+func (lw *lowering) start(inputs []string, order []*circuit.Instance) map[string]int32 {
+	lw.inputs = append([]string(nil), inputs...)
 	lw.gates = order
 	lw.numRegs = 2
-	netReg = make(map[string]int32, len(c.Inputs)+len(order))
+	netReg := make(map[string]int32, len(inputs)+len(order))
 	for _, in := range lw.inputs {
 		r := lw.alloc()
 		lw.inReg = append(lw.inReg, r)
@@ -149,7 +156,7 @@ func (lw *lowering) begin(c *circuit.Circuit, cp core.Params) (netReg map[string
 			valueReg: r, stateReg: r, kind: meterInput, gate: -1, net: in,
 		})
 	}
-	return netReg, c.Fanout(), nil
+	return netReg
 }
 
 // alloc reserves a fresh register.
@@ -180,11 +187,12 @@ func (m *slotMap) reg(s int32) int32 {
 	return m.base + s - 2 - m.n
 }
 
-// lowerGate appends gate g's ops: its configuration's template with the
-// slots renamed to g's pin registers and a fresh register block.
-func (lw *lowering) lowerGate(g *circuit.Instance, netReg map[string]int32) (*gateTemplate, slotMap, error) {
+// lowerGate appends gate g's ops: the template of g's configuration
+// paired with cfg (pairTemplateOf; cfg == g.Cell for g's own template)
+// with the slots renamed to g's pin registers and a fresh register block.
+func (lw *lowering) lowerGate(g *circuit.Instance, cfg *gate.Gate, netReg map[string]int32) (*gateTemplate, slotMap, error) {
 	var m slotMap
-	t, err := templateOf(g.Cell)
+	t, err := pairTemplateOf(g.Cell, cfg)
 	if err != nil {
 		return nil, m, fmt.Errorf("sim: instance %s: %w", g.Name, err)
 	}
@@ -256,7 +264,7 @@ func Compile(c *circuit.Circuit, prm Params) (*Program, error) {
 
 	level := make(map[string]int, len(netReg)+len(p.gates))
 	for gi, g := range p.gates {
-		t, m, err := p.lowerGate(g, netReg)
+		t, m, err := p.lowerGate(g, g.Cell, netReg)
 		if err != nil {
 			return nil, err
 		}
@@ -272,89 +280,129 @@ func Compile(c *circuit.Circuit, prm Params) (*Program, error) {
 		netReg[g.Out] = ry
 		p.meters = append(p.meters, meterPoint{
 			valueReg: ry, stateReg: p.alloc(), kind: meterOutput, gate: int32(gi), net: g.Out,
-			energy: outputEnergy(prm.Cap, t.outDeg, fanout[g.Out]),
+			energy: outputEnergy(prm.Cap, t.outDeg[0], fanout[g.Out]),
 		})
 		p.internalMeters(gi, t, &m, prm.Cap)
 	}
 	return p, nil
 }
 
-// gateTemplate is the word-op program of one gate configuration over
-// local slots: 0 and 1 hold the constants all-zeros and all-ones, 2 to
-// 1+n the gate's n pins in Inputs order, the next len(internal) slots the
-// internal nodes' state, and the rest the temporaries the ops write.
-// Every instance of the configuration runs the same ops; lowerGate only
-// renames the slots. The settled value of internal node k is
-// H | (state_k &^ (H|G)) — a driven node takes its rail value, an
-// undriven one keeps its charge — and the output is H_y.
+// gateTemplate is the word-op program of one gate configuration, or of a
+// pair of configurations of one cell, over local slots: 0 and 1 hold the
+// constants all-zeros and all-ones, 2 to 1+n the gate's n pins in Inputs
+// order, the next len(internal) slots the internal nodes' state, and the
+// rest the temporaries the ops write. Every instance of the configuration
+// (or pair) runs the same ops; lowerGate only renames the slots. The
+// settled value of internal node k is H | (state_k &^ (H|G)) — a driven
+// node takes its rail value, an undriven one keeps its charge — and the
+// output is H_y. The output compiles first, then each configuration's
+// internal nodes in turn, all through one Shannon memo, so a pair template
+// computes the output once and shares every subfunction the two
+// configurations have in common.
 type gateTemplate struct {
 	locals   int32   // state slots plus temporaries: the per-instance block
 	ops      []bitOp // over local slots, dependencies first
 	out      int32   // slot of the output y
-	outDeg   int     // the output node's degree, for its capacitance
+	outDeg   [2]int  // the output node's degree in each configuration, for its capacitance
 	internal []templateNode
 }
 
 // templateNode is one internal node of a template, in the order of
-// gate.Graph.InternalNodes.
+// gate.Graph.InternalNodes, the first configuration's before the
+// second's.
 type templateNode struct {
 	value  int32 // slot of the settled value
 	state  int32 // slot of the value one step earlier
 	degree int   // terminals on the node, for its capacitance
+	owner  int8  // the pair template's configuration (0 or 1) the node belongs to; -1 in a single configuration's template
 }
 
-// gateTemplates memoizes each configuration's template. Package gate
-// interns configurations (one *gate.Gate per configuration), so the
-// pointer is the identity, as in core's power-model and delay's path
-// templates.
-var gateTemplates sync.Map // *gate.Gate → *gateTemplate
+// gateTemplates memoizes each configuration's template, and
+// pairTemplates each pair's. Package gate interns configurations (one
+// *gate.Gate per configuration), so the pointer is the identity, as in
+// core's power-model and delay's path templates.
+var gateTemplates, pairTemplates sync.Map // *gate.Gate or [2]*gate.Gate → *gateTemplate
 
 // templateOf returns the op template of the gate's configuration,
 // building it on first use.
 func templateOf(g *gate.Gate) (*gateTemplate, error) {
-	if t, ok := gateTemplates.Load(g); ok {
+	return memoTemplate(&gateTemplates, g, g)
+}
+
+// pairTemplateOf returns the op template of configurations a and b of
+// one cell, building it on first use. For a single configuration (a == b)
+// it is that configuration's template, whose nodes both orderings share.
+func pairTemplateOf(a, b *gate.Gate) (*gateTemplate, error) {
+	if a == b {
+		return templateOf(a)
+	}
+	return memoTemplate(&pairTemplates, [2]*gate.Gate{a, b}, a, b)
+}
+
+func memoTemplate(memo *sync.Map, key any, cfgs ...*gate.Gate) (*gateTemplate, error) {
+	if t, ok := memo.Load(key); ok {
 		return t.(*gateTemplate), nil
 	}
-	t, err := buildTemplate(g)
+	t, err := buildTemplate(cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	prior, _ := gateTemplates.LoadOrStore(g, t)
+	prior, _ := memo.LoadOrStore(key, t)
 	return prior.(*gateTemplate), nil
 }
 
-// buildTemplate compiles the configuration's output and internal-node
-// functions into one template, sharing common subfunctions.
-func buildTemplate(g *gate.Gate) (*gateTemplate, error) {
+// buildTemplate compiles the output function of cfgs[0] and the
+// internal-node functions of every configuration in cfgs (one, or a pair
+// of one cell's) into one template, sharing common subfunctions. A pair
+// must have the same pins and the same output function.
+func buildTemplate(cfgs ...*gate.Gate) (*gateTemplate, error) {
+	g := cfgs[0]
 	n := len(g.Inputs)
 	if n > maxCompiledInputs {
 		return nil, fmt.Errorf("cell %s has %d inputs; the bit-parallel compiler supports at most %d",
 			g.Name, n, maxCompiledInputs)
 	}
-	gr, err := g.Graph()
-	if err != nil {
-		return nil, err
-	}
-	nodes := gr.InternalNodes()
-	tb := newTemplateBuilder(n, len(nodes))
-	t := &gateTemplate{
-		outDeg:   gr.Degree(gate.Y),
-		internal: make([]templateNode, len(nodes)),
-	}
-	t.out = tb.compile(truthTable(gr.OutputFunc()))
-	for k, nk := range nodes {
-		fh, fg := truthTable(gr.H(nk)), truthTable(gr.G(nk))
-		v := tb.compile(fh)
-		if fh|fg != tb.mask {
-			// H | (s &^ (H|G)) = H | (s &^ G): the third operand may be
-			// either, so take the one that costs fewer ops.
-			x := fg
-			if tb.cost(fh|fg) < tb.cost(fg) {
-				x = fh | fg
-			}
-			v = tb.emit(opKeep, v, tb.state+int32(k), tb.compile(x))
+	graphs := make([]*gate.Graph, len(cfgs))
+	internal := 0
+	for ci, cfg := range cfgs {
+		gr, err := cfg.Graph()
+		if err != nil {
+			return nil, err
 		}
-		t.internal[k] = templateNode{value: v, state: tb.state + int32(k), degree: gr.Degree(nk)}
+		if !slices.Equal(cfg.Inputs, g.Inputs) {
+			return nil, fmt.Errorf("cells %s and %s of a pair have pins %v and %v", g.Name, cfg.Name, g.Inputs, cfg.Inputs)
+		}
+		if ci > 0 && truthTable(gr.OutputFunc()) != truthTable(graphs[0].OutputFunc()) {
+			return nil, fmt.Errorf("cells %s and %s of a pair compute different output functions", g.Name, cfg.Name)
+		}
+		graphs[ci] = gr
+		internal += gr.NumInternal()
+	}
+	tb := newTemplateBuilder(n, internal)
+	t := &gateTemplate{internal: make([]templateNode, 0, internal)}
+	t.out = tb.compile(truthTable(graphs[0].OutputFunc()))
+	for ci, gr := range graphs {
+		t.outDeg[ci] = gr.Degree(gate.Y)
+		owner := int8(ci)
+		if len(graphs) == 1 {
+			t.outDeg[1] = t.outDeg[0]
+			owner = -1
+		}
+		for _, nk := range gr.InternalNodes() {
+			state := tb.state + int32(len(t.internal))
+			fh, fg := truthTable(gr.H(nk)), truthTable(gr.G(nk))
+			v := tb.compile(fh)
+			if fh|fg != tb.mask {
+				// H | (s &^ (H|G)) = H | (s &^ G): the third operand may be
+				// either, so take the one that costs fewer ops.
+				x := fg
+				if tb.cost(fh|fg) < tb.cost(fg) {
+					x = fh | fg
+				}
+				v = tb.emit(opKeep, v, state, tb.compile(x))
+			}
+			t.internal = append(t.internal, templateNode{value: v, state: state, degree: gr.Degree(nk), owner: owner})
+		}
 	}
 	t.ops = tb.ops
 	t.locals = tb.next - tb.state

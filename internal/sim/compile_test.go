@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/library"
 	"repro/internal/logic"
 	"repro/internal/mcnc"
+	"repro/internal/reorder"
 	"repro/internal/sp"
 	"repro/internal/stoch"
 )
@@ -166,46 +168,105 @@ func TestMeasureReductionPackedMotivationGate(t *testing.T) {
 func TestTemplatesExhaustive(t *testing.T) {
 	for _, cell := range library.Default().Cells() {
 		for _, cfg := range cell.Proto.AllConfigs() {
-			checkTemplate(t, cfg)
+			checkTemplate(t, cfg, cfg)
 		}
 	}
 }
 
-func checkTemplate(t *testing.T, cfg *gate.Gate) {
-	t.Helper()
-	name := cfg.Name + " " + cfg.ConfigKey()
-	gr, err := cfg.Graph()
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+// TestPairTemplatesExhaustive holds the template of every ordered pair of
+// distinct configurations of every library cell to the same exact check:
+// one output, then the first configuration's internal nodes and the
+// second's, each against its own graph.
+func TestPairTemplatesExhaustive(t *testing.T) {
+	for _, cell := range library.Default().Cells() {
+		cfgs := cell.Proto.AllConfigs()
+		for _, a := range cfgs {
+			for _, b := range cfgs {
+				if a != b {
+					checkTemplate(t, a, b)
+				}
+			}
+		}
 	}
-	n := len(cfg.Inputs)
+}
+
+// TestPairTemplateErrors: a pair template needs the same pins and the
+// same output function.
+func TestPairTemplateErrors(t *testing.T) {
+	nand := gate.MustNew("sim_pair_nand2", []string{"a", "b"}, sp.MustParse("s(a,b)"))
+	nor := gate.MustNew("sim_pair_nor2", []string{"a", "b"}, sp.MustParse("p(a,b)"))
+	swapped := gate.MustNew("sim_pair_nand2", []string{"b", "a"}, sp.MustParse("s(a,b)"))
+	if _, err := pairTemplateOf(nand, nor); err == nil || !strings.Contains(err.Error(), "different output functions") {
+		t.Errorf("nand2/nor2 pair: %v, want an output-function error", err)
+	}
+	if _, err := pairTemplateOf(nand, swapped); err == nil || !strings.Contains(err.Error(), "pins") {
+		t.Errorf("pair with permuted pins: %v, want a pin error", err)
+	}
+}
+
+// checkTemplate runs the template of configurations a and b (a's own
+// template when b == a) through the exhaustive minterm check.
+func checkTemplate(t *testing.T, a, b *gate.Gate) {
+	t.Helper()
+	name := a.Name + " " + a.ConfigKey()
+	cfgs := []*gate.Gate{a}
+	if b != a {
+		name += " / " + b.ConfigKey()
+		cfgs = append(cfgs, b)
+	}
+	// want lists every internal node the template must hold, in order.
+	type node struct {
+		gr    *gate.Graph
+		nk    gate.NodeID
+		owner int8
+	}
+	var want []node
+	var outDeg [2]int
+	for ci, cfg := range cfgs {
+		gr, err := cfg.Graph()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		owner := int8(ci)
+		if len(cfgs) == 1 {
+			owner = -1
+		}
+		for _, nk := range gr.InternalNodes() {
+			want = append(want, node{gr, nk, owner})
+		}
+		outDeg[ci] = gr.Degree(gate.Y)
+	}
+	if len(cfgs) == 1 {
+		outDeg[1] = outDeg[0]
+	}
+	n := len(a.Inputs)
 	lw := &lowering{numRegs: 5}
 	netReg := map[string]int32{}
 	for i := n - 1; i >= 0; i-- {
-		netReg[cfg.Inputs[i]] = lw.alloc()
+		netReg[a.Inputs[i]] = lw.alloc()
 	}
-	inst := &circuit.Instance{Name: "u1", Cell: cfg, Pins: cfg.Inputs, Out: "y"}
-	tmpl, m, err := lw.lowerGate(inst, netReg)
+	inst := &circuit.Instance{Name: "u1", Cell: a, Pins: a.Inputs, Out: "y"}
+	tmpl, m, err := lw.lowerGate(inst, b, netReg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if again, err := templateOf(cfg); err != nil || again != tmpl {
+	if again, err := pairTemplateOf(a, b); err != nil || again != tmpl {
 		t.Fatalf("%s: template not memoized (%p, %p, %v)", name, tmpl, again, err)
 	}
-	nodes := gr.InternalNodes()
-	if len(tmpl.internal) != len(nodes) || tmpl.outDeg != gr.Degree(gate.Y) {
-		t.Fatalf("%s: template has %d internal nodes and output degree %d, graph %d and %d",
-			name, len(tmpl.internal), tmpl.outDeg, len(nodes), gr.Degree(gate.Y))
+	if len(tmpl.internal) != len(want) || tmpl.outDeg != outDeg {
+		t.Fatalf("%s: template has %d internal nodes and output degrees %v, graphs %d and %v",
+			name, len(tmpl.internal), tmpl.outDeg, len(want), outDeg)
 	}
-	f := gr.OutputFunc()
-	hs, gs := make([]logic.Func, len(nodes)), make([]logic.Func, len(nodes))
-	for k, nk := range nodes {
-		hs[k], gs[k] = gr.H(nk), gr.G(nk)
+	gr0, _ := a.Graph()
+	f := gr0.OutputFunc()
+	hs, gs := make([]logic.Func, len(want)), make([]logic.Func, len(want))
+	for k, nd := range want {
+		hs[k], gs[k] = nd.gr.H(nd.nk), nd.gr.G(nd.nk)
 	}
 	for _, s := range []uint64{0, ^uint64(0)} {
 		plane := make([]uint64, lw.numRegs)
 		plane[1] = ^uint64(0)
-		for i, pin := range cfg.Inputs {
+		for i, pin := range a.Inputs {
 			var v uint64
 			for mt := uint(0); mt < 64; mt++ {
 				if mt>>i&1 == 1 {
@@ -214,7 +275,7 @@ func checkTemplate(t *testing.T, cfg *gate.Gate) {
 			}
 			plane[netReg[pin]] = v
 		}
-		for k := range nodes {
+		for k := range want {
 			plane[m.reg(tmpl.internal[k].state)] = s
 		}
 		execOps(lw.ops, plane)
@@ -222,32 +283,36 @@ func checkTemplate(t *testing.T, cfg *gate.Gate) {
 			if got := plane[m.reg(tmpl.out)]>>mt&1 == 1; got != f.Eval(mt) {
 				t.Errorf("%s minterm %d: output %v, want %v", name, mt, got, f.Eval(mt))
 			}
-			for k, nk := range nodes {
+			for k, nd := range want {
 				h, g := hs[k].Eval(mt), gs[k].Eval(mt)
 				want := h || (s != 0 && !(h || g))
 				if got := plane[m.reg(tmpl.internal[k].value)]>>mt&1 == 1; got != want {
 					t.Errorf("%s minterm %d state %#x: node %s settles to %v, want %v",
-						name, mt, s, gr.NodeName(nk), got, want)
+						name, mt, s, nd.gr.NodeName(nd.nk), got, want)
 				}
-				if d := tmpl.internal[k].degree; d != gr.Degree(nk) {
-					t.Errorf("%s: node %s degree %d, graph %d", name, gr.NodeName(nk), d, gr.Degree(nk))
+				if tn := tmpl.internal[k]; tn.degree != nd.gr.Degree(nd.nk) || tn.owner != nd.owner {
+					t.Errorf("%s: node %s degree %d owner %d, want %d and %d",
+						name, nd.gr.NodeName(nd.nk), tn.degree, tn.owner, nd.gr.Degree(nd.nk), nd.owner)
 				}
 			}
 		}
 	}
 }
 
-// TestTemplatesConcurrent builds the templates of a cold orbit from
-// several goroutines at once (run it under -race): every caller must get
-// the one stored template per configuration, and that template must pass
-// the exhaustive check.
+// TestTemplatesConcurrent builds the templates of a cold orbit, alone and
+// in pairs, from several goroutines at once (run it under -race): every
+// caller must get the one stored template per configuration or pair, and
+// that template must pass the exhaustive check.
 func TestTemplatesConcurrent(t *testing.T) {
 	cfgs := gate.MustNew("sim_concurrent_aoi221", []string{"a1", "a2", "b1", "b2", "c"},
 		sp.MustParse("p(s(a1,a2),s(b1,b2),c)")).AllConfigs()
+	// Each configuration k is built alone and paired with configuration
+	// k+1, so the pair memo is filled concurrently too.
+	pairOf := func(k int) (a, b *gate.Gate) { return cfgs[k], cfgs[(k+1)%len(cfgs)] }
 	got := make([][]*gateTemplate, 4)
 	var wg sync.WaitGroup
 	for w := range got {
-		got[w] = make([]*gateTemplate, len(cfgs))
+		got[w] = make([]*gateTemplate, 2*len(cfgs))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -257,18 +322,25 @@ func TestTemplatesConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got[w][k] = tmpl
+				pair, err := pairTemplateOf(pairOf(k))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w][k], got[w][len(cfgs)+k] = tmpl, pair
 			}
 		}()
 	}
 	wg.Wait()
 	for k, cfg := range cfgs {
 		for w := range got {
-			if got[w][k] != got[0][k] {
+			if got[w][k] != got[0][k] || got[w][len(cfgs)+k] != got[0][len(cfgs)+k] {
 				t.Fatalf("%s: goroutines %d and 0 got different templates", cfg.ConfigKey(), w)
 			}
 		}
-		checkTemplate(t, cfg)
+		checkTemplate(t, cfg, cfg)
+		a, b := pairOf(k)
+		checkTemplate(t, a, b)
 	}
 }
 
@@ -327,13 +399,14 @@ func TestKernelsAgree(t *testing.T) {
 }
 
 // TestEmbeddedOpCounts pins the summed op count of both engines' programs
-// over the embedded benchmarks. A change to the lowering that emits more
-// ops fails here instead of surfacing as benchmark drift; one that emits
-// fewer updates the pin.
+// over the embedded benchmarks, and of the fused unit-delay programs of
+// their full-mode best/worst pairs. A change to the lowering that emits
+// more ops fails here instead of surfacing as benchmark drift; one that
+// emits fewer updates the pins.
 func TestEmbeddedOpCounts(t *testing.T) {
-	const wantOps = 1896
+	const wantOps, wantPairOps = 1896, 2443
 	lib := library.Default()
-	var zero, timed int
+	var zero, timed, pairs, twoPrograms int
 	for _, name := range mcnc.EmbeddedNames() {
 		c, err := mcnc.Load(name, lib)
 		if err != nil {
@@ -349,9 +422,33 @@ func TestEmbeddedOpCounts(t *testing.T) {
 		}
 		zero += p.NumOps()
 		timed += tp.NumOps()
+
+		stats := make(map[string]stoch.Signal, len(c.Inputs))
+		for _, in := range c.Inputs {
+			stats[in] = stoch.Signal{P: 0.5, D: 3e5}
+		}
+		best, worst, err := reorder.BestAndWorst(c, stats, reorder.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, _, _, err := compileTimedPair(best.Circuit, worst.Circuit, DefaultParams())
+		if err != nil || pair == nil {
+			t.Fatalf("%s: pair program %v, %v", name, pair, err)
+		}
+		pairs += pair.NumOps()
+		for _, pc := range []*circuit.Circuit{best.Circuit, worst.Circuit} {
+			tp, err := CompileTimed(pc, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			twoPrograms += tp.NumOps()
+		}
 	}
 	if zero != wantOps || timed != wantOps {
 		t.Errorf("embedded benchmarks compile to %d zero-delay and %d timed ops, want %d each", zero, timed, wantOps)
+	}
+	if pairs != wantPairOps {
+		t.Errorf("embedded full-mode best/worst pairs compile to %d fused ops (%d as two programs), want %d", pairs, twoPrograms, wantPairOps)
 	}
 }
 

@@ -5,6 +5,7 @@ package sim_test
 // tests live in the external test package.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/library"
 	"repro/internal/mcnc"
+	"repro/internal/reorder"
 	"repro/internal/sim"
 	"repro/internal/sp"
 	"repro/internal/stoch"
@@ -321,6 +323,147 @@ func TestReductionVectorsSharedTick(t *testing.T) {
 			if !relClose(red1, want, 1e-9) {
 				t.Errorf("unit: ReductionVectors %v, oracle says %v", red1, want)
 			}
+		}
+	}
+}
+
+// TestReductionPairMatchesTwoPrograms: the fused best/worst program the S
+// column runs measures exactly what two separately compiled programs
+// measure. On every embedded benchmark's best/worst pair in all four
+// modes, under scenario-A and scenario-B stimulus and at 1, 64, 200 and
+// 512 lanes, every block's best and worst energies and ReductionVectors'
+// ratio must equal two CompileTimed + RunEnergy calls bit for bit — under
+// unit delay, and under Elmore delay for the identical delay-rule pair.
+func TestReductionPairMatchesTwoPrograms(t *testing.T) {
+	const (
+		vectors  = 300
+		horizonA = 2e-5
+		cyclesB  = 10
+		periodB  = 40e-9
+	)
+	lib := library.Default()
+	names := mcnc.EmbeddedNames()
+	if testing.Short() {
+		names = []string{"c17", "rca8"}
+	}
+	for _, name := range names {
+		c, err := mcnc.Load(name, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		statsA := make(map[string]stoch.Signal, len(c.Inputs))
+		statsB := make(map[string]stoch.Signal, len(c.Inputs))
+		for i, in := range c.Inputs {
+			statsA[in] = stoch.Signal{P: 0.2 + 0.6*float64(i%3)/2, D: 1e5 + 1e5*float64(i%4)}
+			statsB[in] = stoch.Signal{P: 0.5, D: 0.5} // per clock cycle
+		}
+		scenarios := []struct {
+			name    string
+			horizon float64
+			draw    func(rng *rand.Rand) (map[string]*stoch.Waveform, error)
+		}{
+			{"A", horizonA, func(rng *rand.Rand) (map[string]*stoch.Waveform, error) {
+				return sim.GenerateWaveforms(c.Inputs, statsA, horizonA, rng)
+			}},
+			{"B", cyclesB * periodB, func(rng *rand.Rand) (map[string]*stoch.Waveform, error) {
+				return sim.GenerateClockedWaveforms(c.Inputs, statsB, cyclesB, periodB, rng)
+			}},
+		}
+		for _, mode := range []reorder.Mode{reorder.Full, reorder.InputOnly, reorder.DelayRule, reorder.DelayNeutral} {
+			opt := reorder.DefaultOptions()
+			opt.Mode = mode
+			best, worst, err := reorder.BestAndWorst(c, statsA, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delays := []string{"unit"}
+			if mode == reorder.DelayRule {
+				delays = append(delays, "elmore")
+			}
+			for _, dm := range delays {
+				prm := sim.DefaultParams()
+				if prm.Mode, err = sim.ParseDelayMode(dm); err != nil {
+					t.Fatal(err)
+				}
+				for _, sc := range scenarios {
+					label := fmt.Sprintf("%s/%s/%s/%s", name, mode, dm, sc.name)
+					checkPairMatchesTwoPrograms(t, label, best.Circuit, worst.Circuit, sc.draw, vectors, sc.horizon, prm)
+				}
+			}
+		}
+	}
+}
+
+func checkPairMatchesTwoPrograms(t *testing.T, label string, best, worst *circuit.Circuit,
+	draw func(*rand.Rand) (map[string]*stoch.Waveform, error), vectors int, horizon float64, prm sim.Params) {
+	t.Helper()
+	pair, _, _, err := sim.CompileTimedPair(best, worst, prm)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if pair == nil {
+		t.Fatalf("%s: the pair's quantized delays agree, but it compiled to two programs", label)
+	}
+	pb, err := sim.CompileTimed(best, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := sim.CompileTimed(worst, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := max(pb.SettleTicks(), pw.SettleTicks())
+	if pair.Tick() != pb.Tick() || pair.Tick() != pw.Tick() || pair.SettleTicks() != guard {
+		t.Fatalf("%s: pair tick %g settle %d, programs tick %g/%g settle %d",
+			label, pair.Tick(), pair.SettleTicks(), pb.Tick(), pw.Tick(), guard)
+	}
+	rng := rand.New(rand.NewSource(11))
+	laneWaves := make([]map[string]*stoch.Waveform, vectors)
+	for i := range laneWaves {
+		if laneWaves[i], err = draw(rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, lanes := range []int{1, 64, 200, 512} {
+		var eb, ew float64
+		for lo := 0; lo < vectors; lo += lanes {
+			block := laneWaves[lo:min(lo+lanes, vectors)]
+			stim, err := stoch.PackTimedWaveforms(best.Inputs, block, horizon, pb.Tick(), guard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantB, err := pb.RunEnergy(stim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantW, err := pw.RunEnergy(stim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotB, gotW, err := pair.PairEnergies(stim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotB != wantB || gotW != wantW {
+				t.Fatalf("%s/%d lanes, block at %d: pair energies %v/%v, two programs %v/%v",
+					label, lanes, lo, gotB, gotW, wantB, wantW)
+			}
+			eb += wantB
+			ew += wantW
+		}
+		if ew == 0 {
+			t.Fatalf("%s: worst circuit dissipates nothing; the check is vacuous", label)
+		}
+		next := 0
+		red, err := sim.ReductionVectors(best, worst, func() (map[string]*stoch.Waveform, error) {
+			next++
+			return laneWaves[next-1], nil
+		}, vectors, lanes, horizon, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (ew - eb) / ew; red != want {
+			t.Fatalf("%s/%d lanes: ReductionVectors %v, two programs %v", label, lanes, red, want)
 		}
 	}
 }

@@ -26,11 +26,16 @@
 // The engines differ in meter order, and energies sum in meter order, so
 // the order is part of each engine's results: after the primary inputs,
 // the levelized program meters each gate's output before its internal
-// nodes, and the timed program its internal nodes before its output.
+// nodes, and the timed program its internal nodes before its output (a
+// fused best/worst program: best's, then worst's, then the output).
 //
 // CompileFor picks the backend for a delay mode, and RunVectors measures
 // any Monte Carlo vector budget on it in register blocks of a chosen lane
-// width (vectors.go); ReductionVectors is the best/worst pair form. Run,
+// width (vectors.go); ReductionVectors is the best/worst pair form. A
+// timed best/worst pair whose gates have the same quantized delays in
+// both orderings (always under unit delay) compiles into one timed
+// program, which runs the timing wheel and every gate output once and
+// meters each ordering's internal nodes with its own energy table. Run,
 // RunTrace and Glitches evaluate one waveform set as a single-lane run of
 // the same programs. The semantic reference is the deliberately
 // naive oracle in internal/gen: the lane-equivalence tests and the
@@ -184,8 +189,10 @@ const maxGridDelayTicks = 1 << 16
 // Params.Tick when set, the unit delay in UnitDelay mode (gate delays are
 // then exactly one tick), or the fastest gate delay / elmoreTickDiv in
 // ElmoreDelay mode. It rejects a tick on which the slowest gate delay
-// quantizes to more than maxGridDelayTicks ticks.
-func resolveTick(prm Params, delays []float64) (float64, error) {
+// quantizes to more than maxGridDelayTicks ticks. Several delay lists
+// (the circuits of a best/worst pair) resolve to one grid that serves
+// them all, as their concatenation would.
+func resolveTick(prm Params, delays ...[]float64) (float64, error) {
 	tick := prm.Tick
 	switch {
 	case tick > 0:
@@ -193,9 +200,11 @@ func resolveTick(prm Params, delays []float64) (float64, error) {
 		tick = prm.Unit
 	default:
 		min := math.Inf(1)
-		for _, d := range delays {
-			if d < min {
-				min = d
+		for _, ds := range delays {
+			for _, d := range ds {
+				if d < min {
+					min = d
+				}
 			}
 		}
 		if math.IsInf(min, 1) || min <= 0 {
@@ -203,10 +212,12 @@ func resolveTick(prm Params, delays []float64) (float64, error) {
 		}
 		tick = min / elmoreTickDiv
 	}
-	for _, d := range delays {
-		if q := math.Round(d / tick); !(q <= maxGridDelayTicks) {
-			return 0, fmt.Errorf("sim: tick %g s quantizes a %g s gate delay to %g ticks; the timed grid allows at most %d",
-				tick, d, q, maxGridDelayTicks)
+	for _, ds := range delays {
+		for _, d := range ds {
+			if q := math.Round(d / tick); !(q <= maxGridDelayTicks) {
+				return 0, fmt.Errorf("sim: tick %g s quantizes a %g s gate delay to %g ticks; the timed grid allows at most %d",
+					tick, d, q, maxGridDelayTicks)
+			}
 		}
 	}
 	return tick, nil

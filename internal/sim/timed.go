@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/stoch"
 )
 
@@ -75,6 +77,12 @@ type timedGate struct {
 // TimedProgram is a circuit compiled for the timed bit-parallel engine.
 // It is immutable after CompileTimed and safe for concurrent Run calls
 // (run state is pooled per program).
+//
+// A program may also hold a best/worst pair: two orderings of one netlist
+// whose gates share every net and every quantized delay, so every net's
+// waveform is the same in both and one timing wheel serves them. Per gate
+// it meters best's internal nodes, then worst's, then the shared output,
+// and each ordering has its own energy table over those meters.
 type TimedProgram struct {
 	lowering
 	tick    float64 // seconds per tick
@@ -85,6 +93,12 @@ type TimedProgram struct {
 	tg          []timedGate
 	maxDelay    int64
 	settleTicks int64 // critical path in ticks: the settle window after an input edge
+
+	// energy holds one table per ordering compiled in (one, or a
+	// best/worst pair), indexed by meter: the energy one transition of
+	// the meter's node dissipates per lane in that ordering, 0 for the
+	// other ordering's internal nodes.
+	energy [][]float64
 
 	scratch sync.Pool // *timedScratch
 }
@@ -116,23 +130,84 @@ func (tp *TimedProgram) PackTimed(laneWaves []map[string]*stoch.Waveform, horizo
 // Params.Tick (0 = auto) exactly as TickPlan resolves it, so the engine
 // and the reference oracle share one time base.
 func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
+	tc, err := planTimed(c, prm)
+	if err != nil {
+		return nil, err
+	}
+	tick, err := resolveTick(prm, tc.delays)
+	if err != nil {
+		return nil, err
+	}
+	return compileTimed(tick, prm.Cap, tc, nil)
+}
+
+// timedCircuit is a circuit ready for a timed compile: validated, in
+// topological order, with its fanout and every gate's delay in seconds.
+type timedCircuit struct {
+	c      *circuit.Circuit
+	order  []*circuit.Instance
+	fanout map[string]int
+	delays []float64 // parallel to order
+}
+
+// planTimed validates prm and c for a timed compile and computes c's gate
+// delays.
+func planTimed(c *circuit.Circuit, prm Params) (*timedCircuit, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
 	}
 	if prm.Mode == ZeroDelay {
 		return nil, fmt.Errorf("sim: CompileTimed needs a timed delay mode; use Compile for zero delay")
 	}
-	tp := &TimedProgram{}
-	netReg, fanout, err := tp.begin(c, prm.Cap)
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	order, err := c.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	delays, err := gateDelaySeconds(tp.gates, fanout, prm)
-	if err != nil {
+	tc := &timedCircuit{c: c, order: order, fanout: c.Fanout()}
+	if tc.delays, err = gateDelaySeconds(order, tc.fanout, prm); err != nil {
 		return nil, err
 	}
-	if tp.tick, err = resolveTick(prm, delays); err != nil {
-		return nil, err
+	return tc, nil
+}
+
+// sameDelays reports whether two orderings of one netlist quantize every
+// gate's delay to the same ticks: the condition under which every net has
+// the same waveform in both, so one program can run the pair.
+func sameDelays(a, b *timedCircuit, tick float64) bool {
+	if len(a.delays) != len(b.delays) {
+		return false
+	}
+	for gi, d := range a.delays {
+		if quantizeDelay(d, tick) != quantizeDelay(b.delays[gi], tick) {
+			return false
+		}
+	}
+	return true
+}
+
+// compileTimed lowers best on the given tick grid. With a worst circuit
+// it lowers the pair into one program: worst must be another ordering of
+// best's netlist (the same inputs and gates; only the configurations
+// differ), and the caller has checked that every gate's quantized delay
+// is the same in both (sameDelays), so best's delays time both. Each
+// gate then runs the template of its best/worst configuration pair
+// (pairTemplateOf), and the program gets two energy tables. Without
+// worst, the program and its meter order are the single circuit's.
+func compileTimed(tick float64, cp core.Params, best, worst *timedCircuit) (*TimedProgram, error) {
+	orderings := 1
+	if worst != nil {
+		if !slices.Equal(worst.c.Inputs, best.c.Inputs) || len(worst.order) != len(best.order) {
+			return nil, fmt.Errorf("sim: best and worst circuits have different inputs or gates")
+		}
+		orderings = 2
+	}
+	tp := &TimedProgram{tick: tick, energy: make([][]float64, orderings)}
+	netReg := tp.start(best.c.Inputs, best.order)
+	for o := range tp.energy {
+		tp.energy[o] = make([]float64, len(tp.meters)) // inputs dissipate nothing
 	}
 
 	// readers maps every net to the list of gates re-evaluated when its
@@ -146,34 +221,42 @@ func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 	}
 	arrive := make(map[string]int64, len(tp.inputs)+len(tp.gates))
 	for gi, g := range tp.gates {
+		tg := &tp.tg[gi]
+		tg.delay = quantizeDelay(best.delays[gi], tick)
+		cfg := g.Cell
+		if worst != nil {
+			w := worst.order[gi]
+			if w.Name != g.Name || w.Out != g.Out || !slices.Equal(w.Pins, g.Pins) {
+				return nil, fmt.Errorf("sim: instance %s: best and worst circuits differ in gate %s", g.Name, w.Name)
+			}
+			cfg = w.Cell
+		}
 		tp.opStart = append(tp.opStart, int32(len(tp.ops)))
-		t, m, err := tp.lowerGate(g, netReg)
+		t, m, err := tp.lowerGate(g, cfg, netReg)
 		if err != nil {
 			return nil, err
 		}
-		tg := &tp.tg[gi]
-		tg.delay = quantizeDelay(delays[gi], tp.tick)
 		tp.maxDelay = max(tp.maxDelay, tg.delay)
 
 		// A gate reading a net on several pins appears once in its
 		// reader list: dirty marking is an idempotent OR, so duplicates
 		// would only cost redundant bitmap stores in the hot fire path.
 		// They land consecutively, so checking the tail is enough.
-		var worst int64
+		var worstArrival int64
 		for _, pin := range g.Pins {
 			if rs := readers[pin]; len(*rs) == 0 || (*rs)[len(*rs)-1] != int32(gi) {
 				*rs = append(*rs, int32(gi))
 			}
-			worst = max(worst, arrive[pin])
+			worstArrival = max(worstArrival, arrive[pin])
 		}
 		// The settle window is the critical path in ticks: every wave an
 		// input edge launches dies within it, the guard cluster-aligned
 		// packing relies on.
-		arrive[g.Out] = worst + tg.delay
-		tp.settleTicks = max(tp.settleTicks, worst+tg.delay)
+		arrive[g.Out] = worstArrival + tg.delay
+		tp.settleTicks = max(tp.settleTicks, worstArrival+tg.delay)
 
 		tg.intStart = int32(len(tp.meters))
-		tp.internalMeters(gi, t, &m, prm.Cap)
+		tp.internalMeters(gi, t, &m, cp)
 		tg.intEnd = int32(len(tp.meters))
 
 		// Output: the combinational value y = H_y, a persistent copy of
@@ -187,8 +270,21 @@ func CompileTimed(c *circuit.Circuit, prm Params) (*TimedProgram, error) {
 		tg.outMeter = int32(len(tp.meters))
 		tp.meters = append(tp.meters, meterPoint{
 			valueReg: tg.prevY, stateReg: tg.out, kind: meterOutput, gate: int32(gi), net: g.Out,
-			energy: outputEnergy(prm.Cap, t.outDeg, fanout[g.Out]),
+			energy: outputEnergy(cp, t.outDeg[0], best.fanout[g.Out]),
 		})
+
+		// Each ordering's table: its own internal nodes, then the output
+		// at its own output degree.
+		for o := range tp.energy {
+			for k, nd := range t.internal {
+				e := tp.meters[tg.intStart+int32(k)].energy
+				if nd.owner >= 0 && int(nd.owner) != o {
+					e = 0
+				}
+				tp.energy[o] = append(tp.energy[o], e)
+			}
+			tp.energy[o] = append(tp.energy[o], outputEnergy(cp, t.outDeg[o], best.fanout[g.Out]))
+		}
 	}
 	tp.opStart = append(tp.opStart, int32(len(tp.ops)))
 	return tp, nil
@@ -286,16 +382,30 @@ func (tp *TimedProgram) RunLanes(stim *stoch.TimedStimulus) (*BitResult, error) 
 // across all lanes, with no per-net result assembly — the sweep engine's
 // S column only needs this number. Steady-state calls do not allocate.
 func (tp *TimedProgram) RunEnergy(stim *stoch.TimedStimulus) (float64, error) {
+	var e [2]float64
+	err := tp.runEnergies(stim, &e)
+	return e[0], err
+}
+
+// runEnergies runs stim once and stores each compiled ordering's energy
+// in e: Σ table[mi]·counts[mi] over its energy table, in meter order. A
+// pair's table adds exactly the terms the ordering's own program adds, in
+// the same order, plus +0 terms, so both energies equal separate RunEnergy
+// calls bit for bit.
+func (tp *TimedProgram) runEnergies(stim *stoch.TimedStimulus, e *[2]float64) error {
 	sc, err := tp.exec(stim, nil)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var energy float64
-	for mi := range tp.meters {
-		energy += tp.meters[mi].energy * float64(sc.counts[mi])
+	for o, table := range tp.energy {
+		var sum float64
+		for mi, en := range table {
+			sum += en * float64(sc.counts[mi])
+		}
+		e[o] = sum
 	}
 	tp.scratch.Put(sc)
-	return energy, nil
+	return nil
 }
 
 // runMetered is the timed counterpart of Program.runMetered.
@@ -613,7 +723,9 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 
 // matchInputs maps program input order onto stimulus rows. A nil result
 // means the orders coincide (the common case — stimulus is packed from
-// the circuit's own input list), avoiding any per-run allocation.
+// the circuit's own input list), avoiding any per-run allocation. A
+// stimulus naming an input on two rows is rejected: only one row could
+// drive it, and the other row's toggles would be dropped.
 func matchInputs(progInputs, stimInputs []string) ([]int, error) {
 	if len(progInputs) == len(stimInputs) {
 		same := true
@@ -629,6 +741,9 @@ func matchInputs(progInputs, stimInputs []string) ([]int, error) {
 	}
 	idx := make(map[string]int, len(stimInputs))
 	for i, in := range stimInputs {
+		if _, dup := idx[in]; dup {
+			return nil, fmt.Errorf("sim: packed stimulus names input %q twice", in)
+		}
 		idx[in] = i
 	}
 	inRow := make([]int, len(progInputs))
@@ -658,20 +773,6 @@ func GenerateLaneWaveforms(inputs []string, stats map[string]stoch.Signal, horiz
 		laneWaves[l] = w
 	}
 	return laneWaves, nil
-}
-
-// autoTick resolves the tick a circuit would get under prm (without
-// compiling), used to put a best/worst pair on one shared grid.
-func autoTick(c *circuit.Circuit, prm Params) (float64, error) {
-	order, err := c.TopoOrder()
-	if err != nil {
-		return 0, err
-	}
-	delays, err := gateDelaySeconds(order, c.Fanout(), prm)
-	if err != nil {
-		return 0, err
-	}
-	return resolveTick(prm, delays)
 }
 
 // heapPush inserts v into the slice-backed binary min-heap h and returns

@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -223,6 +225,55 @@ func TestCompileTimedErrors(t *testing.T) {
 	if _, err := prog.Run(stim); err == nil {
 		t.Error("stimulus with a mismatched tick accepted")
 	}
+}
+
+// TestStimulusNamingInputTwice: a packed stimulus that names one primary
+// input on two rows is rejected by both engines, naming the input. Only
+// one row can drive the input, so accepting it would silently drop the
+// other row's toggles: here the toggling row comes first and the
+// duplicate row is constant.
+func TestStimulusNamingInputTwice(t *testing.T) {
+	c, err := mcnc.Load("c17", library.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 1e-6
+	in0 := c.Inputs[0]
+	rows := append(append([]string(nil), c.Inputs...), "spare")
+	waves := map[string]*stoch.Waveform{}
+	for _, in := range rows {
+		waves[in] = &stoch.Waveform{}
+	}
+	waves[in0] = &stoch.Waveform{Events: []stoch.Event{{Time: 2e-7, Value: true}}}
+	laneWaves := []map[string]*stoch.Waveform{waves}
+	check := func(engine string, run func() error) {
+		t.Helper()
+		if err := run(); err == nil || !strings.Contains(err.Error(), strconv.Quote(in0)) {
+			t.Errorf("%s engine: stimulus naming %s twice gave %v, want an error naming it", engine, in0, err)
+		}
+	}
+
+	prog, err := Compile(c, zeroParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := stoch.PackWaveforms(rows, laneWaves, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed.Inputs[len(rows)-1] = in0
+	check("zero-delay", func() error { _, err := prog.Run(packed); return err })
+
+	tp, err := CompileTimed(c, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed, err := stoch.PackTimedWaveforms(rows, laneWaves, horizon, tp.Tick(), tp.SettleTicks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed.Inputs[len(rows)-1] = in0
+	check("timed", func() error { _, err := tp.Run(timed); return err })
 }
 
 // TestClusterAlignmentExact: packing with the program's settle-window

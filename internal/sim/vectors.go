@@ -118,69 +118,22 @@ func forBlocks(gen func() (map[string]*stoch.Waveform, error), vectors, lanes in
 // ReductionVectors measures (worstPower-bestPower)/worstPower — the S
 // column of Table 3 — over `vectors` Monte Carlo realizations drawn one
 // at a time from gen, in register blocks of up to `lanes` lanes per pass
-// (1 to stoch.MaxPackLanes). Each block is packed once and evaluated on
-// both circuits. Zero-delay setups run on the levelized compiled engine;
-// unit- and Elmore-delay setups run on the timed compiled engine with
-// both circuits on one shared tick grid (the finer of their automatic
-// resolutions unless prm.Tick pins one) and one stimulus aligned to the
-// wider of their settle windows.
+// (1 to stoch.MaxPackLanes). best and worst are two orderings of one
+// netlist. Each block is packed once and measured on both (pairMeasure
+// compiles them): zero-delay setups run two levelized programs; unit- and
+// Elmore-delay setups run on the timed engine with both circuits on one
+// tick grid (the finer of their automatic resolutions unless prm.Tick
+// pins one), as one fused program when every gate's quantized delay is
+// the same in both — always under unit delay — and as two programs with
+// the wider of their settle windows otherwise.
 func ReductionVectors(best, worst *circuit.Circuit, gen func() (map[string]*stoch.Waveform, error), vectors, lanes int, horizon float64, prm Params) (float64, error) {
-	if err := prm.Validate(); err != nil {
+	measure, err := pairMeasure(best, worst, horizon, prm)
+	if err != nil {
 		return 0, err
 	}
-	var pack func(laneWaves []map[string]*stoch.Waveform) (eb, ew float64, err error)
-	if prm.Mode == ZeroDelay {
-		pb, err := Compile(best, prm)
-		if err != nil {
-			return 0, fmt.Errorf("sim: best circuit: %w", err)
-		}
-		pw, err := Compile(worst, prm)
-		if err != nil {
-			return 0, fmt.Errorf("sim: worst circuit: %w", err)
-		}
-		pack = func(laneWaves []map[string]*stoch.Waveform) (float64, float64, error) {
-			stim, err := stoch.PackWaveforms(best.Inputs, laneWaves, horizon)
-			if err != nil {
-				return 0, 0, err
-			}
-			return runEnergyPair(pb.RunEnergy, pw.RunEnergy, stim)
-		}
-	} else {
-		if prm.Tick == 0 {
-			tb, err := autoTick(best, prm)
-			if err != nil {
-				return 0, fmt.Errorf("sim: best circuit: %w", err)
-			}
-			tw, err := autoTick(worst, prm)
-			if err != nil {
-				return 0, fmt.Errorf("sim: worst circuit: %w", err)
-			}
-			prm.Tick = min(tb, tw)
-		}
-		pb, err := CompileTimed(best, prm)
-		if err != nil {
-			return 0, fmt.Errorf("sim: best circuit: %w", err)
-		}
-		pw, err := CompileTimed(worst, prm)
-		if err != nil {
-			return 0, fmt.Errorf("sim: worst circuit: %w", err)
-		}
-		// One stimulus serves both circuits: align with the wider of the two
-		// settle windows so the rigid cluster shifts stay exact for each.
-		guard := max(pb.SettleTicks(), pw.SettleTicks())
-		tick := prm.Tick
-		pack = func(laneWaves []map[string]*stoch.Waveform) (float64, float64, error) {
-			stim, err := stoch.PackTimedWaveforms(best.Inputs, laneWaves, horizon, tick, guard)
-			if err != nil {
-				return 0, 0, err
-			}
-			return runEnergyPair(pb.RunEnergy, pw.RunEnergy, stim)
-		}
-	}
-
 	var eb, ew float64
-	err := forBlocks(gen, vectors, lanes, func(laneWaves []map[string]*stoch.Waveform) error {
-		ceb, cew, err := pack(laneWaves)
+	err = forBlocks(gen, vectors, lanes, func(laneWaves []map[string]*stoch.Waveform) error {
+		ceb, cew, err := measure(laneWaves)
 		eb += ceb
 		ew += cew
 		return err
@@ -194,6 +147,88 @@ func ReductionVectors(best, worst *circuit.Circuit, gen func() (map[string]*stoc
 	// Powers share the vectors·horizon normalization, so the energy ratio
 	// is the power ratio.
 	return (ew - eb) / ew, nil
+}
+
+// pairMeasure compiles a best/worst pair for prm.Mode and returns its
+// block measurement: pack one block of per-lane waveform sets and return
+// both circuits' energies on it. It is the one place that picks the
+// pair's engines; every choice measures bit-identical energies.
+func pairMeasure(best, worst *circuit.Circuit, horizon float64, prm Params) (func([]map[string]*stoch.Waveform) (eb, ew float64, err error), error) {
+	if err := prm.Validate(); err != nil {
+		return nil, err
+	}
+	if prm.Mode == ZeroDelay {
+		pb, err := Compile(best, prm)
+		if err != nil {
+			return nil, fmt.Errorf("sim: best circuit: %w", err)
+		}
+		pw, err := Compile(worst, prm)
+		if err != nil {
+			return nil, fmt.Errorf("sim: worst circuit: %w", err)
+		}
+		return func(laneWaves []map[string]*stoch.Waveform) (float64, float64, error) {
+			stim, err := stoch.PackWaveforms(best.Inputs, laneWaves, horizon)
+			if err != nil {
+				return 0, 0, err
+			}
+			return runEnergyPair(pb.RunEnergy, pw.RunEnergy, stim)
+		}, nil
+	}
+	pair, pb, pw, err := compileTimedPair(best, worst, prm)
+	if err != nil {
+		return nil, err
+	}
+	if pair != nil {
+		return func(laneWaves []map[string]*stoch.Waveform) (float64, float64, error) {
+			stim, err := pair.PackTimed(laneWaves, horizon)
+			if err != nil {
+				return 0, 0, err
+			}
+			var e [2]float64
+			err = pair.runEnergies(stim, &e)
+			return e[0], e[1], err
+		}, nil
+	}
+	// One stimulus serves both programs: align with the wider of the two
+	// settle windows so the rigid cluster shifts stay exact for each.
+	guard := max(pb.settleTicks, pw.settleTicks)
+	return func(laneWaves []map[string]*stoch.Waveform) (float64, float64, error) {
+		stim, err := stoch.PackTimedWaveforms(best.Inputs, laneWaves, horizon, pb.tick, guard)
+		if err != nil {
+			return 0, 0, err
+		}
+		return runEnergyPair(pb.RunEnergy, pw.RunEnergy, stim)
+	}, nil
+}
+
+// compileTimedPair compiles a best/worst pair for the timed engine on one
+// tick grid resolved over both circuits' gate delays. When every gate's
+// quantized delay is the same in both, it returns one fused program
+// (pair); otherwise the two circuits' own programs.
+func compileTimedPair(best, worst *circuit.Circuit, prm Params) (pair, pb, pw *TimedProgram, err error) {
+	tb, err := planTimed(best, prm)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("sim: best circuit: %w", err)
+	}
+	tw, err := planTimed(worst, prm)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("sim: worst circuit: %w", err)
+	}
+	tick, err := resolveTick(prm, tb.delays, tw.delays)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if sameDelays(tb, tw, tick) {
+		pair, err = compileTimed(tick, prm.Cap, tb, tw)
+		return pair, nil, nil, err
+	}
+	if pb, err = compileTimed(tick, prm.Cap, tb, nil); err != nil {
+		return nil, nil, nil, fmt.Errorf("sim: best circuit: %w", err)
+	}
+	if pw, err = compileTimed(tick, prm.Cap, tw, nil); err != nil {
+		return nil, nil, nil, fmt.Errorf("sim: worst circuit: %w", err)
+	}
+	return nil, pb, pw, nil
 }
 
 // runEnergyPair measures one stimulus on a best/worst pair of compiled

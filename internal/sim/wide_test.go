@@ -9,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/library"
 	"repro/internal/mcnc"
+	"repro/internal/reorder"
 	"repro/internal/stoch"
 )
 
@@ -260,9 +261,10 @@ func TestScratchPoolWidthReuse(t *testing.T) {
 }
 
 // TestRunEnergyZeroAlloc pins the pooled measurement path at every lane
-// width: on the largest embedded benchmark, in all three delay modes, a
-// warmed RunEnergy call must not allocate — the scratch pool hands back
-// a register file of the right width instead of building a new one.
+// width: on the largest embedded benchmark, in all three delay modes and
+// on its fused best/worst pair, a warmed RunEnergy call must not allocate
+// — the scratch pool hands back a register file of the right width
+// instead of building a new one.
 func TestRunEnergyZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
@@ -314,17 +316,44 @@ func TestRunEnergyZeroAlloc(t *testing.T) {
 					}
 					runEnergy = func() (float64, error) { return prog.RunEnergy(stim) }
 				}
-				if _, err := runEnergy(); err != nil { // warm the scratch pool
-					t.Fatal(err)
-				}
-				if avg := testing.AllocsPerRun(5, func() {
-					if _, err := runEnergy(); err != nil {
-						t.Fatal(err)
-					}
-				}); avg >= 1 {
-					t.Fatalf("warmed RunEnergy allocates %.1f objects/op, want 0", avg)
-				}
+				assertZeroAlloc(t, runEnergy)
 			})
 		}
+	}
+	// The S column's fused best/worst program, on the circuit's full-mode
+	// pair under unit delay.
+	best, worst, err := reorder.BestAndWorst(c, stats, reorder.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, _, _, err := compileTimedPair(best.Circuit, worst.Circuit, DefaultParams())
+	if err != nil || pair == nil {
+		t.Fatalf("pair program %v, %v", pair, err)
+	}
+	for _, lanes := range []int{64, 256, 512} {
+		t.Run(fmt.Sprintf("pair/%d", lanes), func(t *testing.T) {
+			stim, err := pair.PackTimed(laneWaves[:lanes], horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e [2]float64
+			assertZeroAlloc(t, func() (float64, error) { return e[0], pair.runEnergies(stim, &e) })
+		})
+	}
+}
+
+// assertZeroAlloc warms a measurement path's scratch pool with one call,
+// then fails if further calls allocate.
+func assertZeroAlloc(t *testing.T, run func() (float64, error)) {
+	t.Helper()
+	if _, err := run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg >= 1 {
+		t.Fatalf("warmed run allocates %.1f objects/op, want 0", avg)
 	}
 }
