@@ -140,8 +140,9 @@ const (
 const EngineBitParallel = sim.BitParallel
 
 // MaxSimVectors is the lane capacity of one packed bit-parallel run: the
-// widest register block (8 words × 64 lanes). The kernels evaluate four
-// words at a time, so multiples of 256 lanes keep them full.
+// widest register block (8 words × 64 lanes). The zero-delay kernel
+// evaluates four words at a time, so multiples of 256 lanes keep it full;
+// the timed engine visits each gate one word at a time.
 const MaxSimVectors = stoch.MaxPackLanes
 
 // DefaultLibrary returns the paper's Table 2 cell library.

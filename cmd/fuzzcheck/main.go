@@ -1,7 +1,8 @@
 // Command fuzzcheck runs long differential-verification soaks: random
 // circuits from the standard generation profiles are pushed through the
-// three simulation backends, the naive oracle, incremental-vs-full power
-// analysis and optimize-then-verify, on a bounded worker pool. Failures
+// two compiled simulation engines (zero-delay and timed) against the
+// naive oracle, incremental-vs-full power analysis and
+// optimize-then-verify, on a bounded worker pool. Failures
 // shrink to minimal reproductions and stream to a JSONL corpus that
 // -replay re-checks later (e.g. after a fix).
 //

@@ -63,8 +63,9 @@ type Options struct {
 	// SimLanes lanes per pass. 0 means SimLanes (one pack).
 	SimVectors int
 	// SimLanes is the register-block lane width of one bit-parallel pass
-	// (1..stoch.MaxPackLanes; the kernels evaluate four 64-lane words at a
-	// time, so multiples of 256 keep them full). The width does not
+	// (1..stoch.MaxPackLanes; the zero-delay kernel evaluates four 64-lane
+	// words at a time, so multiples of 256 keep it full, and the timed
+	// engine visits each gate one word at a time). The width does not
 	// change which vectors are drawn or their transition counts, but each
 	// width sums the per-block energies in its own order, so the
 	// reduction can differ in the last digits across widths. 0 means

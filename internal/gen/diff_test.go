@@ -15,9 +15,9 @@ import (
 const sweepCircuits = 70
 
 // TestDifferentialSweep is the acceptance tentpole: a bounded generated-
-// circuit sweep across all standard profiles, pinning the three engines,
-// incremental-vs-full analysis and optimize-then-verify against the naive
-// oracle. Failures shrink to a minimal reproduction and report the
+// circuit sweep across all standard profiles, pinning the two compiled
+// simulation engines, incremental-vs-full analysis and optimize-then-
+// verify against the naive oracle. Failures shrink to a minimal reproduction and report the
 // replayable artifact.
 func TestDifferentialSweep(t *testing.T) {
 	if testing.Short() {

@@ -6,8 +6,9 @@
 //
 // The paper's central claims are invariants — reordering never changes a
 // circuit's logic function, only its switching power; the incremental
-// power engine must match full re-analysis; the three simulation backends
-// must agree transition for transition — and invariant-shaped claims are
+// power engine must match full re-analysis; the two compiled simulation
+// engines (zero-delay and timed) must agree with the naive oracle
+// transition for transition — and invariant-shaped claims are
 // what generative differential testing verifies at scale. The embedded
 // MCNC benchmarks pin a handful of topologies; this package samples the
 // space the benchmarks miss: deep series chains, reconvergent fan-out,

@@ -150,12 +150,8 @@ type runScratch struct {
 // 64-, 256- and 512-lane runs safely.
 func (p *Program) getScratch(words int) *runScratch {
 	if sc, ok := p.scratch.Get().(*runScratch); ok && sc.words == words {
-		for i := range sc.regs {
-			sc.regs[i] = 0
-		}
-		for i := range sc.counts {
-			sc.counts[i] = 0
-		}
+		clear(sc.regs)
+		clear(sc.counts)
 		return sc
 	}
 	return &runScratch{
@@ -189,15 +185,7 @@ func (p *Program) execStim(stim *stoch.PackedStimulus, lm *laneMeter) (*runScrat
 
 	// t=0 settle: load initial inputs, evaluate, commit without metering.
 	for w := 0; w < W; w++ {
-		plane := regs[w*R : w*R+R]
-		plane[1] = ^uint64(0) // register 1: the all-ones constant
-		for i, r := range p.inReg {
-			row := i
-			if inRow != nil {
-				row = inRow[i]
-			}
-			plane[r] = stim.Initial[row*W+w] & masks[w]
-		}
+		p.loadInitial(regs[w*R:w*R+R], stim.Initial, inRow, W, w, masks[w])
 	}
 	execPlanes(p.ops, regs, R, W)
 	for w := 0; w < W; w++ {
@@ -265,8 +253,9 @@ func (p *Program) execStim(stim *stoch.PackedStimulus, lm *laneMeter) (*runScrat
 
 // execPlanes runs a compiled op stream once over every plane of a
 // plane-major register file of W planes (plane w is regs[w·R:(w+1)·R]):
-// four planes at a time, then the remainder one at a time. It is the one
-// dense-evaluation loop of both compiled engines.
+// four planes at a time, then the remainder one at a time. It is the
+// zero-delay engine's dense-evaluation loop; the timed engine evaluates
+// one gate on one plane at a time (execOps).
 func execPlanes(ops []bitOp, regs []uint64, R, W int) {
 	w := 0
 	for ; w+4 <= W; w += 4 {

@@ -159,6 +159,20 @@ func (lw *lowering) start(inputs []string, order []*circuit.Instance) map[string
 	return netReg
 }
 
+// loadInitial loads plane w of a W-word block for the t=0 settle: the
+// all-ones constant, then each input's initial word masked to the block's
+// lanes, read through matchInputs' row map.
+func (lw *lowering) loadInitial(plane, initial []uint64, inRow []int, W, w int, mask uint64) {
+	plane[1] = ^uint64(0)
+	for i, r := range lw.inReg {
+		row := i
+		if inRow != nil {
+			row = inRow[i]
+		}
+		plane[r] = initial[row*W+w] & mask
+	}
+}
+
 // alloc reserves a fresh register.
 func (lw *lowering) alloc() int32 {
 	r := int32(lw.numRegs)

@@ -74,7 +74,8 @@ func TestCompileRejectsWideGate(t *testing.T) {
 }
 
 // TestParamsValidate: the bit-parallel engine is valid in every delay
-// mode; an unknown engine or a negative tick is rejected.
+// mode; an unknown engine, a negative tick or a unit delay that is not a
+// positive, finite duration is rejected.
 func TestParamsValidate(t *testing.T) {
 	for _, mode := range []DelayMode{UnitDelay, ElmoreDelay, ZeroDelay} {
 		prm := DefaultParams()
@@ -92,6 +93,14 @@ func TestParamsValidate(t *testing.T) {
 	prm.Tick = -1
 	if err := prm.Validate(); err == nil {
 		t.Fatal("negative tick accepted")
+	}
+	for _, unit := range []float64{0, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		prm := DefaultParams()
+		prm.Mode = UnitDelay
+		prm.Unit = unit
+		if err := prm.Validate(); err == nil {
+			t.Errorf("unit delay %v accepted", unit)
+		}
 	}
 }
 

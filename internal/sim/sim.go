@@ -127,8 +127,8 @@ func (p Params) Validate() error {
 	}
 	switch p.Mode {
 	case UnitDelay:
-		if p.Unit <= 0 {
-			return fmt.Errorf("sim: unit delay %v must be positive", p.Unit)
+		if !(p.Unit > 0) || math.IsInf(p.Unit, 1) {
+			return fmt.Errorf("sim: unit delay %v must be positive and finite", p.Unit)
 		}
 	case ElmoreDelay:
 		if err := p.Delay.Validate(); err != nil {
@@ -351,8 +351,8 @@ func runSingle(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon flo
 	if err := prm.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %v must be positive", horizon)
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return nil, fmt.Errorf("sim: horizon %v must be positive and finite", horizon)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -360,12 +360,32 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(c, waves, 1, bad2); err == nil {
 		t.Error("bogus delay mode accepted")
 	}
+	// A NaN horizon fails every comparison, so a bare horizon <= 0 check
+	// let it through to the packers.
+	for _, horizon := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, mode := range []DelayMode{ZeroDelay, UnitDelay, ElmoreDelay} {
+			prm := DefaultParams()
+			prm.Mode = mode
+			if _, err := Run(c, waves, horizon, prm); err == nil {
+				t.Errorf("%s delay: horizon %v accepted", mode.name(), horizon)
+			}
+			if _, _, err := RunTrace(c, waves, horizon, prm); err == nil {
+				t.Errorf("%s delay: traced horizon %v accepted", mode.name(), horizon)
+			}
+		}
+	}
 }
 
 func TestGenerateWaveformsErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := GenerateWaveforms([]string{"a"}, map[string]stoch.Signal{}, 1, rng); err == nil {
 		t.Error("missing stats accepted")
+	}
+	// Exponential's draw loop never ends on a NaN or +Inf horizon.
+	for _, horizon := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := GenerateWaveforms([]string{"a"}, map[string]stoch.Signal{"a": {P: 0.5, D: 1e6}}, horizon, rng); err == nil {
+			t.Errorf("horizon %v accepted", horizon)
+		}
 	}
 	if _, err := GenerateClockedWaveforms([]string{"a"}, map[string]stoch.Signal{"a": {P: 1, D: 1}}, 10, 1, rng); err == nil {
 		t.Error("unrealizable clocked stats accepted")

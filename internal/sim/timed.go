@@ -340,27 +340,17 @@ func (tp *TimedProgram) getScratch(words int) *timedScratch {
 // finish every run empty, but a reset keeps pooled state safe even after
 // an error exit.
 func (sc *timedScratch) reset() {
-	for i := range sc.regs {
-		sc.regs[i] = 0
-	}
-	for i := range sc.dirty {
-		sc.dirty[i] = 0
-		sc.fire[i] = 0
-	}
-	for i := range sc.counts {
-		sc.counts[i] = 0
-	}
+	clear(sc.regs)
+	clear(sc.dirty)
+	clear(sc.fire)
+	clear(sc.counts)
 	for i := range sc.wheel {
 		sc.wheel[i].tick = -1
 		sc.wheel[i].entries = sc.wheel[i].entries[:0]
 	}
 	sc.tickHeap = sc.tickHeap[:0]
-	for i := range sc.marked {
-		sc.marked[i] = 0
-	}
-	for i := range sc.agenda {
-		sc.agenda[i] = 0
-	}
+	clear(sc.marked)
+	clear(sc.agenda)
 	sc.steps = 0
 }
 
@@ -473,14 +463,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 	// each gate's ops read the committed `out` registers of its fan-in.
 	for w := 0; w < W; w++ {
 		plane := regs[w*R : w*R+R]
-		plane[1] = ^uint64(0) // register 1: the all-ones constant
-		for i, r := range tp.inReg {
-			row := i
-			if inRow != nil {
-				row = inRow[i]
-			}
-			plane[r] = stim.Initial[row*W+w] & masks[w]
-		}
+		tp.loadInitial(plane, stim.Initial, inRow, W, w, masks[w])
 		for g := range tp.tg {
 			gt := &tp.tg[g]
 			execOps(tp.ops[tp.opStart[g]:tp.opStart[g+1]], plane)
@@ -498,7 +481,6 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 
 	ops, opStart, meters := tp.ops, tp.opStart, tp.meters
 	marked, agenda := sc.marked, sc.agenda
-	fullW := uint32(1)<<uint(W) - 1
 	inputPtr := 0
 	for {
 		// Next active tick: the earlier of the next input instant and the
@@ -577,113 +559,33 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 					marked[w] &^= 1 << uint(b)
 					g := int32(w<<6 + b)
 					gt := &tp.tg[g]
-					if W == 1 {
-						// Single-word fast path: the 64-lane register file
-						// is one plane and the block masks collapse to the
-						// bitmap words themselves — none of the wide path's
-						// per-block occupancy bookkeeping is needed.
-						d, f := dirty[g], fire[g]
+					// One visit per word of the block. Lanes toggle at
+					// independent instants, so a firing tick usually dirties
+					// one word of a wide block: idle words are skipped, and
+					// the work stays in the visited word's register plane.
+					for x, gx := 0, int(g)*W; x < W; x, gx = x+1, gx+1 {
+						d, f := dirty[gx], fire[gx]
+						plane := regs[x*R : x*R+R]
 						if d != 0 {
-							dirty[g] = 0
-							execOps(ops[opStart[g]:opStart[g+1]], regs)
+							dirty[gx] = 0
+							execOps(ops[opStart[g]:opStart[g+1]], plane)
+							mask := masks[x]
 							for mi := gt.intStart; mi < gt.intEnd; mi++ {
 								mp := &meters[mi]
-								if diff := (regs[mp.valueReg] ^ regs[mp.stateReg]) & masks[0]; diff != 0 {
-									counts[mi] += int64(bits.OnesCount64(diff))
-									if perLane {
-										lm.add(mi, 0, diff, t)
-									}
-									regs[mp.stateReg] = regs[mp.valueReg]
-								}
-							}
-							y := regs[gt.yReg]
-							sched := ((y ^ regs[gt.prevY]) | (y ^ regs[gt.out])) & d
-							regs[gt.prevY] = y
-							if sched != 0 {
-								T := t + gt.delay
-								slot := &sc.wheel[T%wheelLen]
-								if slot.tick != T {
-									slot.tick = T
-									slot.entries = slot.entries[:0]
-									sc.tickHeap = heapPush(sc.tickHeap, T)
-								}
-								slot.entries = append(slot.entries, fireEntry{gate: g, lanes: sched})
-							}
-						}
-						if f != 0 {
-							fire[g] = 0
-							if diff := (regs[gt.prevY] ^ regs[gt.out]) & f; diff != 0 {
-								regs[gt.out] ^= diff
-								counts[gt.outMeter] += int64(bits.OnesCount64(diff))
-								if perLane {
-									lm.add(gt.outMeter, 0, diff, t)
-								}
-								for _, r := range gt.readers {
-									marked[r>>6] |= 1 << (uint(r) & 63)
-									agenda[r>>12] |= 1 << (uint(r>>6) & 63)
-									dirty[r] |= diff
-								}
-							}
-						}
-						continue
-					}
-					gb := int(g) * W
-					// Word occupancy masks: lanes toggle at independent
-					// instants, so a firing tick usually dirties one word
-					// of a wide block. Evaluation, metering and scheduling
-					// iterate only the occupied words — a wide run's work
-					// stays proportional to actual activity instead of
-					// scaling with the block width — and a single-word
-					// visit stays inside its own register plane. Fully
-					// dirty blocks (aligned cluster starts) take
-					// execPlanes instead, which issues four independent
-					// word ops per compiled op.
-					// One pass over the block loads and clears both masks into
-					// stack words; the evaluation and the per-word commit
-					// below read the cached copies instead of rescanning the
-					// bitmap arrays.
-					var dArr, fArr [stoch.MaxWords]uint64
-					var dw, fw uint32
-					for x := 0; x < W; x++ {
-						d, f := dirty[gb+x], fire[gb+x]
-						dArr[x], fArr[x] = d, f
-						if d != 0 {
-							dirty[gb+x] = 0
-							dw |= 1 << uint(x)
-						}
-						if f != 0 {
-							fire[gb+x] = 0
-							fw |= 1 << uint(x)
-						}
-					}
-					if gops := ops[opStart[g]:opStart[g+1]]; dw == fullW {
-						execPlanes(gops, regs, R, W)
-					} else {
-						for m := dw; m != 0; m &= m - 1 {
-							x := bits.TrailingZeros32(m)
-							execOps(gops, regs[x*R:x*R+R])
-						}
-					}
-					for m := dw | fw; m != 0; m &= m - 1 {
-						x := bits.TrailingZeros32(m)
-						px := x * R
-						if d := dArr[x]; dw&(1<<uint(x)) != 0 {
-							for mi := gt.intStart; mi < gt.intEnd; mi++ {
-								mp := &meters[mi]
-								if diff := (regs[px+int(mp.valueReg)] ^ regs[px+int(mp.stateReg)]) & masks[x]; diff != 0 {
+								if diff := (plane[mp.valueReg] ^ plane[mp.stateReg]) & mask; diff != 0 {
 									counts[mi] += int64(bits.OnesCount64(diff))
 									if perLane {
 										lm.add(mi, x, diff, t)
 									}
-									regs[px+int(mp.stateReg)] = regs[px+int(mp.valueReg)]
+									plane[mp.stateReg] = plane[mp.valueReg]
 								}
 							}
-							y := regs[px+int(gt.yReg)]
 							// Schedule an update in the lanes re-evaluated this
 							// instant whose computed output changed or differs
 							// from the net.
-							sched := ((y ^ regs[px+int(gt.prevY)]) | (y ^ regs[px+int(gt.out)])) & d
-							regs[px+int(gt.prevY)] = y
+							y := plane[gt.yReg]
+							sched := ((y ^ plane[gt.prevY]) | (y ^ plane[gt.out])) & d
+							plane[gt.prevY] = y
 							if sched != 0 {
 								T := t + gt.delay
 								slot := &sc.wheel[T%wheelLen]
@@ -695,12 +597,13 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 								slot.entries = append(slot.entries, fireEntry{gate: g, word: int32(x), lanes: sched})
 							}
 						}
-						if f := fArr[x]; fw&(1<<uint(x)) != 0 {
+						if f != 0 {
 							// Sample the current computed output: lanes whose
 							// pulse already collapsed see no difference and are
 							// filtered.
-							if diff := (regs[px+int(gt.prevY)] ^ regs[px+int(gt.out)]) & f; diff != 0 {
-								regs[px+int(gt.out)] ^= diff
+							fire[gx] = 0
+							if diff := (plane[gt.prevY] ^ plane[gt.out]) & f; diff != 0 {
+								plane[gt.out] ^= diff
 								counts[gt.outMeter] += int64(bits.OnesCount64(diff))
 								if perLane {
 									lm.add(gt.outMeter, x, diff, t)

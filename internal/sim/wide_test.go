@@ -135,8 +135,9 @@ func TestWideLaneEquivalenceZeroDelay(t *testing.T) {
 	wideLaneEquivalence(t, zeroParams(), 4*stoch.MaxLanes)
 }
 
-// TestWideLaneEquivalenceUnitDelay pins the 256-lane timed wheel with
-// per-word fire masks to the one-word timed engine.
+// TestWideLaneEquivalenceUnitDelay pins the 256-lane timed engine, which
+// visits a gate's four words one at a time with per-word dirty and fire
+// masks and schedules per word on one wheel, to its 64-lane runs.
 func TestWideLaneEquivalenceUnitDelay(t *testing.T) {
 	wideLaneEquivalence(t, DefaultParams(), 4*stoch.MaxLanes)
 }

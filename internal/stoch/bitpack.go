@@ -97,8 +97,8 @@ func (ps *PackedStimulus) Validate() error {
 	if ps.Lanes < 1 || ps.Lanes > w*MaxLanes {
 		return fmt.Errorf("stoch: %d lanes out of [1,%d]", ps.Lanes, w*MaxLanes)
 	}
-	if ps.Horizon <= 0 {
-		return fmt.Errorf("stoch: packed horizon %v must be positive", ps.Horizon)
+	if !positiveFinite(ps.Horizon) {
+		return fmt.Errorf("stoch: packed horizon %v must be positive and finite", ps.Horizon)
 	}
 	if len(ps.Initial) != len(ps.Inputs)*w || len(ps.Bits) != len(ps.Inputs) {
 		return fmt.Errorf("stoch: packed stimulus shape mismatch: %d inputs × %d words, %d initial, %d bit rows",
@@ -170,8 +170,8 @@ func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float6
 	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
 		return nil, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
 	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("stoch: packed horizon %v must be positive", horizon)
+	if !positiveFinite(horizon) {
+		return nil, fmt.Errorf("stoch: packed horizon %v must be positive and finite", horizon)
 	}
 	W := WordsFor(len(lanes))
 	ps := &PackedStimulus{

@@ -112,6 +112,10 @@ func (w *Waveform) MeasuredProbability(horizon float64) float64 {
 	return ones / horizon
 }
 
+// positiveFinite reports whether x is a usable horizon or tick. A NaN
+// fails every comparison, so a bare x <= 0 check lets it through.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // Exponential generates a waveform over [0, horizon] whose inter-transition
 // times are exponentially distributed with mean 1/s.D, exactly the input
 // process the paper feeds its switch-level simulator ("time intervals
@@ -129,8 +133,8 @@ func (s Signal) Exponential(horizon float64, rng *rand.Rand) (*Waveform, error) 
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("stoch: negative horizon %v", horizon)
+	if horizon != 0 && !positiveFinite(horizon) {
+		return nil, fmt.Errorf("stoch: horizon %v must be zero or a positive, finite duration", horizon)
 	}
 	w := &Waveform{Initial: rng.Float64() < s.P}
 	if s.D == 0 || horizon == 0 {

@@ -137,8 +137,8 @@ func (ts *TimedStimulus) Validate() error {
 	if ts.Lanes < 1 || ts.Lanes > W*MaxLanes {
 		return fmt.Errorf("stoch: %d lanes out of [1,%d]", ts.Lanes, W*MaxLanes)
 	}
-	if ts.Horizon <= 0 || ts.Tick <= 0 {
-		return fmt.Errorf("stoch: timed stimulus needs positive horizon and tick, got %v/%v", ts.Horizon, ts.Tick)
+	if !positiveFinite(ts.Horizon) || !positiveFinite(ts.Tick) {
+		return fmt.Errorf("stoch: timed stimulus needs positive, finite horizon and tick, got %v/%v", ts.Horizon, ts.Tick)
 	}
 	if len(ts.Initial) != len(ts.Inputs)*W {
 		return fmt.Errorf("stoch: timed stimulus shape mismatch: %d inputs × %d words, %d initial rows", len(ts.Inputs), W, len(ts.Initial))
@@ -202,8 +202,8 @@ func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, 
 	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
 		return nil, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
 	}
-	if horizon <= 0 || tick <= 0 {
-		return nil, fmt.Errorf("stoch: timed packing needs positive horizon and tick, got %v/%v", horizon, tick)
+	if !positiveFinite(horizon) || !positiveFinite(tick) {
+		return nil, fmt.Errorf("stoch: timed packing needs positive, finite horizon and tick, got %v/%v", horizon, tick)
 	}
 	if guard < 0 {
 		return nil, fmt.Errorf("stoch: negative guard %d", guard)
