@@ -337,61 +337,39 @@ func TestQuantizeWaveformSingleTransition(t *testing.T) {
 }
 
 // TestNonFiniteHorizonsRejected: every entry point that takes a horizon
-// rejects NaN and ±Inf, and so does every one that takes a tick. A NaN fails every comparison, so a bare
+// or a tick rejects NaN and ±Inf. A NaN fails every comparison, so a bare
 // horizon <= 0 check accepted it: Exponential then drew events without
 // end, and PackTimedWaveforms cut admission at tick MinInt64, silently
 // dropping every event.
 func TestNonFiniteHorizonsRejected(t *testing.T) {
-	w := map[string]*Waveform{"a": {Events: []Event{{Time: 1e-9, Value: true}}}}
-	for _, horizon := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	in, lanes := []string{"a"}, []map[string]*Waveform{{"a": {Events: []Event{{Time: 1e-9, Value: true}}}}}
+	ps, err := PackWaveforms(in, lanes, 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := PackTimedWaveforms(in, lanes, 1e-8, 1e-9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, tc := range []struct {
 			name string
 			run  func() error
 		}{
 			{"Exponential", func() error {
-				_, err := (Signal{P: 0.5, D: 1e6}).Exponential(horizon, rand.New(rand.NewSource(1)))
+				_, err := (Signal{P: 0.5, D: 1e6}).Exponential(bad, rand.New(rand.NewSource(1)))
 				return err
 			}},
-			{"PackWaveforms", func() error {
-				_, err := PackWaveforms([]string{"a"}, []map[string]*Waveform{w}, horizon)
-				return err
-			}},
-			{"PackTimedWaveforms", func() error {
-				_, err := PackTimedWaveforms([]string{"a"}, []map[string]*Waveform{w}, horizon, 1e-9, 0)
-				return err
-			}},
-			{"PackTimedWaveforms/tick", func() error {
-				_, err := PackTimedWaveforms([]string{"a"}, []map[string]*Waveform{w}, 1e-8, horizon, 0)
-				return err
-			}},
-			{"PackedStimulus.Validate", func() error {
-				ps, err := PackWaveforms([]string{"a"}, []map[string]*Waveform{w}, 1e-8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ps.Horizon = horizon
-				return ps.Validate()
-			}},
-			{"TimedStimulus.Validate", func() error {
-				ts, err := PackTimedWaveforms([]string{"a"}, []map[string]*Waveform{w}, 1e-8, 1e-9, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts.Horizon = horizon
-				return ts.Validate()
-			}},
-			{"TimedStimulus.Validate/tick", func() error {
-				ts, err := PackTimedWaveforms([]string{"a"}, []map[string]*Waveform{w}, 1e-8, 1e-9, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts.Tick = horizon
-				return ts.Validate()
-			}},
+			{"PackWaveforms", func() error { _, err := PackWaveforms(in, lanes, bad); return err }},
+			{"PackTimedWaveforms", func() error { _, err := PackTimedWaveforms(in, lanes, bad, 1e-9, 0); return err }},
+			{"PackTimedWaveforms/tick", func() error { _, err := PackTimedWaveforms(in, lanes, 1e-8, bad, 0); return err }},
+			{"PackedStimulus.Validate", func() error { c := *ps; c.Horizon = bad; return c.Validate() }},
+			{"TimedStimulus.Validate", func() error { c := *ts; c.Horizon = bad; return c.Validate() }},
+			{"TimedStimulus.Validate/tick", func() error { c := *ts; c.Tick = bad; return c.Validate() }},
 		} {
-			t.Run(fmt.Sprintf("%s/%v", tc.name, horizon), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, bad), func(t *testing.T) {
 				if err := tc.run(); err == nil {
-					t.Fatalf("%v accepted", horizon)
+					t.Fatalf("%v accepted", bad)
 				}
 			})
 		}
