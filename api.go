@@ -65,8 +65,9 @@ type (
 	// BitSimResult is a bit-parallel measurement: totals across lanes
 	// plus optional per-lane breakdowns.
 	BitSimResult = sim.BitResult
-	// PackedStimulus is a bit-packed Monte Carlo stimulus: up to 64
-	// independent input-vector sequences, one per bit lane.
+	// PackedStimulus is a bit-packed Monte Carlo stimulus: up to
+	// MaxSimVectors (512) independent input-vector sequences, one per bit
+	// lane.
 	PackedStimulus = stoch.PackedStimulus
 	// DelayParams holds the RC constants of the timing model.
 	DelayParams = delay.Params

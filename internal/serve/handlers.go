@@ -323,7 +323,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			Power:         total.Power,
 			InternalFlips: total.InternalFlips,
 			OutputFlips:   total.OutputFlips,
-			Steps:         total.Steps,
+			Steps:         total.Events,
 		}
 		return resp, nil
 	})

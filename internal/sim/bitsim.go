@@ -11,11 +11,11 @@ import (
 // transitions and energy of every active lane, with Power normalized to
 // the mean per-lane power (Energy / (Lanes·Horizon)) so it is directly
 // comparable with a single-vector Run. Result.Events counts evaluated
-// steps.
+// steps: the zero-delay engine's settling instants, the timed engine's
+// active ticks.
 type BitResult struct {
 	Result
 	Lanes int // active Monte Carlo lanes
-	Steps int // settling instants evaluated
 
 	// Per-lane breakdowns, populated only by RunLanes (nil otherwise):
 	// the lane-equivalence property tests compare these against
@@ -169,15 +169,11 @@ func (p *Program) execStim(stim *stoch.PackedStimulus, lm *laneMeter) (*runScrat
 	if err := stim.Validate(); err != nil {
 		return nil, err
 	}
-	inRow, err := matchInputs(p.inputs, stim.Inputs)
+	inRow, maskArr, err := p.bind(&stim.Block)
 	if err != nil {
 		return nil, err
 	}
 	W := stim.WordWidth()
-	var maskArr [stoch.MaxWords]uint64
-	for w := 0; w < W; w++ {
-		maskArr[w] = stim.WordMask(w)
-	}
 	masks := maskArr[:W]
 	sc := p.getScratch(W)
 	regs, counts := sc.regs, sc.counts
@@ -323,7 +319,7 @@ func execOpsPlanes4(ops []bitOp, regs []uint64, R int) {
 
 // assembleResult folds raw meter counts into a BitResult — shared by the
 // zero-delay and timed bit-parallel engines. steps is the engine's
-// settled-instant count (also reported as Result.Events).
+// settled-instant count, reported as Result.Events.
 func assembleResult(gates []*circuit.Instance, meters []meterPoint, lanes, steps int, horizon float64, counts []int64, lm *laneMeter) *BitResult {
 	br := &BitResult{
 		Result: Result{
@@ -333,7 +329,6 @@ func assembleResult(gates []*circuit.Instance, meters []meterPoint, lanes, steps
 			Events:         steps,
 		},
 		Lanes: lanes,
-		Steps: steps,
 	}
 	perLane := lm != nil
 	if perLane {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/logic"
+	"repro/internal/stoch"
 )
 
 // This file lowers a mapped circuit into flat word-op programs over dense
@@ -171,6 +172,47 @@ func (lw *lowering) loadInitial(plane, initial []uint64, inRow []int, W, w int, 
 		}
 		plane[r] = initial[row*W+w] & mask
 	}
+}
+
+// bind maps a validated stimulus block onto the program's inputs — the
+// prologue both engines share: inRow is matchInputs' row map (nil when
+// the orders coincide) and masks[w] selects the active lanes of block
+// word w.
+func (lw *lowering) bind(b *stoch.Block) (inRow []int, masks [stoch.MaxWords]uint64, err error) {
+	if inRow, err = matchInputs(lw.inputs, b.Inputs); err != nil {
+		return nil, masks, err
+	}
+	for w := range b.WordWidth() {
+		masks[w] = b.WordMask(w)
+	}
+	return inRow, masks, nil
+}
+
+// matchInputs maps program input order onto stimulus rows. A nil result
+// means the orders coincide (the common case — stimulus is packed from
+// the circuit's own input list), avoiding any per-run allocation. A
+// stimulus naming an input on two rows is rejected: only one row could
+// drive it, and the other row's toggles would be dropped.
+func matchInputs(progInputs, stimInputs []string) ([]int, error) {
+	if slices.Equal(progInputs, stimInputs) {
+		return nil, nil
+	}
+	idx := make(map[string]int, len(stimInputs))
+	for i, in := range stimInputs {
+		if _, dup := idx[in]; dup {
+			return nil, fmt.Errorf("sim: packed stimulus names input %q twice", in)
+		}
+		idx[in] = i
+	}
+	inRow := make([]int, len(progInputs))
+	for i, in := range progInputs {
+		row, ok := idx[in]
+		if !ok {
+			return nil, fmt.Errorf("sim: packed stimulus has no row for input %q", in)
+		}
+		inRow[i] = row
+	}
+	return inRow, nil
 }
 
 // alloc reserves a fresh register.

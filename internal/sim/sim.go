@@ -386,13 +386,29 @@ func runSingle(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon flo
 // reproduces the exact stimulus — pass the same waveforms to the best and
 // worst circuits for a fair comparison.
 func GenerateWaveforms(inputs []string, stats map[string]stoch.Signal, horizon float64, rng *rand.Rand) (map[string]*stoch.Waveform, error) {
+	return generateWaveforms(inputs, stats, func(sig stoch.Signal) (*stoch.Waveform, error) {
+		return sig.Exponential(horizon, rng)
+	})
+}
+
+// GenerateClockedWaveforms draws per-input waveforms sampled at a fixed
+// clock (scenario B: latched inputs, statistics in transitions/cycle).
+func GenerateClockedWaveforms(inputs []string, stats map[string]stoch.Signal, cycles int, period float64, rng *rand.Rand) (map[string]*stoch.Waveform, error) {
+	return generateWaveforms(inputs, stats, func(sig stoch.Signal) (*stoch.Waveform, error) {
+		return sig.Clocked(cycles, period, rng)
+	})
+}
+
+// generateWaveforms draws one waveform per input, in input order, from
+// that input's statistics.
+func generateWaveforms(inputs []string, stats map[string]stoch.Signal, draw func(stoch.Signal) (*stoch.Waveform, error)) (map[string]*stoch.Waveform, error) {
 	waves := make(map[string]*stoch.Waveform, len(inputs))
 	for _, in := range inputs {
 		sig, ok := stats[in]
 		if !ok {
 			return nil, fmt.Errorf("sim: no statistics for input %q", in)
 		}
-		w, err := sig.Exponential(horizon, rng)
+		w, err := draw(sig)
 		if err != nil {
 			return nil, fmt.Errorf("sim: input %q: %w", in, err)
 		}
@@ -401,20 +417,20 @@ func GenerateWaveforms(inputs []string, stats map[string]stoch.Signal, horizon f
 	return waves, nil
 }
 
-// GenerateClockedWaveforms draws per-input waveforms sampled at a fixed
-// clock (scenario B: latched inputs, statistics in transitions/cycle).
-func GenerateClockedWaveforms(inputs []string, stats map[string]stoch.Signal, cycles int, period float64, rng *rand.Rand) (map[string]*stoch.Waveform, error) {
-	waves := make(map[string]*stoch.Waveform, len(inputs))
-	for _, in := range inputs {
-		sig, ok := stats[in]
-		if !ok {
-			return nil, fmt.Errorf("sim: no statistics for input %q", in)
-		}
-		w, err := sig.Clocked(cycles, period, rng)
-		if err != nil {
-			return nil, fmt.Errorf("sim: input %q: %w", in, err)
-		}
-		waves[in] = w
+// GenerateLaneWaveforms draws `lanes` independent scenario-A waveform
+// sets (exponential inter-transition times) from one rng — the raw
+// material for both PackWaveforms (zero delay) and PackTimedWaveforms.
+func GenerateLaneWaveforms(inputs []string, stats map[string]stoch.Signal, horizon float64, lanes int, rng *rand.Rand) ([]map[string]*stoch.Waveform, error) {
+	if lanes < 1 || lanes > stoch.MaxPackLanes {
+		return nil, fmt.Errorf("sim: %d lanes out of [1,%d]", lanes, stoch.MaxPackLanes)
 	}
-	return waves, nil
+	laneWaves := make([]map[string]*stoch.Waveform, lanes)
+	for l := range laneWaves {
+		w, err := GenerateWaveforms(inputs, stats, horizon, rng)
+		if err != nil {
+			return nil, err
+		}
+		laneWaves[l] = w
+	}
+	return laneWaves, nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -423,7 +422,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 	if stim.Guard != 0 && stim.Guard < tp.settleTicks {
 		return nil, fmt.Errorf("sim: stimulus aligned with guard %d, but the program needs %d ticks to settle", stim.Guard, tp.settleTicks)
 	}
-	inRow, err := matchInputs(tp.inputs, stim.Inputs)
+	inRow, maskArr, err := tp.bind(&stim.Block)
 	if err != nil {
 		return nil, err
 	}
@@ -440,10 +439,6 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 		}
 	}
 	W := stim.WordWidth()
-	var maskArr [stoch.MaxWords]uint64
-	for w := 0; w < W; w++ {
-		maskArr[w] = stim.WordMask(w)
-	}
 	masks := maskArr[:W]
 	sc := tp.getScratch(W)
 	regs, dirty, fire, counts := sc.regs, sc.dirty, sc.fire, sc.counts
@@ -622,60 +617,6 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 		}
 	}
 	return sc, nil
-}
-
-// matchInputs maps program input order onto stimulus rows. A nil result
-// means the orders coincide (the common case — stimulus is packed from
-// the circuit's own input list), avoiding any per-run allocation. A
-// stimulus naming an input on two rows is rejected: only one row could
-// drive it, and the other row's toggles would be dropped.
-func matchInputs(progInputs, stimInputs []string) ([]int, error) {
-	if len(progInputs) == len(stimInputs) {
-		same := true
-		for i := range progInputs {
-			if progInputs[i] != stimInputs[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return nil, nil
-		}
-	}
-	idx := make(map[string]int, len(stimInputs))
-	for i, in := range stimInputs {
-		if _, dup := idx[in]; dup {
-			return nil, fmt.Errorf("sim: packed stimulus names input %q twice", in)
-		}
-		idx[in] = i
-	}
-	inRow := make([]int, len(progInputs))
-	for i, in := range progInputs {
-		row, ok := idx[in]
-		if !ok {
-			return nil, fmt.Errorf("sim: packed stimulus has no row for input %q", in)
-		}
-		inRow[i] = row
-	}
-	return inRow, nil
-}
-
-// GenerateLaneWaveforms draws `lanes` independent scenario-A waveform
-// sets (exponential inter-transition times) from one rng — the raw
-// material for both PackWaveforms (zero delay) and PackTimedWaveforms.
-func GenerateLaneWaveforms(inputs []string, stats map[string]stoch.Signal, horizon float64, lanes int, rng *rand.Rand) ([]map[string]*stoch.Waveform, error) {
-	if lanes < 1 || lanes > stoch.MaxPackLanes {
-		return nil, fmt.Errorf("sim: %d lanes out of [1,%d]", lanes, stoch.MaxPackLanes)
-	}
-	laneWaves := make([]map[string]*stoch.Waveform, lanes)
-	for l := range laneWaves {
-		w, err := GenerateWaveforms(inputs, stats, horizon, rng)
-		if err != nil {
-			return nil, err
-		}
-		laneWaves[l] = w
-	}
-	return laneWaves, nil
 }
 
 // heapPush inserts v into the slice-backed binary min-heap h and returns

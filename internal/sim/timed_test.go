@@ -342,8 +342,8 @@ func TestClusterAlignmentExact(t *testing.T) {
 					}
 				}
 			}
-			if ba.Steps >= br.Steps {
-				t.Errorf("%s/%s: alignment did not condense instants (%d vs %d)", name, mode.name(), ba.Steps, br.Steps)
+			if ba.Events >= br.Events {
+				t.Errorf("%s/%s: alignment did not condense instants (%d vs %d)", name, mode.name(), ba.Events, br.Events)
 			}
 		}
 	}

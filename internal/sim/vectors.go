@@ -61,7 +61,7 @@ func (tp *TimedProgram) runBlock(laneWaves []map[string]*stoch.Waveform, horizon
 // RunVectors measures `vectors` Monte Carlo realizations drawn one at a
 // time from gen, evaluated on p in register blocks of up to `lanes` lanes
 // (1 to stoch.MaxPackLanes). The blocks' counts and energies fold
-// together in order; Steps sums the blocks' evaluated instants, Lanes is
+// together in order; Events sums the blocks' evaluated instants, Lanes is
 // the vector total and Power is the mean per-vector power,
 // Energy / (vectors·horizon).
 func RunVectors(p Compiled, gen func() (map[string]*stoch.Waveform, error), vectors, lanes int, horizon float64) (*BitResult, error) {
@@ -72,7 +72,6 @@ func RunVectors(p Compiled, gen func() (map[string]*stoch.Waveform, error), vect
 			return err
 		}
 		total.Accumulate(&br.Result)
-		total.Steps += br.Steps
 		return nil
 	})
 	if err != nil {

@@ -152,7 +152,7 @@ func TestLaneMask(t *testing.T) {
 		lanes int
 		mask  uint64
 	}{{1, 1}, {2, 3}, {63, 1<<63 - 1}, {64, ^uint64(0)}} {
-		ps := &PackedStimulus{Lanes: tc.lanes}
+		ps := &PackedStimulus{Block: Block{Lanes: tc.lanes}}
 		if got := ps.LaneMask(); got != tc.mask {
 			t.Errorf("LaneMask(%d) = %#x, want %#x", tc.lanes, got, tc.mask)
 		}
@@ -169,7 +169,7 @@ func TestLaneMaskOverRange(t *testing.T) {
 		{0, 1}, {-1, 1}, {65, 1}, {1000, 1},
 		{0, 4}, {257, 4}, {MaxPackLanes + 1, MaxWords},
 	} {
-		ps := &PackedStimulus{Lanes: tc.lanes, Words: tc.words}
+		ps := &PackedStimulus{Block: Block{Lanes: tc.lanes, Words: tc.words}}
 		if err := ps.Validate(); err == nil {
 			t.Fatalf("Validate accepted %d lanes in %d words", tc.lanes, tc.words)
 		}
@@ -178,7 +178,7 @@ func TestLaneMaskOverRange(t *testing.T) {
 				t.Errorf("PackedStimulus{Lanes: %d, Words: %d}.WordMask(%d) = %#x, want 0", tc.lanes, tc.words, w, got)
 			}
 		}
-		ts := &TimedStimulus{Lanes: tc.lanes, Words: tc.words}
+		ts := &TimedStimulus{Block: Block{Lanes: tc.lanes, Words: tc.words}}
 		for w := 0; w < tc.words; w++ {
 			if got := ts.WordMask(w); got != 0 {
 				t.Errorf("TimedStimulus{Lanes: %d, Words: %d}.WordMask(%d) = %#x, want 0", tc.lanes, tc.words, w, got)
@@ -186,7 +186,7 @@ func TestLaneMaskOverRange(t *testing.T) {
 		}
 	}
 	// Out-of-range word indices of a valid stimulus are also zero.
-	ps := &PackedStimulus{Lanes: 200, Words: 4}
+	ps := &PackedStimulus{Block: Block{Lanes: 200, Words: 4}}
 	if ps.WordMask(-1) != 0 || ps.WordMask(4) != 0 {
 		t.Errorf("out-of-range word masks = %#x, %#x, want 0", ps.WordMask(-1), ps.WordMask(4))
 	}

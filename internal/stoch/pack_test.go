@@ -180,3 +180,84 @@ func BenchmarkPack(b *testing.B) {
 		})
 	}
 }
+
+// FuzzPackMatchesReference holds both packers to the naive references in
+// reference_test.go on small blocks decoded from the fuzz input, and
+// checks that what they pack passes Validate. The first bytes pick 1–4
+// inputs, 1–130 lanes (up to three words), a tick of horizon/1..24 and a
+// guard of 0–3 ticks. Then each waveform takes a byte (bit 0: initial
+// value, bits 1–3: event count) and one byte per event: bits 0–2 put the
+// event at k·horizon/6 (k = 7 is past the horizon), bit 3 makes a time 0
+// a -0 and bit 4 is the value. Times are sorted per waveform, so equal
+// times, same-instant pulses and no-op events are all reachable; a short
+// input leaves the remaining waveforms empty.
+func FuzzPackMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 1, 11, 1, 5, 0x11, 0x03, 0x08, 0x12})
+	f.Add([]byte{3, 129, 5, 2, 7, 0x18, 0x00, 0x13, 0x13, 0x02, 0x17, 0x06, 0x15, 0x01, 0x14})
+	f.Add([]byte{0, 63, 0, 0, 15, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		const horizon = 1e-6
+		inputs := make([]string, 1+next()%4)
+		for i := range inputs {
+			inputs[i] = fmt.Sprintf("x%d", i)
+		}
+		lanes := make([]map[string]*Waveform, 1+int(next())%130)
+		tick := horizon / float64(1+next()%24)
+		guard := int64(next() % 4)
+		for l := range lanes {
+			lanes[l] = make(map[string]*Waveform, len(inputs))
+			for _, in := range inputs {
+				h := next()
+				w := &Waveform{Initial: h&1 != 0}
+				for range h >> 1 & 7 {
+					e := next()
+					tm := horizon * float64(e&7) / 6
+					if tm == 0 && e&8 != 0 {
+						tm = math.Copysign(0, -1)
+					}
+					w.Events = append(w.Events, Event{Time: tm, Value: e&16 != 0})
+				}
+				sort.SliceStable(w.Events, func(a, b int) bool { return w.Events[a].Time < w.Events[b].Time })
+				lanes[l][in] = w
+			}
+		}
+
+		got, err := PackWaveforms(inputs, lanes, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referencePackWaveforms(inputs, lanes, horizon)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("PackWaveforms differs from the reference:\n got %+v\nwant %+v", got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+
+		gotT, err := PackTimedWaveforms(inputs, lanes, horizon, tick, guard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantT, err := referencePackTimedWaveforms(inputs, lanes, horizon, tick, guard)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if !reflect.DeepEqual(gotT, wantT) {
+			t.Fatalf("PackTimedWaveforms differs from the reference:\n got %+v\nwant %+v", gotT, wantT)
+		}
+		if err := gotT.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

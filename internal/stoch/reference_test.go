@@ -27,13 +27,13 @@ func referencePackWaveforms(inputs []string, lanes []map[string]*Waveform, horiz
 		return nil, fmt.Errorf("stoch: packed horizon %v must be positive", horizon)
 	}
 	W := WordsFor(len(lanes))
-	ps := &PackedStimulus{
+	ps := &PackedStimulus{Block: Block{
 		Inputs:  append([]string(nil), inputs...),
 		Lanes:   len(lanes),
 		Words:   W,
 		Horizon: horizon,
 		Initial: make([]uint64, len(inputs)*W),
-	}
+	}}
 	// Per lane: the sequence of input-state snapshots, one per instant at
 	// which at least one input actually changes.
 	snapshots := make([][][]bool, len(lanes))
@@ -118,14 +118,16 @@ func referencePackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, 
 	}
 	W := WordsFor(len(lanes))
 	ts := &TimedStimulus{
-		Inputs:       append([]string(nil), inputs...),
-		Lanes:        len(lanes),
-		Words:        W,
+		Block: Block{
+			Inputs:  append([]string(nil), inputs...),
+			Lanes:   len(lanes),
+			Words:   W,
+			Horizon: horizon,
+			Initial: make([]uint64, len(inputs)*W),
+		},
 		Tick:         tick,
-		Horizon:      horizon,
 		HorizonTicks: TicksIn(horizon, tick),
 		Guard:        guard,
-		Initial:      make([]uint64, len(inputs)*W),
 	}
 	perLane := make([][]timedEvent, len(lanes))
 	for l, waves := range lanes {

@@ -81,9 +81,9 @@ type InputToggle struct {
 }
 
 // TimedStimulus is a bit-packed Monte Carlo stimulus on a shared tick
-// grid: up to 64 independent input-vector sequences, one per bit lane, all
-// expressed as toggles at integer ticks. Built by PackTimedWaveforms;
-// consumed by the timed bit-parallel engine.
+// grid: up to MaxPackLanes independent input-vector sequences, one per bit
+// lane, all expressed as toggles at integer ticks. Built by
+// PackTimedWaveforms; consumed by the timed bit-parallel engine.
 //
 // When packed with a positive guard, the tick axis is *cluster-aligned*:
 // each lane's activity clusters — maximal event runs separated by gaps no
@@ -98,50 +98,24 @@ type InputToggle struct {
 // therefore exceed HorizonTicks; HorizonTicks records only the admission
 // cutoff applied to the original event times.
 type TimedStimulus struct {
-	Inputs       []string        // primary-input order; Initial is parallel to it
-	Lanes        int             // active lanes, 1..Words·64
-	Words        int             // register-block width in words; 0 is treated as 1
+	Block
 	Tick         float64         // seconds per tick
-	Horizon      float64         // per-lane simulated seconds (power normalization)
 	HorizonTicks int64           // input admission cutoff, TicksIn(Horizon, Tick)
 	Guard        int64           // settle window used for cluster alignment; 0 = unaligned
-	Initial      []uint64        // [input·W + w] lane bits at t=0, before any tick
 	Ticks        []int64         // sorted distinct (virtual) ticks with input activity
 	Toggles      [][]InputToggle // parallel to Ticks
 }
 
-// WordWidth returns the register-block width W in words (≥ 1).
-func (ts *TimedStimulus) WordWidth() int {
-	if ts.Words < 1 {
-		return 1
-	}
-	return ts.Words
-}
-
-// LaneMask returns the mask selecting the active lanes of word 0; 0 for
-// an over-range stimulus (see PackedStimulus.LaneMask).
-func (ts *TimedStimulus) LaneMask() uint64 { return ts.WordMask(0) }
-
-// WordMask returns the mask selecting the active lanes of block word w,
-// 0 for every word when Lanes is outside the range Validate accepts.
-func (ts *TimedStimulus) WordMask(w int) uint64 {
-	return laneMaskWord(ts.Lanes, ts.WordWidth(), w)
-}
-
 // Validate checks structural sanity.
 func (ts *TimedStimulus) Validate() error {
-	W := ts.WordWidth()
-	if W > MaxWords {
-		return fmt.Errorf("stoch: %d-word register block wider than %d", W, MaxWords)
+	if err := ts.Block.Validate(); err != nil {
+		return err
 	}
-	if ts.Lanes < 1 || ts.Lanes > W*MaxLanes {
-		return fmt.Errorf("stoch: %d lanes out of [1,%d]", ts.Lanes, W*MaxLanes)
+	if !positiveFinite(ts.Tick) {
+		return fmt.Errorf("stoch: timed stimulus tick %v must be positive and finite", ts.Tick)
 	}
-	if !positiveFinite(ts.Horizon) || !positiveFinite(ts.Tick) {
-		return fmt.Errorf("stoch: timed stimulus needs positive, finite horizon and tick, got %v/%v", ts.Horizon, ts.Tick)
-	}
-	if len(ts.Initial) != len(ts.Inputs)*W {
-		return fmt.Errorf("stoch: timed stimulus shape mismatch: %d inputs × %d words, %d initial rows", len(ts.Inputs), W, len(ts.Initial))
+	if ts.HorizonTicks < 0 {
+		return fmt.Errorf("stoch: negative horizon of %d ticks", ts.HorizonTicks)
 	}
 	if len(ts.Toggles) != len(ts.Ticks) {
 		return fmt.Errorf("stoch: %d toggle groups for %d ticks", len(ts.Toggles), len(ts.Ticks))
@@ -149,6 +123,7 @@ func (ts *TimedStimulus) Validate() error {
 	if ts.Guard < 0 {
 		return fmt.Errorf("stoch: negative guard %d", ts.Guard)
 	}
+	W := ts.WordWidth()
 	prev := int64(-1)
 	for k, tk := range ts.Ticks {
 		if tk < 0 {
@@ -173,7 +148,9 @@ func (ts *TimedStimulus) Validate() error {
 	return nil
 }
 
-// timedEvent is one quantized input change of one lane during packing.
+// timedEvent is one input change of one lane during packing, keyed by a
+// non-negative tick: its quantized time, or in PackWaveforms the bit
+// pattern of its float64 time.
 type timedEvent struct {
 	tick  int64
 	input int32
@@ -187,7 +164,7 @@ type timedEvent struct {
 // per event, events beyond the horizon dropped — and the surviving
 // transitions of all lanes are merged onto one shared, sorted tick axis
 // as per-input toggle masks. A NaN, infinite or negative event time is an
-// error.
+// error, and so is a horizon of 2^63 ticks or more.
 //
 // guard > 0 enables cluster alignment (see TimedStimulus): per lane,
 // consecutive events further apart than guard ticks start a new cluster;
@@ -199,29 +176,26 @@ type timedEvent struct {
 // Packing runs in time linear in the number of events: every ordering is
 // a stable counting or radix pass, never a comparison sort.
 func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, tick float64, guard int64) (*TimedStimulus, error) {
-	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
-		return nil, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
-	}
-	if !positiveFinite(horizon) || !positiveFinite(tick) {
-		return nil, fmt.Errorf("stoch: timed packing needs positive, finite horizon and tick, got %v/%v", horizon, tick)
+	if !positiveFinite(tick) {
+		return nil, fmt.Errorf("stoch: timed packing needs a positive, finite tick, got %v", tick)
 	}
 	if guard < 0 {
 		return nil, fmt.Errorf("stoch: negative guard %d", guard)
 	}
-	W := WordsFor(len(lanes))
-	ts := &TimedStimulus{
-		Inputs:       append([]string(nil), inputs...),
-		Lanes:        len(lanes),
-		Words:        W,
-		Tick:         tick,
-		Horizon:      horizon,
-		HorizonTicks: TicksIn(horizon, tick),
-		Guard:        guard,
-		Initial:      make([]uint64, len(inputs)*W),
-	}
-	waves, events, err := gatherWaveforms(inputs, lanes, ts.Initial)
+	b, waves, events, err := newBlock(inputs, lanes, horizon)
 	if err != nil {
 		return nil, err
+	}
+	// Compared as a float, so a ratio too large for int64 (or +Inf) is
+	// rejected instead of converting to a negative tick count.
+	if !(horizon/tick < 1<<63) {
+		return nil, fmt.Errorf("stoch: horizon %v spans 2^63 or more ticks of %v", horizon, tick)
+	}
+	ts := &TimedStimulus{
+		Block:        b,
+		Tick:         tick,
+		HorizonTicks: TicksIn(horizon, tick),
+		Guard:        guard,
 	}
 	// Quantize into one buffer, lane-major and input-major within a lane:
 	// perLane[l] is lane l's stretch of it.

@@ -140,14 +140,45 @@ func TestPackTimedWaveformsErrors(t *testing.T) {
 
 func TestTimedStimulusValidateNegativeTick(t *testing.T) {
 	ts := &TimedStimulus{
-		Inputs: []string{"a"}, Lanes: 1, Tick: 1e-9, Horizon: 1e-8, HorizonTicks: 10,
-		Initial: []uint64{0},
-		Ticks:   []int64{-3, 5},
-		Toggles: [][]InputToggle{{{Lanes: 1}}, {{Lanes: 1}}},
+		Block:        Block{Inputs: []string{"a"}, Lanes: 1, Horizon: 1e-8, Initial: []uint64{0}},
+		Tick:         1e-9,
+		HorizonTicks: 10,
+		Ticks:        []int64{-3, 5},
+		Toggles:      [][]InputToggle{{{Lanes: 1}}, {{Lanes: 1}}},
 	}
 	err := ts.Validate()
 	if err == nil || !strings.Contains(err.Error(), "negative tick -3") {
 		t.Fatalf("Validate() = %v, want a negative-tick error", err)
+	}
+}
+
+// TestHorizonTicksOverflow: a horizon of more than 2^63 ticks used to
+// convert to HorizonTicks = MinInt64, so the packer admitted no event and
+// returned no error. The packer must reject such a ratio, finite or not,
+// and Validate must reject a negative tick horizon.
+func TestHorizonTicksOverflow(t *testing.T) {
+	in, lanes := []string{"a"}, []map[string]*Waveform{{"a": {Events: []Event{{Time: 1, Value: true}}}}}
+	for _, tc := range []struct{ horizon, tick float64 }{
+		{1e300, 1e-300}, // ratio +Inf
+		{1e10, 1e-10},   // ratio 1e20, finite but beyond int64
+		{0x1p63, 1},
+	} {
+		ts, err := PackTimedWaveforms(in, lanes, tc.horizon, tc.tick, 0)
+		if err == nil {
+			t.Errorf("horizon %v, tick %v accepted: HorizonTicks = %d, %d ticks", tc.horizon, tc.tick, ts.HorizonTicks, len(ts.Ticks))
+		}
+	}
+	// A horizon of 2^62 ticks still fits.
+	ts, err := PackTimedWaveforms(in, lanes, 0x1p62, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.HorizonTicks != 1<<62 || len(ts.Ticks) != 1 {
+		t.Fatalf("HorizonTicks = %d with %d ticks, want 2^62 with 1", ts.HorizonTicks, len(ts.Ticks))
+	}
+	ts.HorizonTicks = -1
+	if err := ts.Validate(); err == nil || !strings.Contains(err.Error(), "negative horizon") {
+		t.Fatalf("Validate() = %v, want a negative-horizon error", err)
 	}
 }
 
@@ -269,11 +300,11 @@ func TestLaneMaskPopcountMatchesLanes(t *testing.T) {
 	// in both stimulus formats — the invariant the engines' metering
 	// relies on.
 	for n := 1; n <= MaxLanes; n++ {
-		ps := &PackedStimulus{Lanes: n}
+		ps := &PackedStimulus{Block: Block{Lanes: n}}
 		if got := bits.OnesCount64(ps.LaneMask()); got != n {
 			t.Fatalf("PackedStimulus.LaneMask(%d) selects %d lanes", n, got)
 		}
-		ts := &TimedStimulus{Lanes: n}
+		ts := &TimedStimulus{Block: Block{Lanes: n}}
 		if got := bits.OnesCount64(ts.LaneMask()); got != n {
 			t.Fatalf("TimedStimulus.LaneMask(%d) selects %d lanes", n, got)
 		}
