@@ -215,7 +215,10 @@ func Optimize(c *Circuit, pi map[string]Signal, opt OptimizeOptions) (*OptimizeR
 }
 
 // BestAndWorst returns the minimum- and maximum-power reorderings — the
-// pair Table 3 compares by switch-level simulation.
+// pair Table 3 compares by switch-level simulation. opt.Objective is
+// ignored. Both reports equal two Optimize calls bit for bit, but in
+// every mode except delay-neutral one candidate search serves both
+// objectives.
 func BestAndWorst(c *Circuit, pi map[string]Signal, opt OptimizeOptions) (best, worst *OptimizeReport, err error) {
 	return reorder.BestAndWorst(c, pi, opt)
 }

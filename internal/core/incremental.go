@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -463,6 +464,47 @@ func (inc *Incremental) SetInputs(pi map[string]stoch.Signal) error {
 		}
 	}
 	return inc.propagate()
+}
+
+// Fork returns an engine in inc's current state over a fresh clone of
+// its circuit. The structure fixed at construction (net IDs, pin
+// bindings, readers, loads) is shared read-only; the per-net statistics,
+// per-gate power and running totals are copied, so the two engines
+// mutate independently and the fork behaves bit-identically to an engine
+// built on the clone from the same statistics — without a second full
+// analysis. The optimizer forks once to commit the minimum- and
+// maximum-power choices of one candidate search.
+func (inc *Incremental) Fork() *Incremental {
+	c := inc.c.Clone()
+	at := make(map[*circuit.Instance]int, len(inc.c.Gates))
+	for k, g := range inc.c.Gates {
+		at[g] = k
+	}
+	order := make([]*circuit.Instance, len(inc.order))
+	for i, g := range inc.order {
+		order[i] = c.Gates[at[g]]
+	}
+	return &Incremental{
+		c:          c,
+		prm:        inc.prm,
+		order:      order,
+		pos:        inc.pos,
+		netID:      inc.netID,
+		netName:    inc.netName,
+		reader:     inc.reader,
+		pins:       inc.pins,
+		outID:      inc.outID,
+		load:       inc.load,
+		stats:      slices.Clone(inc.stats),
+		known:      slices.Clone(inc.known),
+		gates:      slices.Clone(inc.gates),
+		power:      inc.power,
+		inter:      inc.inter,
+		outp:       inc.outp,
+		frontier:   slices.Clone(inc.frontier),
+		inFrontier: slices.Clone(inc.inFrontier),
+		recomputed: inc.recomputed,
+	}
 }
 
 // Circuit returns the circuit the engine mutates through SetConfig.

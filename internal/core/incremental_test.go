@@ -287,3 +287,58 @@ func TestIncrementalEmptyCircuit(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalFork checks that a fork is an independent engine in the
+// original's state: the same moves and input change applied to the fork
+// and to an engine freshly built on a clone give bit-identical totals,
+// and neither the original engine nor its circuit sees them.
+func TestIncrementalFork(t *testing.T) {
+	c, err := mcnc.Load("rca8", library.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := DefaultParams()
+	rng := rand.New(rand.NewSource(7))
+	pi := randomInputs(c, rng)
+	inc, err := NewIncremental(c, pi, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power := inc.Power()
+	fork := inc.Fork()
+	fresh, err := NewIncremental(c.Clone(), pi, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fork.Circuit() == c || fork.Power() != power || fork.Recomputed() != inc.Recomputed() {
+		t.Fatalf("fork: circuit shared or state differs (power %v vs %v)", fork.Power(), power)
+	}
+	pi2 := randomInputs(c, rng)
+	for _, e := range []*Incremental{fork, fresh} {
+		for _, g := range e.Circuit().Gates {
+			if cfgs := g.Cell.AllConfigs(); len(cfgs) > 1 {
+				if err := e.SetConfig(g.Name, cfgs[len(cfgs)-1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := e.SetInputs(pi2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fork.Power() != fresh.Power() || fork.InternalPower() != fresh.InternalPower() || fork.OutputPower() != fresh.OutputPower() {
+		t.Fatalf("fork power (%v, %v, %v), fresh engine (%v, %v, %v)",
+			fork.Power(), fork.InternalPower(), fork.OutputPower(),
+			fresh.Power(), fresh.InternalPower(), fresh.OutputPower())
+	}
+	checkAgainstFull(t, fork, pi2, prm, "fork after moves")
+	for i, g := range c.Gates {
+		if fork.Circuit().Gates[i] == g {
+			t.Fatalf("instance %s shared by original and fork", g.Name)
+		}
+	}
+	if inc.Power() != power {
+		t.Fatalf("original power moved %v → %v", power, inc.Power())
+	}
+	checkAgainstFull(t, inc, pi, prm, "original after fork moves")
+}

@@ -323,14 +323,21 @@ func DelayIncrease(before, after *circuit.Circuit, prm delay.Params) (float64, e
 	if err != nil {
 		return 0, err
 	}
+	return DelayIncreaseFrom(d0.Delay, after, prm)
+}
+
+// DelayIncreaseFrom is DelayIncrease with the before circuit's critical-
+// path delay d0 already known — for callers that compare many reorderings
+// against one unchanged circuit.
+func DelayIncreaseFrom(d0 float64, after *circuit.Circuit, prm delay.Params) (float64, error) {
 	d1, err := delay.CircuitDelay(after, prm)
 	if err != nil {
 		return 0, err
 	}
-	if d0.Delay == 0 {
+	if d0 == 0 {
 		return 0, nil
 	}
-	return (d1.Delay - d0.Delay) / d0.Delay, nil
+	return (d1.Delay - d0) / d0, nil
 }
 
 // Run sweeps the named benchmarks (all of Table 3 when names is empty),

@@ -523,7 +523,9 @@ func equivalent(a, b *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 // verifies the paper's invariants: the reordered circuit computes the
 // same function, the report's before/after powers match independent full
 // analyses, the objective moved the right way, and the parallel search is
-// bit-identical to the serial one.
+// bit-identical to the serial one. The full-mode pair then comes from
+// reorder.BestAndWorst's fused pass, held exactly to the separate
+// full-min and full-max reports.
 func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 	pi map[string]stoch.Signal, fail func(string, string) *Discrepancy) *Discrepancy {
 	const rel = 1e-9
@@ -531,7 +533,7 @@ func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 	if err != nil {
 		return fail("optimize/analyze", err.Error())
 	}
-	var best, worst *circuit.Circuit // the full-mode pair
+	var fullMin, fullMax *reorder.Report
 	variants := []struct {
 		name string
 		mode reorder.Mode
@@ -559,9 +561,9 @@ func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 		}
 		switch v.name {
 		case "full-min":
-			best = rep.Circuit
+			fullMin = rep
 		case "full-max":
-			worst = rep.Circuit
+			fullMax = rep
 		}
 		if !relClose(rep.PowerBefore, before.Power, rel) {
 			return fail("optimize/"+v.name, fmt.Sprintf("PowerBefore %g vs full analysis %g", rep.PowerBefore, before.Power))
@@ -597,7 +599,35 @@ func checkOptimize(c *circuit.Circuit, p Profile, seed int64, opts CheckOptions,
 					rep.GatesChanged, rep.PowerBefore, rep.PowerAfter))
 		}
 	}
-	return checkPair(best, worst, p, seed, opts, pi, fail)
+	opt := reorder.DefaultOptions()
+	opt.Workers = 1
+	best, worst, err := reorder.BestAndWorst(c, pi, opt)
+	if err != nil {
+		return fail("optimize/best-and-worst", err.Error())
+	}
+	if msg := sameReport(best, fullMin); msg != "" {
+		return fail("optimize/best-and-worst/min", msg)
+	}
+	if msg := sameReport(worst, fullMax); msg != "" {
+		return fail("optimize/best-and-worst/max", msg)
+	}
+	return checkPair(best.Circuit, worst.Circuit, p, seed, opts, pi, fail)
+}
+
+// sameReport describes how got differs from want — powers compared
+// exactly, configurations by pointer — or returns "" when they agree.
+func sameReport(got, want *reorder.Report) string {
+	if got.GatesChanged != want.GatesChanged || got.PowerBefore != want.PowerBefore || got.PowerAfter != want.PowerAfter {
+		return fmt.Sprintf("report (%d, %g, %g) differs from Optimize's (%d, %g, %g)",
+			got.GatesChanged, got.PowerBefore, got.PowerAfter,
+			want.GatesChanged, want.PowerBefore, want.PowerAfter)
+	}
+	for i, g := range got.Circuit.Gates {
+		if w := want.Circuit.Gates[i]; g.Cell != w.Cell {
+			return fmt.Sprintf("instance %s chose %s, Optimize chose %s", g.Name, g.Cell.ConfigKey(), w.Cell.ConfigKey())
+		}
+	}
+	return ""
 }
 
 // checkPair holds the S column's unit-delay measurement of the full-mode

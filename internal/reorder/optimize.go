@@ -20,21 +20,50 @@ import (
 // floating-point power accumulation — and the whole Report — is
 // bit-identical for any worker count.
 func optimize(out *circuit.Circuit, pi map[string]stoch.Signal, opt Options, workers int) (*Report, error) {
-	var hook func(*core.Incremental, int) error
-	var choose func(i int) (core.ConfigPower, bool, error)
 	if opt.Mode == Full || opt.Mode == InputOnly {
-		hook, choose = powerSearch(len(out.Gates), opt)
+		hook, picks := powerSearch(len(out.Gates), opt, opt.Objective)
+		inc, err := core.NewIncrementalParallelFunc(out, pi, opt.Params, workers, hook)
+		if err != nil {
+			return nil, err
+		}
+		return commit(inc, picks[0])
 	}
-	inc, err := core.NewIncrementalParallelFunc(out, pi, opt.Params, workers, hook)
+	inc, err := core.NewIncrementalParallelFunc(out, pi, opt.Params, workers, nil)
 	if err != nil {
 		return nil, err
 	}
-	if choose == nil {
-		// A valid circuit's nets are its inputs and one output per gate.
-		dc := &delayChooser{inc: inc, opt: opt, arr: make([]float64, len(out.Inputs)+len(out.Gates))}
-		choose = dc.choose
+	// A valid circuit's nets are its inputs and one output per gate.
+	dc := &delayChooser{inc: inc, opt: opt, arr: make([]float64, len(out.Inputs)+len(out.Gates))}
+	return commit(inc, dc.choose)
+}
+
+// bestAndWorstPower is BestAndWorst in the pure power modes: one engine
+// construction whose hook evaluates each gate's candidate set once and
+// picks for both objectives, then one commit loop per objective, each on
+// its own fork of the constructed engine. The candidate powers, the
+// picks and each commit sequence are exactly those of two optimize
+// calls, so both reports are bit-identical to them.
+func bestAndWorstPower(out *circuit.Circuit, pi map[string]stoch.Signal, opt Options, workers int) (best, worst *Report, err error) {
+	hook, picks := powerSearch(len(out.Gates), opt, Minimize, Maximize)
+	inc, err := core.NewIncrementalParallelFunc(out, pi, opt.Params, workers, hook)
+	if err != nil {
+		return nil, nil, err
 	}
-	report := &Report{Circuit: out, PowerBefore: inc.Power()}
+	incWorst := inc.Fork()
+	if best, err = commit(inc, picks[0]); err != nil {
+		return nil, nil, err
+	}
+	if worst, err = commit(incWorst, picks[1]); err != nil {
+		return nil, nil, err
+	}
+	return best, worst, nil
+}
+
+// commit is the serial commit loop: it visits inc's gates in topological
+// order, asks choose for each gate's configuration and books every move
+// through SetConfigEvaluated.
+func commit(inc *core.Incremental, choose func(i int) (core.ConfigPower, bool, error)) (*Report, error) {
+	report := &Report{Circuit: inc.Circuit(), PowerBefore: inc.Power()}
 	for i, g := range inc.Order() {
 		cp, moved, err := choose(i)
 		if err != nil {
@@ -59,16 +88,22 @@ type pickScratch struct {
 	analyzer core.ConfigAnalyzer
 }
 
-// powerSearch returns the pure power modes' construction hook and the
-// commit loop's read of its results. The hook evaluates the mode's whole
-// candidate set through the batched core.ConfigAnalyzer and runs the move
-// test, off the serial path; it reads only settled engine state, so
-// construction workers may run it concurrently.
-func powerSearch(n int, opt Options) (func(*core.Incremental, int) error, func(int) (core.ConfigPower, bool, error)) {
-	chosen := make([]core.ConfigPower, n)
-	changed := make([]bool, n)
+// powerSearch returns the pure power modes' construction hook and, per
+// objective in objs, the commit loop's read of its results. The hook
+// evaluates the mode's whole candidate set once through the batched
+// core.ConfigAnalyzer and runs the move test for every objective, off
+// the serial path; it reads only settled engine state, so construction
+// workers may run it concurrently.
+func powerSearch(n int, opt Options, objs ...Objective) (func(*core.Incremental, int) error, []func(int) (core.ConfigPower, bool, error)) {
+	chosen := make([][]core.ConfigPower, len(objs))
+	changed := make([][]bool, len(objs))
+	picks := make([]func(int) (core.ConfigPower, bool, error), len(objs))
+	for k := range objs {
+		chosen[k], changed[k] = make([]core.ConfigPower, n), make([]bool, n)
+		picks[k] = func(i int) (core.ConfigPower, bool, error) { return chosen[k][i], changed[k][i], nil }
+	}
 	scratch := sync.Pool{New: func() interface{} { return &pickScratch{} }}
-	pick := func(inc *core.Incremental, i int) error {
+	hook := func(inc *core.Incremental, i int) error {
 		g := inc.Order()[i]
 		s := scratch.Get().(*pickScratch)
 		defer scratch.Put(s)
@@ -85,15 +120,17 @@ func powerSearch(n int, opt Options) (func(*core.Incremental, int) error, func(i
 		if err != nil {
 			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
 		}
-		best, err := core.Pick(cands, opt.Objective == Maximize)
-		if err != nil {
-			return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
+		for k, obj := range objs {
+			best, err := core.Pick(cands, obj == Maximize)
+			if err != nil {
+				return fmt.Errorf("reorder: instance %s: %w", g.Name, err)
+			}
+			chosen[k][i] = cands[best]
+			changed[k][i] = cands[best].Config != g.Cell
 		}
-		chosen[i] = cands[best]
-		changed[i] = cands[best].Config != g.Cell
 		return nil
 	}
-	return pick, func(i int) (core.ConfigPower, bool, error) { return chosen[i], changed[i], nil }
+	return hook, picks
 }
 
 // delayChooser makes the delay-aware modes' choice in the commit loop,

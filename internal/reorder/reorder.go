@@ -24,6 +24,16 @@
 // wavefront on Options.Workers goroutines. The delay-aware modes
 // condition on the arrival times of upstream choices and choose inside
 // the commit loop. Reports are bit-identical under any worker count.
+//
+// BestAndWorst, Table 3's minimum/maximum pair, shares the traversal's
+// work wherever the objective cannot change what the search reads. In
+// the pure power modes one engine construction evaluates each gate's
+// candidate set once and picks for both objectives; each objective's
+// moves then commit on its own fork of that engine
+// (core.Incremental.Fork). DelayRule ignores the objective, so its worst
+// report is the best one over a cloned circuit. DelayNeutral's choices
+// follow the arrivals of upstream choices, so it runs one traversal per
+// objective. Both reports equal two Optimize calls bit for bit.
 package reorder
 
 import (
@@ -136,26 +146,34 @@ func (r *Report) Reduction() float64 {
 // each gate depends on the arrival times produced by upstream choices.
 // The result is bit-identical for any worker count.
 func Optimize(c *circuit.Circuit, pi map[string]stoch.Signal, opt Options) (*Report, error) {
-	if err := opt.Params.Validate(); err != nil {
+	workers, err := check(c, opt)
+	if err != nil {
 		return nil, err
 	}
+	return optimize(c.Clone(), pi, opt, workers)
+}
+
+// check validates an optimization request and resolves its worker count.
+func check(c *circuit.Circuit, opt Options) (workers int, err error) {
+	if err := opt.Params.Validate(); err != nil {
+		return 0, err
+	}
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	switch opt.Mode {
 	case Full, InputOnly:
 	case DelayRule, DelayNeutral:
 		if err := opt.Delay.Validate(); err != nil {
-			return nil, err
+			return 0, err
 		}
 	default:
-		return nil, fmt.Errorf("reorder: unknown mode %v", opt.Mode)
+		return 0, fmt.Errorf("reorder: unknown mode %v", opt.Mode)
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opt.Workers > 0 {
+		return opt.Workers, nil
 	}
-	return optimize(c.Clone(), pi, opt, workers)
+	return runtime.GOMAXPROCS(0), nil
 }
 
 // currentInstance returns the orbit of configurations containing g's
@@ -174,19 +192,47 @@ func currentInstance(g *gate.Gate) []*gate.Gate {
 	panic(fmt.Sprintf("reorder: configuration %v missing from its own instance partition", g))
 }
 
-// BestAndWorst runs the optimizer in both directions — the pair of
-// netlists the paper feeds to the switch-level simulator for Table 3.
+// BestAndWorst returns the minimum- and maximum-power reorderings of c
+// (opt.Objective is ignored) — the pair of netlists the paper feeds to
+// the switch-level simulator for Table 3. Both reports are bit-identical
+// to two Optimize calls, one per objective, and share no instance, but
+// the work is shared where the objective cannot change what the search
+// reads:
+//
+//   - Full and InputOnly: every gate's candidate powers depend only on
+//     the original statistics (Sec. 4.2), so one engine construction
+//     evaluates each candidate set once and picks for both objectives;
+//     each objective's choices then commit on their own fork of that
+//     engine.
+//   - DelayRule: the choice ignores power, so the worst report is the
+//     best one over a clone of its circuit.
+//   - DelayNeutral: each choice depends on the arrivals of upstream
+//     choices, which differ between the objectives, so it runs two
+//     passes.
 func BestAndWorst(c *circuit.Circuit, pi map[string]stoch.Signal, opt Options) (best, worst *Report, err error) {
-	optBest := opt
-	optBest.Objective = Minimize
-	best, err = Optimize(c, pi, optBest)
+	workers, err := check(c, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	optWorst := opt
-	optWorst.Objective = Maximize
-	worst, err = Optimize(c, pi, optWorst)
-	if err != nil {
+	switch opt.Mode {
+	case Full, InputOnly:
+		return bestAndWorstPower(c.Clone(), pi, opt, workers)
+	case DelayRule:
+		opt.Objective = Minimize
+		best, err = optimize(c.Clone(), pi, opt, workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		w := *best
+		w.Circuit = best.Circuit.Clone()
+		return best, &w, nil
+	}
+	opt.Objective = Minimize
+	if best, err = optimize(c.Clone(), pi, opt, workers); err != nil {
+		return nil, nil, err
+	}
+	opt.Objective = Maximize
+	if worst, err = optimize(c.Clone(), pi, opt, workers); err != nil {
 		return nil, nil, err
 	}
 	return best, worst, nil

@@ -25,8 +25,9 @@ import (
 //     where the auto tick is the unit delay itself; within half a tick in
 //     ElmoreDelay mode — see Params.Tick for the documented bound), and
 //     scheduled output updates live in a word-level timing wheel: a ring
-//     of maxDelay+1 slots, each holding (gate, lane-mask) entries, plus a
-//     min-heap of active ticks so empty grid ranges are skipped.
+//     of at least maxDelay+1 slots (rounded up to a power of two, so a
+//     tick's slot is a mask), each holding (gate, lane-mask) entries, plus
+//     a min-heap of active ticks so empty grid ranges are skipped.
 //   - Per tick the engine runs one instant-atomic delta cycle: input
 //     toggles apply first, then the affected cone is swept once in
 //     topological order — re-evaluating a gate's word ops where any
@@ -312,7 +313,9 @@ func newTimedScratch(tp *TimedProgram, words int) *timedScratch {
 		dirty:  make([]uint64, len(tp.tg)*words),
 		fire:   make([]uint64, len(tp.tg)*words),
 		counts: make([]int64, len(tp.meters)),
-		wheel:  make([]fireSlot, tp.maxDelay+1),
+		// A power-of-two ring spanning every pending delay: exec indexes
+		// it with a mask instead of a 64-bit division.
+		wheel:  make([]fireSlot, 1<<bits.Len64(uint64(tp.maxDelay))),
 		marked: make([]uint64, markedWords),
 		agenda: make([]uint64, (markedWords+63)/64),
 	}
@@ -449,7 +452,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 	// single-word work inside one L1-resident window with unit-stride
 	// addressing.
 	R := tp.numRegs
-	wheelLen := int64(len(sc.wheel))
+	wheelMask := int64(len(sc.wheel) - 1)
 
 	// t=0 settle: load initial inputs and evaluate every gate once in
 	// topological order, committing nets, computed outputs and internal
@@ -496,7 +499,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 		// words.
 		for len(sc.tickHeap) > 0 && sc.tickHeap[0] == t {
 			_, sc.tickHeap = heapPop(sc.tickHeap)
-			slot := &sc.wheel[t%wheelLen]
+			slot := &sc.wheel[t&wheelMask]
 			if slot.tick != t {
 				continue
 			}
@@ -583,7 +586,7 @@ func (tp *TimedProgram) exec(stim *stoch.TimedStimulus, lm *laneMeter) (*timedSc
 							plane[gt.prevY] = y
 							if sched != 0 {
 								T := t + gt.delay
-								slot := &sc.wheel[T%wheelLen]
+								slot := &sc.wheel[T&wheelMask]
 								if slot.tick != T {
 									slot.tick = T
 									slot.entries = slot.entries[:0]

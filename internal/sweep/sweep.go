@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/delay"
 	"repro/internal/expt"
 	"repro/internal/faults"
 	"repro/internal/library"
@@ -417,6 +418,7 @@ func Run(ctx context.Context, opt Options) (*Summary, error) {
 	if cc == nil {
 		cc = NewCircuitCache(0)
 	}
+	dm := cache.New[delayKey, float64](0)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -425,7 +427,7 @@ func Run(ctx context.Context, opt Options) (*Summary, error) {
 				if ctx.Err() != nil {
 					continue // drain without working; Run reports the cause
 				}
-				res, att, kind := runJobRetry(ctx, jobs[i], keys[i], cc, opt)
+				res, att, kind := runJobRetry(ctx, jobs[i], keys[i], cc, dm, opt)
 				results[i], attempts[i], kinds[i] = res, att, kind
 				if opt.Store != nil && res.Err == "" {
 					persist(keys[i], res)
@@ -497,12 +499,14 @@ func Summarize(results []Result) *Summary {
 // jitter. It returns the final result (Err/FailKind set on failure) and
 // the number of attempts executed. Distributed workers
 // (internal/dist) call this so a leased job computes byte-identically
-// to the same job in a local sweep.
+// to the same job in a local sweep. Outside a Run there is no per-run
+// memo of the unchanged circuit's delay, so every call computes it
+// directly — the same value a Run's memo holds.
 func ExecuteJob(ctx context.Context, job Job, key string, cc *CircuitCache, opt Options) (Result, int) {
 	if opt.Expt.Lib == nil {
 		opt.Expt.Lib = library.Default()
 	}
-	res, attempts, _ := runJobRetry(ctx, job, key, cc, opt)
+	res, attempts, _ := runJobRetry(ctx, job, key, cc, nil, opt)
 	return res, attempts
 }
 
@@ -511,13 +515,13 @@ func ExecuteJob(ctx context.Context, job Job, key string, cc *CircuitCache, opt 
 // exponential backoff with seeded jitter between them. It returns the
 // final result (Err/FailKind set on failure), the number of attempts
 // executed, and the failure kind ("" on success).
-func runJobRetry(ctx context.Context, job Job, key string, cc *CircuitCache, opt Options) (Result, int, string) {
+func runJobRetry(ctx context.Context, job Job, key string, cc *CircuitCache, dm *delayMemo, opt Options) (Result, int, string) {
 	maxAttempts := opt.Retries + 1
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
 	for attempt := 1; ; attempt++ {
-		res, err, kind := runJobAttempt(job, key, attempt, cc, opt)
+		res, err, kind := runJobAttempt(job, key, attempt, cc, dm, opt)
 		if err == nil {
 			return res, attempt, ""
 		}
@@ -549,7 +553,7 @@ func sleepBackoff(ctx context.Context, base time.Duration, key string, attempt i
 // — injected or real — is isolated into an error instead of unwinding
 // the worker. On failure the returned Result still carries the job
 // coordinates and elapsed time; the caller fills Err/FailKind.
-func runJobAttempt(job Job, key string, attempt int, cc *CircuitCache, opt Options) (res Result, err error, kind string) {
+func runJobAttempt(job Job, key string, attempt int, cc *CircuitCache, dm *delayMemo, opt Options) (res Result, err error, kind string) {
 	start := time.Now()
 	finish := func() {
 		res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
@@ -572,7 +576,7 @@ func runJobAttempt(job Job, key string, attempt int, cc *CircuitCache, opt Optio
 		finish()
 		return res, err, "error"
 	}
-	err = computeJob(job, cc, opt, &res)
+	err = computeJob(job, cc, dm, opt, &res)
 	finish()
 	if err != nil {
 		return res, err, "error"
@@ -626,12 +630,41 @@ func loadCircuit(cc *CircuitCache, name string, lib *library.Library) (*circuit.
 	})
 }
 
+// delayKey identifies the critical-path delay of one loaded, unmodified
+// benchmark circuit (by CircuitKey) under one set of delay parameters.
+type delayKey struct {
+	circuit string
+	prm     delay.Params
+}
+
+// delayMemo holds, for one Run, the unchanged circuits' critical-path
+// delays: every job of a benchmark compares its reordering against the
+// same loaded circuit, so its delay is computed once (singleflight, as
+// the circuit cache loads) instead of once per job.
+type delayMemo = cache.LRU[delayKey, float64]
+
+// unchangedDelay returns the critical-path delay of c, the loaded
+// benchmark circuit behind key, through dm when there is one.
+func unchangedDelay(dm *delayMemo, key string, c *circuit.Circuit, prm delay.Params) (float64, error) {
+	compute := func() (float64, error) {
+		d, err := delay.CircuitDelay(c, prm)
+		if err != nil {
+			return 0, err
+		}
+		return d.Delay, nil
+	}
+	if dm == nil {
+		return compute()
+	}
+	return dm.Get(delayKey{key, prm}, compute)
+}
+
 // computeJob measures one cell of the cross product into res: best- and
 // worst-power reorderings under the job's mode, the model reduction
 // between them, optionally the switch-level-simulated reduction under
 // identical stimulus, and the delay increase of the power-optimal
-// circuit.
-func computeJob(job Job, cc *CircuitCache, opt Options, res *Result) error {
+// circuit. dm, if non-nil, memoizes the unchanged circuit's delay.
+func computeJob(job Job, cc *CircuitCache, dm *delayMemo, opt Options, res *Result) error {
 	c, err := loadCircuit(cc, job.Benchmark, opt.Expt.Lib)
 	if err != nil {
 		return err
@@ -667,7 +700,11 @@ func computeJob(job Job, cc *CircuitCache, opt Options, res *Result) error {
 			return err
 		}
 	}
-	res.DelayInc, err = expt.DelayIncrease(c, best.Circuit, eo.Delay)
+	d0, err := unchangedDelay(dm, CircuitKey(job.Benchmark), c, eo.Delay)
+	if err != nil {
+		return err
+	}
+	res.DelayInc, err = expt.DelayIncreaseFrom(d0, best.Circuit, eo.Delay)
 	return err
 }
 

@@ -280,3 +280,56 @@ func TestSharedCacheEquivalence(t *testing.T) {
 		t.Fatalf("aggregates diverge: %+v vs %+v", again.Aggregates, private.Aggregates)
 	}
 }
+
+// TestSweepDelayMemo holds Run, which computes each unchanged circuit's
+// delay once per run, to per-job ExecuteJob calls, which compute it in
+// every job: over every mode and both scenarios the JSONL rows must
+// match byte for byte once the wall-clock field is dropped.
+func TestSweepDelayMemo(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Benchmarks = []string{"c17", "rca8", "cm138a"}
+	opt.Modes = []reorder.Mode{reorder.Full, reorder.InputOnly, reorder.DelayRule, reorder.DelayNeutral}
+	opt.Seeds = []int64{1, 2}
+	opt.Simulate = false
+	opt.Workers = 3
+	var stream bytes.Buffer
+	opt.Stream = &stream
+	if _, err := Run(context.Background(), opt); err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]string{}
+	sc := bufio.NewScanner(&stream)
+	for sc.Scan() {
+		var r Result
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		r.ElapsedMS = 0
+		line, _ := json.Marshal(r)
+		got[r.Index] = string(line)
+	}
+	opt.Stream = nil
+	jobs := Jobs(opt)
+	if len(got) != len(jobs) {
+		t.Fatalf("run streamed %d rows, want %d", len(got), len(jobs))
+	}
+	cc := NewCircuitCache(0)
+	moved := 0
+	for _, j := range jobs {
+		r, _ := ExecuteJob(context.Background(), j, j.StoreKey(opt), cc, opt)
+		if r.Err != "" {
+			t.Fatalf("job %d: %s", j.Index, r.Err)
+		}
+		if r.DelayInc != 0 {
+			moved++
+		}
+		r.ElapsedMS = 0
+		line, _ := json.Marshal(r)
+		if string(line) != got[j.Index] {
+			t.Fatalf("job %d:\nRun:        %s\nExecuteJob: %s", j.Index, got[j.Index], line)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("every job's delay increase is 0: the comparison shows nothing")
+	}
+}
