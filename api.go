@@ -247,9 +247,7 @@ func SimulateVectors(c *Circuit, pi map[string]Signal, horizon float64, vectors 
 		return nil, err
 	}
 	rng := newRand(seed)
-	return sim.RunVectors(p, func() (map[string]*stoch.Waveform, error) {
-		return sim.GenerateWaveforms(c.Inputs, pi, horizon, rng)
-	}, vectors, vectors, horizon)
+	return sim.RunVectors(p, sim.ExponentialDrawer(c.Inputs, pi, horizon, rng), vectors, vectors, horizon)
 }
 
 // CompileSimulation lowers the circuit into the zero-delay bit-parallel

@@ -279,9 +279,7 @@ func BenchmarkSimDelayModes(b *testing.B) {
 				prm := sim.DefaultParams()
 				prm.Mode = m.mode
 				var err error
-				red, err = sim.ReductionVectors(best.Circuit, worst.Circuit, func() (map[string]*stoch.Waveform, error) {
-					return sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
-				}, 1, 1, horizon, prm)
+				red, err = sim.ReductionVectors(best.Circuit, worst.Circuit, sim.ExponentialDrawer(c.Inputs, stats, horizon, rng), 1, 1, horizon, prm)
 				if err != nil {
 					b.Fatal(err)
 				}

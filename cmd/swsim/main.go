@@ -116,9 +116,7 @@ func run(in, statsFile, scenario string, horizon float64, seed int64, delayMode 
 		if err != nil {
 			return err
 		}
-		br, err := sim.RunVectors(prog, func() (map[string]*stoch.Waveform, error) {
-			return sim.GenerateWaveforms(c.Inputs, pi, horizon, rng)
-		}, vectors, lanes, horizon)
+		br, err := sim.RunVectors(prog, sim.ExponentialDrawer(c.Inputs, pi, horizon, rng), vectors, lanes, horizon)
 		if err != nil {
 			return err
 		}

@@ -279,13 +279,13 @@ func scenarioHorizon(sc Scenario, opt Options) float64 {
 	return opt.HorizonA
 }
 
-// generateScenarioWaveforms draws one stimulus realization appropriate to
-// the scenario from the rng.
-func generateScenarioWaveforms(inputs []string, sigs map[string]stoch.Signal, sc Scenario, opt Options, rng *rand.Rand) (map[string]*stoch.Waveform, error) {
+// scenarioDrawer returns the drawer of stimulus realizations appropriate
+// to the scenario, drawing from the rng.
+func scenarioDrawer(inputs []string, sigs map[string]stoch.Signal, sc Scenario, opt Options, rng *rand.Rand) sim.Drawer {
 	if sc == ScenarioB {
-		return sim.GenerateClockedWaveforms(inputs, sigs, opt.CyclesB, opt.PeriodB, rng)
+		return sim.ClockedDrawer(inputs, sigs, opt.CyclesB, opt.PeriodB, rng)
 	}
-	return sim.GenerateWaveforms(inputs, sigs, opt.HorizonA, rng)
+	return sim.ExponentialDrawer(inputs, sigs, opt.HorizonA, rng)
 }
 
 // SimReduction measures the switch-level-simulated best-vs-worst power
@@ -310,10 +310,8 @@ func SimReduction(c, best, worst *circuit.Circuit, pi map[string]stoch.Signal, s
 	if vectors == 0 {
 		vectors = lanes
 	}
-	gen := func() (map[string]*stoch.Waveform, error) {
-		return generateScenarioWaveforms(c.Inputs, sigs, sc, opt, rng)
-	}
-	return sim.ReductionVectors(best, worst, gen, vectors, lanes, horizon, opt.Sim)
+	draw := scenarioDrawer(c.Inputs, sigs, sc, opt, rng)
+	return sim.ReductionVectors(best, worst, draw, vectors, lanes, horizon, opt.Sim)
 }
 
 // DelayIncrease returns the relative critical-path change from before to

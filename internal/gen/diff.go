@@ -664,11 +664,9 @@ func checkPair(best, worst *circuit.Circuit, p Profile, seed int64, opts CheckOp
 	if err != nil {
 		return fail("optimize/pair/worst", err.Error())
 	}
-	next := 0
-	red, err := sim.ReductionVectors(best, worst, func() (map[string]*stoch.Waveform, error) {
-		next++
-		return laneWaves[next-1], nil
-	}, vectors, vectors, horizon, prm)
+	// The same seed redraws laneWaves through the scenario-A drawer.
+	draw := sim.ExponentialDrawer(best.Inputs, pi, horizon, rngFor(seed, p.Name, "pair"))
+	red, err := sim.ReductionVectors(best, worst, draw, vectors, vectors, horizon, prm)
 	if err != nil {
 		return fail("optimize/pair", err.Error())
 	}

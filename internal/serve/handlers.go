@@ -307,9 +307,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(req.Seed))
-		total, err := sim.RunVectors(prog, func() (map[string]*stoch.Waveform, error) {
-			return sim.GenerateWaveforms(c.Inputs, pi, req.Horizon, rng)
-		}, req.Vectors, req.Lanes, req.Horizon)
+		total, err := sim.RunVectors(prog, sim.ExponentialDrawer(c.Inputs, pi, req.Horizon, rng), req.Vectors, req.Lanes, req.Horizon)
 		if err != nil {
 			return nil, err
 		}

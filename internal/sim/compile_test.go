@@ -147,9 +147,7 @@ func TestMeasureReductionPackedMotivationGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(17))
-		res, err := RunVectors(p, func() (map[string]*stoch.Waveform, error) {
-			return GenerateWaveforms([]string{"a1", "a2", "b"}, stats, horizon, rng)
-		}, 64, 64, horizon)
+		res, err := RunVectors(p, ExponentialDrawer([]string{"a1", "a2", "b"}, stats, horizon, rng), 64, 64, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

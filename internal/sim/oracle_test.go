@@ -286,11 +286,9 @@ func TestReductionVectorsSharedTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	reduction := func(lanes int, prm sim.Params) float64 {
-		next := 0
-		red, err := sim.ReductionVectors(best, worst, func() (map[string]*stoch.Waveform, error) {
-			next++
-			return laneWaves[next-1], nil
-		}, len(laneWaves), lanes, horizon, prm)
+		// The same seed redraws laneWaves through the scenario-A drawer.
+		draw := sim.ExponentialDrawer(best.Inputs, stats, horizon, rand.New(rand.NewSource(31)))
+		red, err := sim.ReductionVectors(best, worst, draw, len(laneWaves), lanes, horizon, prm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,16 +355,23 @@ func TestReductionPairMatchesTwoPrograms(t *testing.T) {
 			statsA[in] = stoch.Signal{P: 0.2 + 0.6*float64(i%3)/2, D: 1e5 + 1e5*float64(i%4)}
 			statsB[in] = stoch.Signal{P: 0.5, D: 0.5} // per clock cycle
 		}
+		// Each scenario draws the same stimulus two ways: as waveform maps
+		// for the two programs and through its drawer for ReductionVectors.
 		scenarios := []struct {
 			name    string
 			horizon float64
 			draw    func(rng *rand.Rand) (map[string]*stoch.Waveform, error)
+			drawer  func(rng *rand.Rand) sim.Drawer
 		}{
 			{"A", horizonA, func(rng *rand.Rand) (map[string]*stoch.Waveform, error) {
 				return sim.GenerateWaveforms(c.Inputs, statsA, horizonA, rng)
+			}, func(rng *rand.Rand) sim.Drawer {
+				return sim.ExponentialDrawer(c.Inputs, statsA, horizonA, rng)
 			}},
 			{"B", cyclesB * periodB, func(rng *rand.Rand) (map[string]*stoch.Waveform, error) {
 				return sim.GenerateClockedWaveforms(c.Inputs, statsB, cyclesB, periodB, rng)
+			}, func(rng *rand.Rand) sim.Drawer {
+				return sim.ClockedDrawer(c.Inputs, statsB, cyclesB, periodB, rng)
 			}},
 		}
 		for _, mode := range []reorder.Mode{reorder.Full, reorder.InputOnly, reorder.DelayRule, reorder.DelayNeutral} {
@@ -387,7 +392,7 @@ func TestReductionPairMatchesTwoPrograms(t *testing.T) {
 				}
 				for _, sc := range scenarios {
 					label := fmt.Sprintf("%s/%s/%s/%s", name, mode, dm, sc.name)
-					checkPairMatchesTwoPrograms(t, label, best.Circuit, worst.Circuit, sc.draw, vectors, sc.horizon, prm)
+					checkPairMatchesTwoPrograms(t, label, best.Circuit, worst.Circuit, sc.draw, sc.drawer, vectors, sc.horizon, prm)
 				}
 			}
 		}
@@ -395,7 +400,8 @@ func TestReductionPairMatchesTwoPrograms(t *testing.T) {
 }
 
 func checkPairMatchesTwoPrograms(t *testing.T, label string, best, worst *circuit.Circuit,
-	draw func(*rand.Rand) (map[string]*stoch.Waveform, error), vectors int, horizon float64, prm sim.Params) {
+	draw func(*rand.Rand) (map[string]*stoch.Waveform, error), drawer func(*rand.Rand) sim.Drawer,
+	vectors int, horizon float64, prm sim.Params) {
 	t.Helper()
 	pair, _, _, err := sim.CompileTimedPair(best, worst, prm)
 	if err != nil {
@@ -454,11 +460,7 @@ func checkPairMatchesTwoPrograms(t *testing.T, label string, best, worst *circui
 		if ew == 0 {
 			t.Fatalf("%s: worst circuit dissipates nothing; the check is vacuous", label)
 		}
-		next := 0
-		red, err := sim.ReductionVectors(best, worst, func() (map[string]*stoch.Waveform, error) {
-			next++
-			return laneWaves[next-1], nil
-		}, vectors, lanes, horizon, prm)
+		red, err := sim.ReductionVectors(best, worst, drawer(rand.New(rand.NewSource(11))), vectors, lanes, horizon, prm)
 		if err != nil {
 			t.Fatal(err)
 		}

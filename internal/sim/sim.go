@@ -31,7 +31,8 @@
 //
 // CompileFor picks the backend for a delay mode, and RunVectors measures
 // any Monte Carlo vector budget on it in register blocks of a chosen lane
-// width (vectors.go); ReductionVectors is the best/worst pair form. A
+// width, each drawn by a Drawer into a pooled stoch.WaveBuffer and packed
+// in place (vectors.go); ReductionVectors is the best/worst pair form. A
 // timed best/worst pair whose gates have the same quantized delays in
 // both orderings (always under unit delay) compiles into one timed
 // program, which runs the timing wheel and every gate output once and
@@ -386,31 +387,30 @@ func runSingle(c *circuit.Circuit, waves map[string]*stoch.Waveform, horizon flo
 // reproduces the exact stimulus — pass the same waveforms to the best and
 // worst circuits for a fair comparison.
 func GenerateWaveforms(inputs []string, stats map[string]stoch.Signal, horizon float64, rng *rand.Rand) (map[string]*stoch.Waveform, error) {
-	return generateWaveforms(inputs, stats, func(sig stoch.Signal) (*stoch.Waveform, error) {
-		return sig.Exponential(horizon, rng)
-	})
+	return drawWaveforms(inputs, ExponentialDrawer(inputs, stats, horizon, rng))
 }
 
 // GenerateClockedWaveforms draws per-input waveforms sampled at a fixed
 // clock (scenario B: latched inputs, statistics in transitions/cycle).
 func GenerateClockedWaveforms(inputs []string, stats map[string]stoch.Signal, cycles int, period float64, rng *rand.Rand) (map[string]*stoch.Waveform, error) {
-	return generateWaveforms(inputs, stats, func(sig stoch.Signal) (*stoch.Waveform, error) {
-		return sig.Clocked(cycles, period, rng)
-	})
+	return drawWaveforms(inputs, ClockedDrawer(inputs, stats, cycles, period, rng))
 }
 
-// generateWaveforms draws one waveform per input, in input order, from
-// that input's statistics.
-func generateWaveforms(inputs []string, stats map[string]stoch.Signal, draw func(stoch.Signal) (*stoch.Waveform, error)) (map[string]*stoch.Waveform, error) {
+// drawWaveforms draws one vector and returns it by input name. A
+// waveform without events has nil Events, as Signal.Exponential and
+// Signal.Clocked return it.
+func drawWaveforms(inputs []string, draw Drawer) (map[string]*stoch.Waveform, error) {
+	var b stoch.WaveBuffer
+	b.Reset(len(inputs))
+	if err := draw(&b); err != nil {
+		return nil, err
+	}
 	waves := make(map[string]*stoch.Waveform, len(inputs))
-	for _, in := range inputs {
-		sig, ok := stats[in]
-		if !ok {
-			return nil, fmt.Errorf("sim: no statistics for input %q", in)
-		}
-		w, err := draw(sig)
-		if err != nil {
-			return nil, fmt.Errorf("sim: input %q: %w", in, err)
+	for i, in := range inputs {
+		w := &stoch.Waveform{}
+		w.Initial, w.Events = b.Wave(0, i)
+		if len(w.Events) == 0 {
+			w.Events = nil
 		}
 		waves[in] = w
 	}

@@ -2,8 +2,13 @@ package sim_test
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/library"
 	"repro/internal/mcnc"
 	"repro/internal/reorder"
@@ -42,11 +47,8 @@ func TestChunkWidthInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		// gen restarts the seeded stimulus stream for each measurement.
-		gen := func() func() (map[string]*stoch.Waveform, error) {
-			rng := rand.New(rand.NewSource(seed))
-			return func() (map[string]*stoch.Waveform, error) {
-				return sim.GenerateWaveforms(c.Inputs, stats, horizon, rng)
-			}
+		gen := func() sim.Drawer {
+			return sim.ExponentialDrawer(c.Inputs, stats, horizon, rand.New(rand.NewSource(seed)))
 		}
 		for _, m := range modes {
 			t.Run(name+"/"+m.name, func(t *testing.T) {
@@ -91,6 +93,179 @@ func TestChunkWidthInvariance(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestDrawersMatchGenerators pins the drawers' rng order. From one seed,
+// three streams must agree vector for vector: the drawers filling a
+// multi-lane buffer (reset for a second block), GenerateWaveforms and
+// GenerateClockedWaveforms, and the reference order — one
+// Signal.Exponential or Signal.Clocked call per input, in input order,
+// which is how every recorded golden drew its stimulus. The statistics
+// include a constant input and a pinned one.
+func TestDrawersMatchGenerators(t *testing.T) {
+	inputs := []string{"a", "b", "c", "d", "e"}
+	statsA := map[string]stoch.Signal{
+		"a": {P: 0.5, D: 1e6}, "b": {P: 0.2, D: 3e5}, "c": {P: 0.5, D: 0},
+		"d": {P: 1, D: 1e5}, "e": {P: 0.9, D: 2e6},
+	}
+	statsB := map[string]stoch.Signal{
+		"a": {P: 0.5, D: 0.5}, "b": {P: 0.3, D: 0.4}, "c": {P: 0.5, D: 0},
+		"d": {P: 0.7, D: 0.2}, "e": {P: 0.5, D: 1},
+	}
+	const (
+		horizon = 2e-5
+		cycles  = 50
+		period  = 1e-7
+		vectors = 6
+	)
+	scenarios := []struct {
+		name   string
+		drawer func(*rand.Rand) sim.Drawer
+		gen    func(*rand.Rand) (map[string]*stoch.Waveform, error)
+		ref    func(string, *rand.Rand) (*stoch.Waveform, error)
+	}{
+		{"A", func(rng *rand.Rand) sim.Drawer { return sim.ExponentialDrawer(inputs, statsA, horizon, rng) },
+			func(rng *rand.Rand) (map[string]*stoch.Waveform, error) {
+				return sim.GenerateWaveforms(inputs, statsA, horizon, rng)
+			},
+			func(in string, rng *rand.Rand) (*stoch.Waveform, error) { return statsA[in].Exponential(horizon, rng) }},
+		{"B", func(rng *rand.Rand) sim.Drawer { return sim.ClockedDrawer(inputs, statsB, cycles, period, rng) },
+			func(rng *rand.Rand) (map[string]*stoch.Waveform, error) {
+				return sim.GenerateClockedWaveforms(inputs, statsB, cycles, period, rng)
+			},
+			func(in string, rng *rand.Rand) (*stoch.Waveform, error) {
+				return statsB[in].Clocked(cycles, period, rng)
+			}},
+	}
+	var b stoch.WaveBuffer
+	for _, sc := range scenarios {
+		for _, seed := range []int64{1, 2, 3} {
+			draw := sc.drawer(rand.New(rand.NewSource(seed)))
+			genRng, refRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for block := 0; block < 2; block++ {
+				b.Reset(len(inputs))
+				for range vectors {
+					if err := draw(&b); err != nil {
+						t.Fatal(err)
+					}
+					if err := b.EndLane(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for l := range vectors {
+					gen, err := sc.gen(genRng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, in := range inputs {
+						want, err := sc.ref(in, refRng)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(gen[in], want) {
+							t.Fatalf("scenario %s seed %d vector %d input %s: generator %+v, reference %+v",
+								sc.name, seed, block*vectors+l, in, gen[in], want)
+						}
+						initial, events := b.Wave(l, i)
+						if initial != want.Initial || !slices.Equal(events, want.Events) {
+							t.Fatalf("scenario %s seed %d block %d lane %d input %s: drawer %v %v, reference %+v",
+								sc.name, seed, block, l, in, initial, events, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	// A missing input fails the draw the way the generators fail.
+	draw := sim.ExponentialDrawer([]string{"a", "zz"}, statsA, horizon, rand.New(rand.NewSource(1)))
+	if err := draw(&b); err == nil || !strings.Contains(err.Error(), `no statistics for input "zz"`) {
+		t.Errorf("drawer without statistics for an input: %v", err)
+	}
+}
+
+// TestWaveBufferPoolConcurrent runs ReductionVectors concurrently on
+// different circuits, at 64, 256 and 512 lanes, in zero and unit delay
+// and under both scenarios' drawers, all drawing into the one package-level
+// wave buffer pool and packing through the packers' pooled scratch. Every
+// result must equal the same call made serially, bit for bit: a pooled
+// buffer shared between two live blocks would mix their stimuli.
+func TestWaveBufferPoolConcurrent(t *testing.T) {
+	const (
+		vectors = 600 // a partial last block at every width
+		horizon = 2e-5
+		cycles  = 40
+		period  = 1e-7
+	)
+	type job struct {
+		best, worst *circuit.Circuit
+		drawer      func() sim.Drawer
+		lanes       int
+		horizon     float64
+		prm         sim.Params
+	}
+	var jobs []job
+	lib := library.Default()
+	for ci, name := range []string{"c17", "rca8", "cm138a"} {
+		c, err := mcnc.Load(name, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		statsA := make(map[string]stoch.Signal, len(c.Inputs))
+		statsB := make(map[string]stoch.Signal, len(c.Inputs))
+		for _, in := range c.Inputs {
+			statsA[in] = stoch.Signal{P: 0.5, D: 3e5}
+			statsB[in] = stoch.Signal{P: 0.5, D: 0.5}
+		}
+		best, worst, err := reorder.BestAndWorst(c, statsA, reorder.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := int64(ci)
+		for _, lanes := range []int{64, 256, 512} {
+			for _, mode := range []sim.DelayMode{sim.ZeroDelay, sim.UnitDelay} {
+				prm := sim.DefaultParams()
+				prm.Mode = mode
+				jobs = append(jobs,
+					job{best.Circuit, worst.Circuit, func() sim.Drawer {
+						return sim.ExponentialDrawer(c.Inputs, statsA, horizon, rand.New(rand.NewSource(seed)))
+					}, lanes, horizon, prm},
+					job{best.Circuit, worst.Circuit, func() sim.Drawer {
+						return sim.ClockedDrawer(c.Inputs, statsB, cycles, period, rand.New(rand.NewSource(seed)))
+					}, lanes, cycles * period, prm})
+			}
+		}
+	}
+	run := func(j job) (float64, error) {
+		return sim.ReductionVectors(j.best, j.worst, j.drawer(), vectors, j.lanes, j.horizon, j.prm)
+	}
+	want := make([]float64, len(jobs))
+	for k, j := range jobs {
+		var err error
+		if want[k], err = run(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 2
+	got := make([]float64, rounds*len(jobs))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k], errs[k] = run(jobs[k%len(jobs)])
+		}()
+	}
+	wg.Wait()
+	for k, g := range got {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		if w := want[k%len(jobs)]; g != w {
+			j := jobs[k%len(jobs)]
+			t.Errorf("job %d (%s, %d lanes, mode %v): concurrent %v, serial %v", k%len(jobs), j.best.Name, j.lanes, j.prm.Mode, g, w)
 		}
 	}
 }

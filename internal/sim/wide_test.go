@@ -343,6 +343,70 @@ func TestRunEnergyZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBlockLoopZeroAlloc pins ReductionVectors' steady state: once a few
+// blocks have grown the wave buffer, the packers' pooled scratch and the
+// engine's, drawing one more block, packing it and running it on the
+// fused unit-delay pair (the body of ReductionVectors' block loop)
+// allocates nothing, at 64 and 512 lanes, under both scenarios' drawers.
+func TestBlockLoopZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	c, err := mcnc.Load("rca8", library.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		horizonA = 5e-5
+		cyclesB  = 20
+		periodB  = 1e-7
+	)
+	statsA := make(map[string]stoch.Signal, len(c.Inputs))
+	statsB := make(map[string]stoch.Signal, len(c.Inputs))
+	for _, in := range c.Inputs {
+		statsA[in] = stoch.Signal{P: 0.5, D: 2e5}
+		statsB[in] = stoch.Signal{P: 0.5, D: 0.5}
+	}
+	best, worst, err := reorder.BestAndWorst(c, statsA, reorder.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	scenarios := []struct {
+		name    string
+		horizon float64
+		draw    Drawer
+	}{
+		{"A", horizonA, ExponentialDrawer(c.Inputs, statsA, horizonA, rng)},
+		{"B", cyclesB * periodB, ClockedDrawer(c.Inputs, statsB, cyclesB, periodB, rng)},
+	}
+	for _, sc := range scenarios {
+		measure, err := pairMeasure(best.Circuit, worst.Circuit, sc.horizon, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lanes := range []int{64, 512} {
+			t.Run(fmt.Sprintf("%s/%d", sc.name, lanes), func(t *testing.T) {
+				var b stoch.WaveBuffer
+				block := func() {
+					if err := drawBlock(&b, sc.draw, len(c.Inputs), lanes); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := measure(&b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for range 3 {
+					block()
+				}
+				if avg := testing.AllocsPerRun(10, block); avg != 0 {
+					t.Fatalf("a warmed block allocates %.1f objects, want 0", avg)
+				}
+			})
+		}
+	}
+}
+
 // assertZeroAlloc warms a measurement path's scratch pool with one call,
 // then fails if further calls allocate.
 func assertZeroAlloc(t *testing.T, run func() (float64, error)) {

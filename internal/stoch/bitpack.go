@@ -3,6 +3,7 @@ package stoch
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // PackedStimulus is a bit-packed Monte Carlo stimulus for the compiled
@@ -42,37 +43,61 @@ func (ps *PackedStimulus) Validate() error {
 
 // PackWaveforms bit-packs per-lane waveform sets into a PackedStimulus:
 // lanes[l] maps every input name to that lane's waveform (the shape
-// GenerateWaveforms in package sim produces). Up to MaxPackLanes lanes
-// pack into a register block of WordsFor(len(lanes)) words. Events beyond
-// the horizon are dropped, events at the same instant within a lane
-// collapse into one step, and events that do not change the input value
-// contribute no step — the packed sequence records exactly the settling
-// instants a zero-delay simulation of the same waveforms would see. A
-// NaN, infinite or negative event time is an error.
+// GenerateWaveforms in package sim produces). It copies the waveforms
+// into a new WaveBuffer in input order and packs that with
+// WaveBuffer.Pack, which documents the packing.
+func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float64) (*PackedStimulus, error) {
+	b, err := waveBufferOf(inputs, lanes)
+	if err != nil {
+		return nil, err
+	}
+	return b.Pack(inputs, horizon)
+}
+
+// Pack bit-packs the buffer's lanes into a PackedStimulus; inputs names
+// the buffer's inputs in order. Up to MaxPackLanes lanes pack into a
+// register block of WordsFor(lanes) words. Events beyond the horizon are
+// dropped, events at the same instant within a lane collapse into one
+// step, and events that do not change the input value contribute no step
+// — the packed sequence records exactly the settling instants a
+// zero-delay simulation of the same waveforms would see. A NaN, infinite
+// or negative event time is an error.
 //
 // Packing runs in time linear in the events and the packed words: each
 // lane's input changes are ordered by the timed packer's stable radix
 // passes, keyed on the bit patterns of their (non-negative) times, never
 // a comparison sort, and each input's runs of equal value are written
-// straight into Bits, with no per-step snapshot.
-func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float64) (*PackedStimulus, error) {
-	b, waves, _, err := newBlock(inputs, lanes, horizon)
-	if err != nil {
+// straight into Bits, with no per-step snapshot. Its working memory comes
+// from a package-level pool, and the returned stimulus is the buffer's
+// own: it stays valid until the buffer next packs a zero-delay stimulus,
+// so a reused buffer packs block after block without allocating.
+func (b *WaveBuffer) Pack(inputs []string, horizon float64) (*PackedStimulus, error) {
+	ps := &b.packed
+	if err := b.header(&ps.Block, inputs, horizon); err != nil {
 		return nil, err
 	}
-	W := b.Words
-	ps := &PackedStimulus{Block: b, Bits: make([][]uint64, len(inputs))}
-	for i := range ps.Bits {
-		ps.Bits[i] = []uint64{}
+	W, n := ps.Words, b.inputs
+	ps.Steps = 0
+	// Rows are emptied, not freed, and never nil, as a fresh pack's are.
+	if ps.Bits == nil || cap(ps.Bits) < n {
+		ps.Bits = make([][]uint64, n)
 	}
-	n := len(inputs)
+	ps.Bits = ps.Bits[:n]
+	for i, row := range ps.Bits {
+		if row == nil {
+			row = []uint64{}
+		}
+		ps.Bits[i] = row[:0]
+	}
+	sc := packPool.Get().(*packScratch)
+	defer packPool.Put(sc)
 	// Each input's bits are written a run at a time: runs[l·n+i] is the
 	// step at which lane l's input i took its current value, val[i]. When
 	// a lane is done, runs holds -1 for inputs that end at 0.
-	runs := make([]int, len(lanes)*n)
-	val := make([]bool, n)
-	var evs, scratch []timedEvent
-	for l := range lanes {
+	runs := zeroed(sc.runs, b.lanes*n)
+	val := slices.Grow(sc.val[:0], n)[:n]
+	evs, scratch := sc.evs, sc.tmp
+	for l := range b.lanes {
 		run := runs[l*n : (l+1)*n]
 		evs = evs[:0]
 		// Waveform events are time-ordered, so each input keeps just the
@@ -80,10 +105,10 @@ func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float6
 		// toggle. Keyed by its bit pattern, with -0 stored as +0, a
 		// non-negative time orders and compares equal like the time, so
 		// the tick sort orders the lane's toggles stably.
-		for i, w := range waves[l*n : (l+1)*n] {
-			v := w.Initial
+		for i := range n {
+			v, events := b.Wave(l, i)
 			val[i] = v
-			for _, e := range w.Events {
+			for _, e := range events {
 				if e.Time > horizon {
 					break
 				}
@@ -98,10 +123,8 @@ func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float6
 				evs = append(evs, timedEvent{tick: key, input: int32(i), lane: int32(l)})
 			}
 		}
-		if cap(scratch) < len(evs) {
-			scratch = make([]timedEvent, cap(evs))
-		}
-		sortByTick(evs, scratch[:len(evs)])
+		scratch = slices.Grow(scratch[:0], len(evs))[:len(evs)]
+		sc.sortByTick(evs, scratch)
 		word, bit := l/MaxLanes, uint64(1)<<uint(l%MaxLanes)
 		// One step per instant: a same-instant pulse toggles an input twice
 		// and ends one run at s and starts the next there, leaving the
@@ -127,8 +150,9 @@ func PackWaveforms(inputs []string, lanes []map[string]*Waveform, horizon float6
 			}
 		}
 	}
+	sc.evs, sc.tmp, sc.runs, sc.val = evs, scratch, runs, val
 	// Every lane holds its final values through the last step.
-	for l := range lanes {
+	for l := range b.lanes {
 		word, bit := l/MaxLanes, uint64(1)<<uint(l%MaxLanes)
 		for i, from := range runs[l*n : (l+1)*n] {
 			if from >= 0 {

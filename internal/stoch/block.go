@@ -1,9 +1,6 @@
 package stoch
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MaxLanes is the number of independent Monte Carlo vector streams one
 // machine word carries: one per bit.
@@ -88,49 +85,4 @@ func (b *Block) Validate() error {
 			len(b.Inputs), W, len(b.Initial))
 	}
 	return nil
-}
-
-// newBlock is both packers' front end. It checks the lane count and the
-// horizon, then looks up every lane's waveform for every input into a
-// header of WordsFor(len(lanes)) words with each lane's initial bits set.
-// It returns the waveforms lane-major, waves[l·len(inputs)+i], with the
-// total event count (an upper bound on the events packed), and rejects a
-// missing waveform or an event time that is NaN, infinite or negative,
-// naming the lane and the input.
-func newBlock(inputs []string, lanes []map[string]*Waveform, horizon float64) (Block, []*Waveform, int, error) {
-	if len(lanes) < 1 || len(lanes) > MaxPackLanes {
-		return Block{}, nil, 0, fmt.Errorf("stoch: %d lanes out of [1,%d]", len(lanes), MaxPackLanes)
-	}
-	if !positiveFinite(horizon) {
-		return Block{}, nil, 0, fmt.Errorf("stoch: packed horizon %v must be positive and finite", horizon)
-	}
-	W := WordsFor(len(lanes))
-	b := Block{
-		Inputs:  append([]string(nil), inputs...),
-		Lanes:   len(lanes),
-		Words:   W,
-		Horizon: horizon,
-		Initial: make([]uint64, len(inputs)*W),
-	}
-	waves := make([]*Waveform, 0, len(lanes)*len(inputs))
-	events := 0
-	for l, lw := range lanes {
-		for i, in := range inputs {
-			w, ok := lw[in]
-			if !ok {
-				return Block{}, nil, 0, fmt.Errorf("stoch: lane %d has no waveform for input %q", l, in)
-			}
-			for _, e := range w.Events {
-				if !(e.Time >= 0) || math.IsInf(e.Time, 1) {
-					return Block{}, nil, 0, fmt.Errorf("stoch: lane %d input %q: event time %v is not finite and non-negative", l, in, e.Time)
-				}
-			}
-			if w.Initial {
-				b.Initial[i*W+l/MaxLanes] |= 1 << uint(l%MaxLanes)
-			}
-			waves = append(waves, w)
-			events += len(w.Events)
-		}
-	}
-	return b, waves, events, nil
 }

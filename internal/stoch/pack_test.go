@@ -54,15 +54,33 @@ func randomBlock(rng *rand.Rand, inputs []string, lanes int, horizon float64) []
 	return block
 }
 
+// fillBuffer appends a block of waveform maps to b lane by lane, in input
+// order, the way a generator draws into it.
+func fillBuffer(b *WaveBuffer, inputs []string, block []map[string]*Waveform) {
+	b.Reset(len(inputs))
+	for _, lw := range block {
+		for _, in := range inputs {
+			b.AppendWaveform(lw[in])
+		}
+		if err := b.EndLane(); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // TestPackMatchesReference holds both packers to the naive references in
 // reference_test.go on seeded random blocks: 1–32 inputs, 1–512 lanes
 // (partial last words included), several tick widths per block (coarse
 // ones collapse same-tick events) and guards from unaligned to wider than
-// the horizon.
+// the horizon. The map adapters are held to the references, and the
+// indexed cores (WaveBuffer.Pack and PackTimed) to the adapters, through
+// one buffer reused across every trial, width and packer, so stale state
+// from an earlier block would show.
 func TestPackMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const horizon = 1e-6
 	laneCounts := []int{1, 63, 64, 65, MaxPackLanes}
+	var buf WaveBuffer
 	for trial := 0; trial < 40; trial++ {
 		inputs := make([]string, 1+rng.Intn(32))
 		for i := range inputs {
@@ -86,6 +104,14 @@ func TestPackMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: PackWaveforms differs from the reference", name)
 		}
+		fillBuffer(&buf, inputs, block)
+		core, err := buf.Pack(inputs, horizon)
+		if err != nil {
+			t.Fatalf("%s: WaveBuffer.Pack: %v", name, err)
+		}
+		if !reflect.DeepEqual(core, got) {
+			t.Fatalf("%s: WaveBuffer.Pack differs from PackWaveforms", name)
+		}
 
 		for _, tick := range []float64{horizon / 20, horizon / 997, horizon / 1e5} {
 			horizonTicks := TicksIn(horizon, tick)
@@ -100,6 +126,13 @@ func TestPackMatchesReference(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s tick %g guard %d: PackTimedWaveforms differs from the reference", name, tick, guard)
+				}
+				core, err := buf.PackTimed(inputs, horizon, tick, guard)
+				if err != nil {
+					t.Fatalf("%s tick %g guard %d: WaveBuffer.PackTimed: %v", name, tick, guard, err)
+				}
+				if !reflect.DeepEqual(core, got) {
+					t.Fatalf("%s tick %g guard %d: WaveBuffer.PackTimed differs from PackTimedWaveforms", name, tick, guard)
 				}
 				if err := got.Validate(); err != nil {
 					t.Fatalf("%s tick %g guard %d: %v", name, tick, guard, err)
@@ -149,13 +182,17 @@ const benchTick, benchGuard = 1e-9, 20
 
 var benchSink any
 
+// BenchmarkPackTimed packs one reused wave buffer, the path the
+// simulation drivers take: after the first pack it allocates nothing.
 func BenchmarkPackTimed(b *testing.B) {
 	for _, scenario := range []string{"A", "B"} {
 		b.Run("scenario"+scenario, func(b *testing.B) {
 			inputs, lanes, horizon := benchBlock(scenario)
+			var buf WaveBuffer
+			fillBuffer(&buf, inputs, lanes)
 			b.ReportAllocs()
 			for b.Loop() {
-				ts, err := PackTimedWaveforms(inputs, lanes, horizon, benchTick, benchGuard)
+				ts, err := buf.PackTimed(inputs, horizon, benchTick, benchGuard)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -165,13 +202,16 @@ func BenchmarkPackTimed(b *testing.B) {
 	}
 }
 
+// BenchmarkPack is BenchmarkPackTimed for the zero-delay packer.
 func BenchmarkPack(b *testing.B) {
 	for _, scenario := range []string{"A", "B"} {
 		b.Run("scenario"+scenario, func(b *testing.B) {
 			inputs, lanes, horizon := benchBlock(scenario)
+			var buf WaveBuffer
+			fillBuffer(&buf, inputs, lanes)
 			b.ReportAllocs()
 			for b.Loop() {
-				ps, err := PackWaveforms(inputs, lanes, horizon)
+				ps, err := buf.Pack(inputs, horizon)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -182,8 +222,9 @@ func BenchmarkPack(b *testing.B) {
 }
 
 // FuzzPackMatchesReference holds both packers to the naive references in
-// reference_test.go on small blocks decoded from the fuzz input, and
-// checks that what they pack passes Validate. The first bytes pick 1–4
+// reference_test.go on small blocks decoded from the fuzz input, holds
+// the indexed cores to the map adapters through one buffer reused across
+// inputs, and checks that what they pack passes Validate. The first bytes pick 1–4
 // inputs, 1–130 lanes (up to three words), a tick of horizon/1..24 and a
 // guard of 0–3 ticks. Then each waveform takes a byte (bit 0: initial
 // value, bits 1–3: event count) and one byte per event: bits 0–2 put the
@@ -195,6 +236,7 @@ func FuzzPackMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 1, 11, 1, 5, 0x11, 0x03, 0x08, 0x12})
 	f.Add([]byte{3, 129, 5, 2, 7, 0x18, 0x00, 0x13, 0x13, 0x02, 0x17, 0x06, 0x15, 0x01, 0x14})
 	f.Add([]byte{0, 63, 0, 0, 15, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00})
+	var buf WaveBuffer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -244,6 +286,14 @@ func FuzzPackMatchesReference(f *testing.F) {
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		fillBuffer(&buf, inputs, lanes)
+		core, err := buf.Pack(inputs, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(core, got) {
+			t.Fatalf("WaveBuffer.Pack differs from PackWaveforms:\n got %+v\nwant %+v", core, got)
+		}
 
 		gotT, err := PackTimedWaveforms(inputs, lanes, horizon, tick, guard)
 		if err != nil {
@@ -258,6 +308,13 @@ func FuzzPackMatchesReference(f *testing.F) {
 		}
 		if err := gotT.Validate(); err != nil {
 			t.Fatal(err)
+		}
+		coreT, err := buf.PackTimed(inputs, horizon, tick, guard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(coreT, gotT) {
+			t.Fatalf("WaveBuffer.PackTimed differs from PackTimedWaveforms:\n got %+v\nwant %+v", coreT, gotT)
 		}
 	})
 }

@@ -146,7 +146,7 @@ func referencePackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, 
 		sort.SliceStable(perLane[l], func(a, b int) bool { return perLane[l][a].tick < perLane[l][b].tick })
 	}
 	if guard > 0 {
-		alignClusters(perLane, guard)
+		new(packScratch).alignClusters(perLane, guard)
 	}
 	var evs []timedEvent
 	for _, le := range perLane {

@@ -130,15 +130,37 @@ func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 // overall transition density remains D. For P = 0.5 this degenerates to a
 // pure toggle process.
 func (s Signal) Exponential(horizon float64, rng *rand.Rand) (*Waveform, error) {
-	if err := s.Validate(); err != nil {
+	initial, events, err := s.exponential(nil, horizon, rng)
+	if err != nil {
 		return nil, err
 	}
-	if horizon != 0 && !positiveFinite(horizon) {
-		return nil, fmt.Errorf("stoch: horizon %v must be zero or a positive, finite duration", horizon)
+	return &Waveform{Initial: initial, Events: events}, nil
+}
+
+// AppendExponential draws Exponential's waveform as the next waveform of
+// b, appending its events to b's event buffer: the same rng calls in the
+// same order, so the same seed gives the same waveform.
+func (s Signal) AppendExponential(b *WaveBuffer, horizon float64, rng *rand.Rand) error {
+	initial, events, err := s.exponential(b.events, horizon, rng)
+	if err != nil {
+		return err
 	}
-	w := &Waveform{Initial: rng.Float64() < s.P}
+	b.push(initial, events)
+	return nil
+}
+
+// exponential is Exponential's draw: it returns the initial value and dst
+// with the waveform's events appended.
+func (s Signal) exponential(dst []Event, horizon float64, rng *rand.Rand) (bool, []Event, error) {
+	if err := s.Validate(); err != nil {
+		return false, nil, err
+	}
+	if horizon != 0 && !positiveFinite(horizon) {
+		return false, nil, fmt.Errorf("stoch: horizon %v must be zero or a positive, finite duration", horizon)
+	}
+	initial := rng.Float64() < s.P
 	if s.D == 0 || horizon == 0 {
-		return w, nil
+		return initial, dst, nil
 	}
 	// Two-state continuous-time Markov chain with exit rates r1 (from 1)
 	// and r0 (from 0). Stationary probability of 1 is r0/(r0+r1) and the
@@ -146,12 +168,12 @@ func (s Signal) Exponential(horizon float64, rng *rand.Rand) (*Waveform, error) 
 	//   r0 = D / (2·(1-P)),   r1 = D / (2·P).
 	// Degenerate probabilities pin the signal to a constant.
 	if s.P == 0 || s.P == 1 {
-		return w, nil
+		return initial, dst, nil
 	}
 	r0 := s.D / (2 * (1 - s.P))
 	r1 := s.D / (2 * s.P)
 	t := 0.0
-	v := w.Initial
+	v := initial
 	for {
 		rate := r0
 		if v {
@@ -159,10 +181,10 @@ func (s Signal) Exponential(horizon float64, rng *rand.Rand) (*Waveform, error) 
 		}
 		t += rng.ExpFloat64() / rate
 		if t > horizon {
-			return w, nil
+			return initial, dst, nil
 		}
 		v = !v
-		w.Events = append(w.Events, Event{Time: t, Value: v})
+		dst = append(dst, Event{Time: t, Value: v})
 	}
 }
 
@@ -173,11 +195,33 @@ func (s Signal) Exponential(horizon float64, rng *rand.Rand) (*Waveform, error) 
 // sequence is a lag-one Markov chain whose marginal is s.P and whose
 // expected toggles per cycle is s.D.
 func (s Signal) Clocked(cycles int, cycle float64, rng *rand.Rand) (*Waveform, error) {
-	if err := s.Validate(); err != nil {
+	initial, events, err := s.clocked(nil, cycles, cycle, rng)
+	if err != nil {
 		return nil, err
 	}
-	if cycles < 0 || cycle <= 0 {
-		return nil, fmt.Errorf("stoch: invalid clocking (%d cycles of %v)", cycles, cycle)
+	return &Waveform{Initial: initial, Events: events}, nil
+}
+
+// AppendClocked draws Clocked's waveform as the next waveform of b,
+// appending its events to b's event buffer: the same rng calls in the
+// same order, so the same seed gives the same waveform.
+func (s Signal) AppendClocked(b *WaveBuffer, cycles int, cycle float64, rng *rand.Rand) error {
+	initial, events, err := s.clocked(b.events, cycles, cycle, rng)
+	if err != nil {
+		return err
+	}
+	b.push(initial, events)
+	return nil
+}
+
+// clocked is Clocked's draw: it returns the initial value and dst with
+// the waveform's events appended.
+func (s Signal) clocked(dst []Event, cycles int, cycle float64, rng *rand.Rand) (bool, []Event, error) {
+	if err := s.Validate(); err != nil {
+		return false, nil, err
+	}
+	if cycles < 0 || !positiveFinite(cycle) {
+		return false, nil, fmt.Errorf("stoch: invalid clocking (%d cycles of %v)", cycles, cycle)
 	}
 	// Markov chain with transition probabilities chosen so that
 	// E[toggles/cycle] = D: from 1 toggle w.p. t1 = D/(2P), from 0 w.p.
@@ -188,16 +232,16 @@ func (s Signal) Clocked(cycles int, cycle float64, rng *rand.Rand) (*Waveform, e
 	case s.D == 0:
 		t0, t1 = 0, 0
 	case s.P == 0 || s.P == 1:
-		return nil, fmt.Errorf("stoch: cannot realize D=%v with pinned P=%v", s.D, s.P)
+		return false, nil, fmt.Errorf("stoch: cannot realize D=%v with pinned P=%v", s.D, s.P)
 	default:
 		t0 = s.D / (2 * (1 - s.P))
 		t1 = s.D / (2 * s.P)
 		if t0 > 1 || t1 > 1 {
-			return nil, fmt.Errorf("stoch: (P=%v, D=%v per cycle) not realizable: toggle probability exceeds 1", s.P, s.D)
+			return false, nil, fmt.Errorf("stoch: (P=%v, D=%v per cycle) not realizable: toggle probability exceeds 1", s.P, s.D)
 		}
 	}
-	w := &Waveform{Initial: rng.Float64() < s.P}
-	v := w.Initial
+	initial := rng.Float64() < s.P
+	v := initial
 	for c := 1; c <= cycles; c++ {
 		tp := t0
 		if v {
@@ -205,10 +249,10 @@ func (s Signal) Clocked(cycles int, cycle float64, rng *rand.Rand) (*Waveform, e
 		}
 		if rng.Float64() < tp {
 			v = !v
-			w.Events = append(w.Events, Event{Time: float64(c) * cycle, Value: v})
+			dst = append(dst, Event{Time: float64(c) * cycle, Value: v})
 		}
 	}
-	return w, nil
+	return initial, dst, nil
 }
 
 // Merge combines per-input waveforms into one globally time-ordered event

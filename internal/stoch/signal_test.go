@@ -125,6 +125,13 @@ func TestClockedUnrealizable(t *testing.T) {
 	if _, err := (Signal{P: 0.5, D: 0.5}).Clocked(10, 0, rng); err == nil {
 		t.Error("zero cycle accepted")
 	}
+	// A NaN fails every comparison, so a bare cycle <= 0 check let both
+	// through as NaN and +Inf event times.
+	for _, cycle := range []float64{math.NaN(), math.Inf(1)} {
+		if w, err := (Signal{P: 0.5, D: 0.5}).Clocked(4, cycle, rng); err == nil {
+			t.Errorf("cycle %v accepted: events %v", cycle, w.Events)
+		}
+	}
 }
 
 func TestClockedEventsOnClockEdges(t *testing.T) {

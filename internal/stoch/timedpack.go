@@ -3,6 +3,7 @@ package stoch
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file packs waveforms for the *timed* bit-parallel simulator. Unlike
@@ -38,14 +39,15 @@ func TicksIn(horizon, tick float64) int64 {
 // two comparable lane for lane. Snapping moves each event by at most half a tick (events
 // closer together than a tick may merge).
 func QuantizeWaveform(w *Waveform, tick float64, horizonTicks int64) []TickEvent {
-	return appendQuantized(nil, w, tick, horizonTicks)
+	return appendQuantized(nil, w.Initial, w.Events, tick, horizonTicks)
 }
 
-// appendQuantized appends QuantizeWaveform's result to dst, so a caller
-// can quantize many waveforms through one reused buffer.
-func appendQuantized(dst []TickEvent, w *Waveform, tick float64, horizonTicks int64) []TickEvent {
+// appendQuantized appends QuantizeWaveform's result for the waveform
+// (initial, events) to dst, so a caller can quantize many waveforms
+// through one reused buffer.
+func appendQuantized(dst []TickEvent, initial bool, events []Event, tick float64, horizonTicks int64) []TickEvent {
 	start := len(dst)
-	for _, e := range w.Events {
+	for _, e := range events {
 		qt := math.Round(e.Time / tick)
 		// Compared as a float, so a time too large for int64 (or NaN) stops
 		// here instead of converting to a negative tick.
@@ -59,7 +61,7 @@ func appendQuantized(dst []TickEvent, w *Waveform, tick float64, horizonTicks in
 		dst = append(dst, TickEvent{Tick: int64(qt), Value: e.Value})
 	}
 	// Drop collapsed no-ops in place (write index never passes read index).
-	val := w.Initial
+	val := initial
 	kept := dst[:start]
 	for _, te := range dst[start:] {
 		if te.Value != val {
@@ -159,9 +161,21 @@ type timedEvent struct {
 
 // PackTimedWaveforms quantizes per-lane waveform sets onto the tick grid
 // and bit-packs them: lanes[l] maps every input name to that lane's
-// waveform (the shape GenerateWaveforms in package sim produces). Each
-// waveform is snapped with QuantizeWaveform — at most half a tick of skew
-// per event, events beyond the horizon dropped — and the surviving
+// waveform (the shape GenerateWaveforms in package sim produces). It
+// copies the waveforms into a new WaveBuffer in input order and packs
+// that with WaveBuffer.PackTimed, which documents the packing.
+func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, tick float64, guard int64) (*TimedStimulus, error) {
+	b, err := waveBufferOf(inputs, lanes)
+	if err != nil {
+		return nil, err
+	}
+	return b.PackTimed(inputs, horizon, tick, guard)
+}
+
+// PackTimed quantizes the buffer's lanes onto the tick grid and bit-packs
+// them; inputs names the buffer's inputs in order. Each waveform is
+// snapped as QuantizeWaveform snaps it — at most half a tick of skew per
+// event, events beyond the horizon dropped — and the surviving
 // transitions of all lanes are merged onto one shared, sorted tick axis
 // as per-input toggle masks. A NaN, infinite or negative event time is an
 // error, and so is a horizon of 2^63 ticks or more.
@@ -174,16 +188,20 @@ type timedEvent struct {
 // packs the original axis unchanged.
 //
 // Packing runs in time linear in the number of events: every ordering is
-// a stable counting or radix pass, never a comparison sort.
-func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, tick float64, guard int64) (*TimedStimulus, error) {
+// a stable counting or radix pass, never a comparison sort. Its working
+// memory comes from a package-level pool, and the returned stimulus is
+// the buffer's own: it stays valid until the buffer next packs a timed
+// stimulus, so a reused buffer packs block after block without
+// allocating.
+func (b *WaveBuffer) PackTimed(inputs []string, horizon, tick float64, guard int64) (*TimedStimulus, error) {
 	if !positiveFinite(tick) {
 		return nil, fmt.Errorf("stoch: timed packing needs a positive, finite tick, got %v", tick)
 	}
 	if guard < 0 {
 		return nil, fmt.Errorf("stoch: negative guard %d", guard)
 	}
-	b, waves, events, err := newBlock(inputs, lanes, horizon)
-	if err != nil {
+	ts := &b.timed
+	if err := b.header(&ts.Block, inputs, horizon); err != nil {
 		return nil, err
 	}
 	// Compared as a float, so a ratio too large for int64 (or +Inf) is
@@ -191,46 +209,47 @@ func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, 
 	if !(horizon/tick < 1<<63) {
 		return nil, fmt.Errorf("stoch: horizon %v spans 2^63 or more ticks of %v", horizon, tick)
 	}
-	ts := &TimedStimulus{
-		Block:        b,
-		Tick:         tick,
-		HorizonTicks: TicksIn(horizon, tick),
-		Guard:        guard,
-	}
+	ts.Tick, ts.HorizonTicks, ts.Guard = tick, TicksIn(horizon, tick), guard
+	sc := packPool.Get().(*packScratch)
+	defer packPool.Put(sc)
+
 	// Quantize into one buffer, lane-major and input-major within a lane:
-	// perLane[l] is lane l's stretch of it.
-	evs := make([]timedEvent, 0, events)
-	perLane := make([][]timedEvent, len(lanes))
-	var q []TickEvent
+	// perLane[l] is lane l's stretch of it. The buffer holds every event,
+	// so the stretches never move.
+	lanes, n := b.lanes, b.inputs
+	evs := slices.Grow(sc.evs[:0], b.start(lanes*n))
+	perLane := slices.Grow(sc.perLane[:0], lanes)[:lanes]
+	q := sc.q
 	for l := range lanes {
 		start := len(evs)
-		for i, w := range waves[l*len(inputs) : (l+1)*len(inputs)] {
-			q = appendQuantized(q[:0], w, tick, ts.HorizonTicks)
+		for i := range n {
+			initial, events := b.Wave(l, i)
+			q = appendQuantized(q[:0], initial, events, tick, ts.HorizonTicks)
 			for _, te := range q {
 				evs = append(evs, timedEvent{tick: te.Tick, input: int32(i), lane: int32(l)})
 			}
 		}
 		perLane[l] = evs[start:]
 	}
-	tmp := make([]timedEvent, len(evs))
+	tmp := slices.Grow(sc.tmp[:0], len(evs))[:len(evs)]
 	if guard > 0 {
 		// Cluster alignment needs each lane in tick order; a stable pass
 		// keeps same-tick events in input order.
 		for _, le := range perLane {
-			sortByTick(le, tmp[:len(le)])
+			sc.sortByTick(le, tmp[:len(le)])
 		}
-		alignClusters(perLane, guard)
+		sc.alignClusters(perLane, guard)
 	}
 	// Order by (tick, input, lane): lanes are already ascending, a stable
 	// counting pass puts them under their input, and a stable radix pass
 	// on the (virtual) tick finishes the order.
-	byInput(tmp, evs, len(inputs))
+	sc.byInput(tmp, evs, n)
 	evs, tmp = tmp, evs
-	sortByTick(evs, tmp)
+	sc.sortByTick(evs, tmp)
+	sc.evs, sc.tmp, sc.perLane, sc.q = evs, tmp, perLane, q
 
 	// One toggle per (tick, input, word) run. Counting the ticks and runs
-	// first lets every tick's toggles be a sub-slice of one exactly sized
-	// array.
+	// first lets every tick's toggles be a sub-slice of one array.
 	ticks, runs := 0, 0
 	for k, e := range evs {
 		switch {
@@ -241,11 +260,9 @@ func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, 
 			runs++
 		}
 	}
-	if ticks > 0 {
-		ts.Ticks = make([]int64, 0, ticks)
-		ts.Toggles = make([][]InputToggle, 0, ticks)
-	}
-	toggles := make([]InputToggle, 0, runs)
+	ts.Ticks = slices.Grow(ts.Ticks[:0], ticks)
+	ts.Toggles = slices.Grow(ts.Toggles[:0], ticks)
+	toggles := slices.Grow(b.toggles[:0], runs)
 	for k := 0; k < len(evs); {
 		t, start := evs[k].tick, len(toggles)
 		for k < len(evs) && evs[k].tick == t {
@@ -259,20 +276,50 @@ func PackTimedWaveforms(inputs []string, lanes []map[string]*Waveform, horizon, 
 		ts.Ticks = append(ts.Ticks, t)
 		ts.Toggles = append(ts.Toggles, toggles[start:len(toggles):len(toggles)])
 	}
+	b.toggles = toggles
+	if ticks == 0 {
+		// A quiet block packs like a fresh one: no tick arrays at all.
+		ts.Ticks, ts.Toggles = nil, nil
+	}
 	return ts, nil
 }
 
-// sortByTick stably sorts evs by tick in place, one byte of the tick per
-// LSD radix pass, with scratch (as long as evs) as the other buffer.
-// Bytes on which every tick agrees take no pass. Ticks are non-negative,
-// so they order like their uint64 bit patterns.
-func sortByTick(evs, scratch []timedEvent) {
+// sortByTick stably sorts evs by tick in place, with scratch (as long as
+// evs) as the other buffer. When the ticks span no more values than there
+// are events, one counting pass over the span orders them; otherwise one
+// LSD radix pass per byte of the tick, skipping the bytes on which every
+// tick agrees. Ticks are non-negative, so they order like their uint64
+// bit patterns.
+func (sc *packScratch) sortByTick(evs, scratch []timedEvent) {
 	if len(evs) < 2 {
 		return
 	}
+	lo, hi := evs[0].tick, evs[0].tick
 	var diff uint64
 	for _, e := range evs {
+		lo, hi = min(lo, e.tick), max(hi, e.tick)
 		diff |= uint64(e.tick ^ evs[0].tick)
+	}
+	if span := hi - lo; span < int64(len(evs)) {
+		if span == 0 {
+			return
+		}
+		pos := zeroed(sc.counts, int(span)+1)
+		sc.counts = pos
+		for _, e := range evs {
+			pos[e.tick-lo]++
+		}
+		sum := 0
+		for d, n := range pos {
+			pos[d] = sum
+			sum += n
+		}
+		for _, e := range evs {
+			scratch[pos[e.tick-lo]] = e
+			pos[e.tick-lo]++
+		}
+		copy(evs, scratch)
+		return
 	}
 	src, dst := evs, scratch
 	for shift := uint(0); diff>>shift != 0; shift += 8 {
@@ -303,8 +350,9 @@ func sortByTick(evs, scratch []timedEvent) {
 // byInput scatters src into dst (as long as src) grouped by input, in
 // input order, keeping the order of src within each input: one stable
 // counting pass.
-func byInput(dst, src []timedEvent, inputs int) {
-	pos := make([]int, inputs+1)
+func (sc *packScratch) byInput(dst, src []timedEvent, inputs int) {
+	pos := zeroed(sc.pos, inputs+1)
+	sc.pos = pos
 	for _, e := range src {
 		pos[e.input+1]++
 	}
@@ -329,10 +377,12 @@ type laneCluster struct {
 // lane plus a guard of quiet ticks, so shifted clusters never move closer
 // than the guard to each other within a lane — the condition that keeps
 // the shift exactly equivalence-preserving.
-func alignClusters(perLane [][]timedEvent, guard int64) {
-	clusters := make([][]laneCluster, len(perLane))
+func (sc *packScratch) alignClusters(perLane [][]timedEvent, guard int64) {
+	clusters := sc.clusters[:0]
+	bounds := slices.Grow(sc.bounds[:0], len(perLane)+1)
 	maxClusters := 0
-	for l, evs := range perLane {
+	for _, evs := range perLane {
+		bounds = append(bounds, len(clusters))
 		for k := 0; k < len(evs); {
 			c := laneCluster{start: k, tick: evs[k].tick}
 			last := evs[k].tick
@@ -341,28 +391,29 @@ func alignClusters(perLane [][]timedEvent, guard int64) {
 			}
 			c.end = k
 			c.span = last - c.tick
-			clusters[l] = append(clusters[l], c)
+			clusters = append(clusters, c)
 		}
-		if len(clusters[l]) > maxClusters {
-			maxClusters = len(clusters[l])
-		}
+		maxClusters = max(maxClusters, len(clusters)-bounds[len(bounds)-1])
 	}
+	bounds = append(bounds, len(clusters))
+	sc.clusters, sc.bounds = clusters, bounds
 	slotStart := int64(0)
 	for j := 0; j < maxClusters; j++ {
 		width := int64(0)
-		for l := range clusters {
-			if j < len(clusters[l]) && clusters[l][j].span > width {
-				width = clusters[l][j].span
+		for l := range perLane {
+			if lc := clusters[bounds[l]:bounds[l+1]]; j < len(lc) && lc[j].span > width {
+				width = lc[j].span
 			}
 		}
-		for l := range clusters {
-			if j >= len(clusters[l]) {
+		for l, evs := range perLane {
+			lc := clusters[bounds[l]:bounds[l+1]]
+			if j >= len(lc) {
 				continue
 			}
-			c := clusters[l][j]
+			c := lc[j]
 			shift := slotStart - c.tick
 			for k := c.start; k < c.end; k++ {
-				perLane[l][k].tick += shift
+				evs[k].tick += shift
 			}
 		}
 		slotStart += width + guard + 1
